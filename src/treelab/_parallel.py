@@ -1,8 +1,8 @@
-"""Optional process-based fan-out with deterministic aggregation.
+"""Process-based fan-out of the pair scan with deterministic aggregation.
 
 Work items are serialized as tree literals so workers never need to pickle
 Tree objects; `parallel_map` preserves input order, which keeps every result
-independent of the worker count.
+independent of the worker count.  `scan_pairs` is the only caller.
 """
 
 from __future__ import annotations

@@ -125,7 +125,7 @@ def cmd_scs(args) -> int:
     t1, t2 = _load_literal(args.t1), _load_literal(args.t2)
     result = smallest_common_supertree(
         t1, t2, all_witnesses=args.all, max_size=args.max_size,
-        enum_cap=args.budget_nodes or ENUM_CAP_DEFAULT, jobs=args.jobs)
+        enum_cap=args.budget_nodes or ENUM_CAP_DEFAULT)
     _emit(args, result.to_json(),
           f"optimum {result.optimum_size}, {len(result.witnesses)} witness(es): "
           + "; ".join(format_tree(w.tree) for w in result.witnesses))
@@ -199,7 +199,7 @@ def cmd_family(args) -> int:
         data = {"t1": format_tree(t1), "t2": format_tree(t2), **meta}
         if args.which == "fig5" and args.check_claims:
             data["claims_checked"] = check_fig5_claims(
-                _load_literal(args.a), _load_literal(args.b), jobs=args.jobs)
+                _load_literal(args.a), _load_literal(args.b))
         _dot_out(args, "t1", to_dot(t1))
         _dot_out(args, "t2", to_dot(t2))
     _emit(args, data, "\n".join(f"{k}: {v}" for k, v in data.items()))
@@ -210,17 +210,14 @@ def cmd_verify(args) -> int:
     report = verify_counterexample(
         _load_literal(args.p), _load_literal(args.r), _load_literal(args.s),
         theorem5_exhaustive=args.theorem5_exhaustive, max_size=args.max_size,
-        enum_cap=args.budget_nodes or ENUM_CAP_DEFAULT, jobs=args.jobs)
+        enum_cap=args.budget_nodes or ENUM_CAP_DEFAULT)
     _emit(args, report.to_json(), report.to_text())
     if args.dot_dir:
-        inst = fig1_family(_load_literal(args.p), _load_literal(args.r),
-                           _load_literal(args.s))
-        _dot_out(args, "t1", to_dot(inst.t1))
-        _dot_out(args, "t2", to_dot(inst.t2))
-        _dot_out(args, "mu", to_dot(inst.claimed_mu))
-        _dot_out(args, "quotient",
-                 quotient_to_dot(report.quotient, reduce_quotient(report.quotient)))
-        _dot_out(args, "reduced", to_dot(reduce_quotient(report.quotient)))
+        q = report.quotient
+        reduced = reduce_quotient(q)
+        for name, graph in (("t1", q.t1), ("t2", q.t2), ("mu", q.t_mu), ("reduced", reduced)):
+            _dot_out(args, name, to_dot(graph))
+        _dot_out(args, "quotient", quotient_to_dot(q, reduced))
         for i, literal in enumerate(report.scs_witness_literals):
             _dot_out(args, f"scs_witness{i}", to_dot(parse_tree(literal)))
     return 1 if (report.gap or 0) > 0 else 0
@@ -228,7 +225,7 @@ def cmd_verify(args) -> int:
 
 def cmd_transfer(args) -> int:
     report = subproblem_transfer_check(args.which, _load_literal(args.a),
-                                       _load_literal(args.b), jobs=args.jobs)
+                                       _load_literal(args.b))
     _emit(args, report,
           f"constant {report['constant']} stable={report['stable']} "
           f"over {len(report['pairs'])} pair(s)")
@@ -250,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     # keeps the subparser from clobbering values parsed at the top level.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                        help="worker processes (results are independent of this)")
+                        help="worker processes for scan (other verbs ignore it)")
     common.add_argument("--format", choices=("json", "text"),
                         default=argparse.SUPPRESS)
     common.add_argument("--dot-dir", default=argparse.SUPPRESS,

@@ -3,14 +3,15 @@
 An injective node map f: S -> T is a minor embedding when every source arc
 (a, b) maps to the (unique) target path f(a) ⇝ f(b) and no intermediate node
 of that path lies in the image of f.  This module validates candidate maps,
-enumerates all embeddings by backtracking, builds subset-induced minors (the
-canonical witness form), and checks preservation of incomparability.
+enumerates all embeddings by backtracking, decides containment by memoized
+tree inclusion, builds subset-induced minors (the canonical witness form),
+and checks preservation of incomparability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Mapping
 
 from .errors import EmbeddingError, MultiRootError, TreeError
@@ -113,21 +114,6 @@ def _require_valid(f: MinorEmbedding) -> None:
 
 # -- subset-induced minors ----------------------------------------------------
 
-def _nearest_ancestors(t: Tree, w: frozenset[str]) -> tuple[list[str], list[tuple[str, str]]]:
-    """W-roots and the nearest-proper-W-ancestor arcs for a node subset."""
-    roots = []
-    arcs = []
-    for v in sorted(w):
-        p = t.parent(v)
-        while p is not None and p not in w:
-            p = t.parent(p)
-        if p is None:
-            roots.append(v)
-        else:
-            arcs.append((p, v))
-    return roots, arcs
-
-
 def induced_minor(t: Tree, w: Iterable[str]) -> Tree:
     """The minor of t on node subset w: each node hangs off its nearest
     proper ancestor within w.
@@ -142,21 +128,21 @@ def induced_minor(t: Tree, w: Iterable[str]) -> Tree:
     extra = w - t.nodes
     if extra:
         raise TreeError(f"subset contains unknown nodes: {sorted(extra)}")
-    roots, arcs = _nearest_ancestors(t, w)
+    roots = []
+    arcs = []
+    for v in sorted(w):
+        p = t.parent(v)
+        while p is not None and p not in w:
+            p = t.parent(p)
+        if p is None:
+            roots.append(v)
+        else:
+            arcs.append((p, v))
     if len(roots) > 1:
         raise MultiRootError(roots)
     return Tree(w, arcs, roots[0],
                 {v: s for v, s in t.labels.items() if v in w},
                 {v: s for v, s in t.region_tags.items() if v in w})
-
-
-def _induced_or_none(t: Tree, w: frozenset[str]) -> Tree | None:
-    """Solver-loop variant of `induced_minor`: None instead of raising."""
-    roots, arcs = _nearest_ancestors(t, w)
-    if len(roots) > 1:
-        return None
-    return Tree(w, arcs, roots[0],
-                {v: s for v, s in t.labels.items() if v in w})
 
 
 # -- backtracking search -------------------------------------------------------
@@ -229,13 +215,81 @@ def find_embedding(s: Tree, t: Tree) -> MinorEmbedding | None:
     return found[0] if found else None
 
 
+# -- inclusion decider -----------------------------------------------------------
+# Subtrees are interned as shapes, one id per isomorphism class keyed by (label,
+# sorted child ids).  `_fits` is the unordered tree-inclusion recursion of
+# Kilpelainen & Mannila (SIAM J. Comput. 24(2), 1995) on shapes; its memo lives
+# as long as the process, so one memo serves a whole level scan.
+
+_SHAPE_IDS: dict[tuple, int] = {}
+_LABEL: list[str | None] = []
+_KIDS: list[tuple[int, ...]] = []
+_SIZE: list[int] = []
+_FITS: dict[tuple[int, int], bool] = {}
+_PACKS: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
+
+
+def _shape(t: Tree) -> int:
+    """The interned shape of a non-empty tree, cached on the tree."""
+    if t._shape is None:
+        ids: dict[str, int] = {}
+        for v in reversed(t.preorder):
+            key = (t.labels.get(v), tuple(sorted(ids[c] for c in t.children(v))))
+            if key not in _SHAPE_IDS:
+                _SHAPE_IDS[key] = len(_KIDS)
+                _LABEL.append(key[0])
+                _KIDS.append(key[1])
+                _SIZE.append(1 + sum(_SIZE[k] for k in key[1]))
+            ids[v] = _SHAPE_IDS[key]
+        t._shape = ids[t.root]
+    return t._shape
+
+
+def _fits(s: int, t: int) -> bool:
+    """Shape s embeds into shape t: its root maps to t's root (equal labels,
+    children packed into t's children) or s fits inside a child of t."""
+    if _SIZE[s] >= _SIZE[t]:
+        return s == t
+    got = _FITS.get((s, t))
+    if got is None:
+        got = _FITS[s, t] = ((_LABEL[s] == _LABEL[t] and _packs(_KIDS[s], _KIDS[t]))
+                             or any(_fits(s, c) for c in _KIDS[t]))
+    return got
+
+
+def _packs(forest: tuple[int, ...], into: tuple[int, ...]) -> bool:
+    """The sorted shape forest `forest` embeds into the forest `into`: a DP
+    over the sub-multisets of `forest` still to place (count vectors, so k
+    equal trees cost k + 1 states, not 2^k), one target tree at a time.  A
+    target tree takes nothing, one source tree anywhere in it, or a group of
+    two or more strictly below its root (group roots stay incomparable)."""
+    got = _PACKS.get((forest, into))
+    if got is not None:
+        return got
+    kinds = sorted(set(forest))
+    full = tuple(forest.count(k) for k in kinds)
+    states = {full}
+    for g in into:
+        takes = []
+        for take in product(*(range(c + 1) for c in full)):
+            group = tuple(k for k, c in zip(kinds, take) for _ in range(c))
+            if not group or (_fits(group[0], g) if len(group) == 1
+                             else _packs(group, _KIDS[g])):
+                takes.append(take)
+        states = {tuple(r - c for r, c in zip(rest, take))
+                  for rest in states for take in takes
+                  if all(c <= r for c, r in zip(take, rest))}
+    return _PACKS.setdefault((forest, into), (0,) * len(kinds) in states)
+
+
 def is_minor(s: Tree, t: Tree) -> bool:
     """Whether s embeds into t as a minor.
 
-    Uses sound shortcuts before searching: a size-k source only fits a
-    target of size >= k; equal sizes force the embedding to be an
-    isomorphism (every target node is an image, so arcs must map to arcs);
-    the longest source chain and the source leaf antichain must both fit.
+    Sound shortcuts come first: a size-k source only fits a target of size
+    >= k; equal sizes force the embedding to be an isomorphism (every target
+    node is an image, so arcs must map to arcs); the longest source chain and
+    the source leaf antichain must both fit.  The inclusion recursion over
+    interned shapes decides the rest; `find_embedding` builds witnesses.
     """
     if s.size > t.size:
         return False
@@ -243,21 +297,26 @@ def is_minor(s: Tree, t: Tree) -> bool:
         return are_isomorphic(s, t)
     if s.height > t.height or len(s.leaves) > len(t.leaves):
         return False
-    return find_embedding(s, t) is not None
+    if s.root is None:
+        raise TreeError("minor containment needs non-empty trees")
+    return _fits(_shape(s), _shape(t))
 
 
 def is_minor_by_subsets(s: Tree, t: Tree) -> bool:
     """Subset oracle: some |s|-node subset of t induces a minor isomorphic to s.
 
-    Independent of the backtracking search; every minor of t is isomorphic
-    to the induced minor on its image, so this is complete.
+    Independent of the backtracking search and of the inclusion recursion;
+    every minor of t is isomorphic to the induced minor on its image, so
+    this is complete.
     """
     if s.size > t.size or s.root is None:
         return False
     for w in combinations(sorted(t.nodes), s.size):
-        m = _induced_or_none(t, frozenset(w))
-        if m is not None and are_isomorphic(m, s):
-            return True
+        try:
+            if are_isomorphic(induced_minor(t, w), s):
+                return True
+        except MultiRootError:
+            pass
     return False
 
 

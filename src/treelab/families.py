@@ -22,13 +22,14 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterable
 
 from ._parallel import parallel_map
 from .errors import BudgetError, EmbeddingError, SolverDisagreement, TreeError
 from .trees import (ENUM_CAP_DEFAULT, Tree, are_isomorphic, canonical_code,
                     chain, enumerate_trees, format_tree, parse_tree, star,
-                    validate)
+                    tree_from_arcs, validate)
 from .embeddings import (EmbeddingViolation, MinorEmbedding, check_embedding,
                          enumerate_embeddings)
 from .solvers import (NODE_BUDGET_DEFAULT, largest_common_minor,
@@ -69,18 +70,18 @@ class Fig1Instance:
     p_isomorphic_s: bool
 
 
+def _fresh_name(base: str, used: set[str]) -> str:
+    cand = base
+    while cand in used:
+        cand += "_"
+    used.add(cand)
+    return cand
+
+
 def _rename_avoiding(tree: Tree, used: set[str], slot: str) -> Tree:
     """Copy a part, renaming nodes that collide with reserved/used names."""
-    mapping = {}
-    for v in tree.preorder:
-        cand = v
-        if cand in used:
-            cand = f"{slot}_{v}"
-            while cand in used:
-                cand += "_"
-        mapping[v] = cand
-        used.add(cand)
-    return tree.relabel(mapping)
+    return tree.relabel({v: _fresh_name(v if v not in used else f"{slot}_{v}", used)
+                         for v in tree.preorder})
 
 
 def _part_tags(parts: dict[str, Tree]) -> dict[str, str]:
@@ -162,40 +163,17 @@ class SupertreeCandidate:
 
 
 def _fresh_copy(tree: Tree, used: set[str]) -> tuple[Tree, dict[str, str]]:
-    mapping = {}
-    for v in tree.preorder:
-        cand = f"{v}_2"
-        while cand in used:
-            cand += "_"
-        mapping[v] = cand
-        used.add(cand)
+    mapping = {v: _fresh_name(f"{v}_2", used) for v in tree.preorder}
     return tree.relabel(mapping), mapping
 
 
-def _fresh_name(base: str, used: set[str]) -> str:
-    cand = base
-    while cand in used:
-        cand += "_"
-    used.add(cand)
-    return cand
+def _join(root: str, arcs: list, groups: tuple[Tree, ...]) -> Tree:
+    return tree_from_arcs(root, arcs + [a for part in groups for a in part.arcs],
+                          {v: s for part in groups for v, s in part.labels.items()})
 
 
-def _join(root: str, arcs: list, groups: Iterable[Tree]) -> Tree:
-    nodes = {root}
-    all_arcs = list(arcs)
-    labels: dict[str, str] = {}
-    for part in groups:
-        nodes |= part.nodes
-        all_arcs.extend(part.arcs)
-        labels.update(part.labels)
-    for a, b in all_arcs:
-        nodes.add(a)
-        nodes.add(b)
-    return Tree(nodes, all_arcs, root, labels)
-
-
-def fig2_candidates(inst: Fig1Instance, enum_cap: int = ENUM_CAP_DEFAULT,
-                    jobs: int = 1) -> list[SupertreeCandidate]:
+def fig2_candidates(inst: Fig1Instance,
+                    enum_cap: int = ENUM_CAP_DEFAULT) -> list[SupertreeCandidate]:
     """The candidate minimum supertrees of a family instance.
 
     Cases ``a`` duplicate the P (resp. S) part in its entirety, case ``b``
@@ -249,7 +227,7 @@ def fig2_candidates(inst: Fig1Instance, enum_cap: int = ENUM_CAP_DEFAULT,
 
     # case c, two copies of a smallest common supertree of P and S:
     #   a( u( Q, R ), Q' )
-    ps = smallest_common_supertree(pp, ss, enum_cap=enum_cap, jobs=jobs)
+    ps = smallest_common_supertree(pp, ss, enum_cap=enum_cap)
     q, e_p, e_s = ps.witnesses[0].tree, ps.witnesses[0].emb1, ps.witnesses[0].emb2
     used = {"a"} | set(rr.nodes) | set(q.nodes)
     u = _fresh_name("u", used)
@@ -388,8 +366,7 @@ def verify_counterexample(p: Tree, r: Tree, s: Tree, *,
                           theorem5_exhaustive: bool = False,
                           max_size: int | None = None,
                           enum_cap: int = ENUM_CAP_DEFAULT,
-                          budget: int = NODE_BUDGET_DEFAULT,
-                          jobs: int = 1) -> VerificationReport:
+                          budget: int = NODE_BUDGET_DEFAULT) -> VerificationReport:
     """Run the full pipeline on one family instance.
 
     Computes the exact largest common minor and smallest common supertree,
@@ -421,8 +398,7 @@ def verify_counterexample(p: Tree, r: Tree, s: Tree, *,
     try:
         scs = smallest_common_supertree(inst.t1, inst.t2,
                                         all_witnesses=theorem5_exhaustive,
-                                        max_size=max_size, enum_cap=enum_cap,
-                                        jobs=jobs)
+                                        max_size=max_size, enum_cap=enum_cap)
     except BudgetError as err:
         scs_lower = err.lower_bound
         notes.append(f"supertree search stopped early: {err}")
@@ -430,7 +406,7 @@ def verify_counterexample(p: Tree, r: Tree, s: Tree, *,
 
     t0 = time.perf_counter()
     try:
-        candidates = fig2_candidates(inst, enum_cap=enum_cap, jobs=jobs)
+        candidates = fig2_candidates(inst, enum_cap=enum_cap)
     except BudgetError as err:
         candidates = []
         notes.append(f"candidate construction skipped: {err}")
@@ -458,28 +434,19 @@ def verify_counterexample(p: Tree, r: Tree, s: Tree, *,
     timing["quotient_ms"] = round((time.perf_counter() - t0) * 1e3, 3)
 
     t0 = time.perf_counter()
+    witnesses = scs.witnesses if scs is not None else []
     merge_found = False
     pairs_checked = 0
-    supers_checked = 0
-    if scs is not None:
-        for witness in scs.witnesses:
-            supers_checked += 1
-            if theorem5_exhaustive:
-                all_f1 = enumerate_embeddings(inst.t1, witness.tree)
-                all_f2 = enumerate_embeddings(inst.t2, witness.tree)
-                imgs2 = [region_images(inst.t2, f2) for f2 in all_f2]
-                for f1 in all_f1:
-                    img1 = region_images(inst.t1, f1)
-                    for img2 in imgs2:
-                        pairs_checked += 1
-                        if all(img1.get(slot, frozenset()) & img2.get(slot, frozenset())
-                               for slot in SLOTS):
-                            merge_found = True
-            else:
-                pairs_checked += 1
-                if check_theorem5(inst, witness.tree, witness.emb1, witness.emb2,
-                                  validate_embeddings=False) is not None:
-                    merge_found = True
+    for witness in witnesses:
+        if theorem5_exhaustive:
+            pairs = product(enumerate_embeddings(inst.t1, witness.tree),
+                            enumerate_embeddings(inst.t2, witness.tree))
+        else:
+            pairs = [(witness.emb1, witness.emb2)]
+        for f1, f2 in pairs:
+            pairs_checked += 1
+            merge_found |= check_theorem5(inst, witness.tree, f1, f2,
+                                          validate_embeddings=False) is not None
     timing["theorem5_ms"] = round((time.perf_counter() - t0) * 1e3, 3)
     timing["total_ms"] = round((time.perf_counter() - started) * 1e3, 3)
 
@@ -494,15 +461,14 @@ def verify_counterexample(p: Tree, r: Tree, s: Tree, *,
         scs_exact=scs is not None,
         scs_lower_bound=scs_lower,
         scs_levels=list(scs.levels) if scs is not None else [],
-        scs_witness_literals=([format_tree(w.tree) for w in scs.witnesses]
-                              if scs is not None else []),
+        scs_witness_literals=[format_tree(w.tree) for w in witnesses],
         gap=gap,
         candidates=candidates,
         prop21=prop21,
         reduced_is_tree=reduced_ok,
         quotient=q,
         theorem5={"mode": "exhaustive" if theorem5_exhaustive else "witness",
-                  "supertrees_checked": supers_checked,
+                  "supertrees_checked": len(witnesses),
                   "embedding_pairs_checked": pairs_checked,
                   "merge_found": merge_found},
         warnings=notes,
@@ -592,7 +558,7 @@ def fig5_family(a: Tree, b: Tree) -> tuple[Tree, Tree, dict]:
 
 
 def check_fig5_claims(a: Tree, b: Tree, *, enum_cap: int = ENUM_CAP_DEFAULT,
-                      budget: int = NODE_BUDGET_DEFAULT, jobs: int = 1) -> dict:
+                      budget: int = NODE_BUDGET_DEFAULT) -> dict:
     """Evaluate the reconstruction's quoted size facts; never asserts.
 
     Checks, for the generated instance: the P/S supertree size and merged
@@ -604,7 +570,7 @@ def check_fig5_claims(a: Tree, b: Tree, *, enum_cap: int = ENUM_CAP_DEFAULT,
     n, m = meta["n"], meta["m"]
     pp, ss = parse_tree(meta["p_literal"]), parse_tree(meta["s_literal"])
 
-    ps = smallest_common_supertree(pp, ss, enum_cap=enum_cap, jobs=jobs)
+    ps = smallest_common_supertree(pp, ss, enum_cap=enum_cap)
     merged_pairs = pp.size + ss.size - ps.optimum_size
 
     out = {"family": "fig5", "n": n, "m": m,
@@ -616,7 +582,7 @@ def check_fig5_claims(a: Tree, b: Tree, *, enum_cap: int = ENUM_CAP_DEFAULT,
            "ps_merged_pairs_matches": merged_pairs == 2}
 
     try:
-        scs = smallest_common_supertree(t1, t2, enum_cap=enum_cap, jobs=jobs)
+        scs = smallest_common_supertree(t1, t2, enum_cap=enum_cap)
         out["scs_size"] = scs.optimum_size
         out["scs_exact"] = True
         out["adding_b_claim"] = t1.size + m
@@ -633,8 +599,7 @@ def check_fig5_claims(a: Tree, b: Tree, *, enum_cap: int = ENUM_CAP_DEFAULT,
 
 def subproblem_transfer_check(family: str, a: Tree, b: Tree, *,
                               enum_cap: int = ENUM_CAP_DEFAULT,
-                              budget: int = NODE_BUDGET_DEFAULT,
-                              jobs: int = 1) -> dict:
+                              budget: int = NODE_BUDGET_DEFAULT) -> dict:
     """Probe the family constant linking the big instance to its subproblem.
 
     Sweeps every (A, B) pair with |A| = |a| and |B| = |b|; for ``fig4`` the
@@ -658,8 +623,7 @@ def subproblem_transfer_check(family: str, a: Tree, b: Tree, *,
             t1, t2, meta = fig4_family(aa, bb)
             sub = smallest_common_supertree(aa, bb, enum_cap=enum_cap).optimum_size
             try:
-                big = smallest_common_supertree(t1, t2, enum_cap=enum_cap,
-                                                jobs=jobs).optimum_size
+                big = smallest_common_supertree(t1, t2, enum_cap=enum_cap).optimum_size
                 rec["mode"] = "exact"
             except BudgetError:
                 with warnings.catch_warnings():
@@ -668,7 +632,7 @@ def subproblem_transfer_check(family: str, a: Tree, b: Tree, *,
                                        parse_tree(meta["r_literal"]),
                                        parse_tree(meta["s_literal"]))
                 big = min(c.tree.size for c in
-                          fig2_candidates(inst, enum_cap=enum_cap, jobs=jobs))
+                          fig2_candidates(inst, enum_cap=enum_cap))
                 rec["mode"] = "candidate_upper_bound"
         else:
             t1, t2, _ = fig5_family(aa, bb)

@@ -13,12 +13,11 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from ._parallel import parallel_map
-from .errors import BudgetError, SolverDisagreement, TreeError
+from .errors import BudgetError, MultiRootError, SolverDisagreement, TreeError
 from .trees import (ENUM_CAP_DEFAULT, Tree, canonical_code, enumerate_trees,
-                    format_tree, parse_tree)
+                    format_tree)
 from .embeddings import (MinorEmbedding, check_embedding, find_embedding,
-                         is_minor, is_minor_by_subsets, _induced_or_none)
+                         induced_minor, is_minor, is_minor_by_subsets)
 
 #: Default per-input node cap for the brute-force common-minor search.
 NODE_BUDGET_DEFAULT = 12
@@ -117,8 +116,9 @@ def largest_common_minor(t1: Tree, t2: Tree, all_witnesses: bool = False,
         hits: list[tuple[str, Tree]] = []
         candidates = 0
         for w in combinations(small_nodes, k):
-            m = _induced_or_none(small, frozenset(w))
-            if m is None:
+            try:
+                m = induced_minor(small, w)
+            except MultiRootError:
                 continue
             code = canonical_code(m)
             if code in seen:
@@ -143,24 +143,15 @@ def largest_common_minor(t1: Tree, t2: Tree, all_witnesses: bool = False,
     raise AssertionError("unreachable: the single-node tree is a minor of any tree")
 
 
-def _scs_candidate_hit(args: tuple[str, str, str]) -> bool:
-    lit1, lit2, cand = args
-    c = parse_tree(cand)
-    return is_minor(parse_tree(lit1), c) and is_minor(parse_tree(lit2), c)
-
-
 def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
                               max_size: int | None = None,
-                              enum_cap: int = ENUM_CAP_DEFAULT,
-                              jobs: int = 1) -> ScsResult:
+                              enum_cap: int = ENUM_CAP_DEFAULT) -> ScsResult:
     """Minimum-size tree containing both inputs as minors, with witnesses.
 
     Strategy: walk n upward from max(|t1|, |t2|) and test every enumerated
     tree of size n (in sorted canonical order) for containing both inputs;
     the first level with a hit is the optimum.  The root-merge construction
-    guarantees a hit by n = |t1| + |t2| - 1.  Candidate testing within one
-    level may fan out over `jobs` processes; aggregation preserves the
-    sequential order, so results are independent of the worker count.
+    guarantees a hit by n = |t1| + |t2| - 1.  Only hits get embeddings.
     """
     started = time.perf_counter()
     _require_solvable(t1, t2)
@@ -186,7 +177,6 @@ def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
                                  [LevelStats(big.size, 1, 1)],
                                  (time.perf_counter() - started) * 1e3)
 
-    lit1, lit2 = format_tree(t1), format_tree(t2)
     for n in range(start, ceiling + 1):
         if n > enum_cap:
             raise BudgetError(
@@ -194,19 +184,13 @@ def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
                 f"every size below {n} was exhaustively refuted", lower_bound=n)
         catalogue = enumerate_trees(n, enum_cap)
         hits: list[Tree] = []
-        if all_witnesses and jobs > 1:
-            flags = parallel_map(_scs_candidate_hit,
-                                 [(lit1, lit2, format_tree(c)) for c in catalogue], jobs)
-            hits = [c for c, ok in zip(catalogue, flags) if ok]
-            candidates = len(catalogue)
-        else:
-            candidates = 0
-            for c in catalogue:
-                candidates += 1
-                if is_minor(t1, c) and is_minor(t2, c):
-                    hits.append(c)
-                    if not all_witnesses:
-                        break
+        candidates = 0
+        for c in catalogue:
+            candidates += 1
+            if is_minor(t1, c) and is_minor(t2, c):
+                hits.append(c)
+                if not all_witnesses:
+                    break
         levels.append(LevelStats(n, candidates, len(hits)))
         if hits:
             witnesses = []
@@ -273,19 +257,19 @@ def unit_edit_distance(t1: Tree, t2: Tree, budget: int = NODE_BUDGET_DEFAULT) ->
 
 
 def cross_check_minor(s: Tree, t: Tree, budget: int = NODE_BUDGET_DEFAULT) -> bool:
-    """Run the backtracking and subset-induced strategies; they must agree.
+    """Run the inclusion, backtracking and subset strategies; they must agree.
 
     Disagreement raises `SolverDisagreement` - it would mean a bug in one of
-    the two independently implemented searches, never a valid outcome.
+    the three independently implemented strategies, never a valid outcome.
     """
     if s.size > budget or t.size > budget:
         raise BudgetError(f"cross-check limited to inputs of {budget} nodes")
     if s.root is None or t.root is None:
         raise TreeError("cross-check requires non-empty trees")
-    via_search = find_embedding(s, t) is not None if s.size <= t.size else False
-    via_subsets = is_minor_by_subsets(s, t)
-    if via_search != via_subsets:
+    verdicts = (is_minor(s, t), find_embedding(s, t) is not None,
+                is_minor_by_subsets(s, t))
+    if len(set(verdicts)) > 1:
         raise SolverDisagreement(
-            f"backtracking says {via_search}, subset oracle says {via_subsets} "
+            f"inclusion, backtracking and subset oracle say {verdicts} "
             f"for {format_tree(s)} into {format_tree(t)}")
-    return via_search
+    return verdicts[0]

@@ -145,7 +145,7 @@ class Tree:
 
     __slots__ = ("root", "labels", "region_tags", "_nodes", "_arcs", "_children",
                  "_parent", "_preorder", "_tin", "_tout", "_depth", "_code",
-                 "_desc_cache")
+                 "_shape", "_desc_cache")
 
     def __init__(self, nodes: Iterable[str], arcs: Iterable[tuple[str, str]],
                  root: str | None = None, labels: Mapping[str, str] | None = None,
@@ -169,6 +169,7 @@ class Tree:
         self._nodes = node_set
         self._arcs = arc_set
         self._code: str | None = None
+        self._shape: int | None = None
         self._desc_cache: dict[str, tuple[str, ...]] = {}
 
         kids: dict[str, list[str]] = {v: [] for v in node_set}
@@ -291,9 +292,6 @@ class Tree:
             {mapping[v]: s for v, s in self.region_tags.items()},
         )
 
-    def with_region_tags(self, tags: Mapping[str, str]) -> "Tree":
-        return Tree(self._nodes, self._arcs, self.root, self.labels, tags)
-
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -331,12 +329,6 @@ class Digraph:
     @property
     def size(self) -> int:
         return len(self.nodes)
-
-    def successors(self) -> dict:
-        succ = {v: [] for v in self.nodes}
-        for a, b in self.arcs:
-            succ[a].append(b)
-        return succ
 
 
 def tree_from_arcs(root: str, arcs: Iterable[tuple[str, str]],

@@ -1,7 +1,9 @@
 import json
 import subprocess
 import sys
+import warnings
 
+from treelab import DegenerateFamilyWarning
 from treelab.cli import main
 
 
@@ -84,6 +86,17 @@ def test_lcs_report_includes_edit_distance(capsys):
 def test_scs_report(capsys):
     code, data = run_json(capsys, "scs", "a(b)", "x(y,z)")
     assert code == 0 and data["optimum_size"] == 3
+
+
+def test_scs_jobs_flag_is_accepted_and_ignored(capsys):
+    runs = []
+    for jobs in ("1", "2"):
+        code, data = run_json(capsys, "scs", "n1(n2(n3))", "m1(m2,m3,m4)",
+                              "--all", "--jobs", jobs)
+        assert code == 0
+        runs.append(strip_timing(data))
+    assert runs[0] == runs[1]
+    assert runs[0]["witness_count"] > 1
 
 
 def test_scs_max_size_budget_exit(capsys):
@@ -238,6 +251,20 @@ def test_dot_dir_exports(capsys, tmp_path):
     assert "peripheries=2" in (out_dir / "quotient.dot").read_text()
     code, _, _ = run(capsys, "--dot-dir", str(out_dir), "parse", "a(b)")
     assert (out_dir / "tree.dot").exists()
+
+
+def test_verify_dot_dir_reuses_the_report(capsys, tmp_path):
+    # P is isomorphic to S: the degenerate-family warning is reported once,
+    # inside the report, and not raised again while the DOT files are written.
+    out_dir = tmp_path / "dots"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegenerateFamilyWarning)
+        code, data = run_json(capsys, "verify", "fig1", "--p", "p1(p2)", "--r", "q",
+                              "--s", "s1(s2)", "--dot-dir", str(out_dir))
+    assert code == 0 and len(data["warnings"]) == 1
+    for name in ("t1", "t2", "mu", "quotient", "reduced", "scs_witness0"):
+        assert (out_dir / f"{name}.dot").exists()
+    assert 'fillcolor="lightblue"' in (out_dir / "t1.dot").read_text()
 
 
 def test_installed_entry_point_runs():

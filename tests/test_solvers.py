@@ -164,14 +164,6 @@ def test_scs_all_witnesses_scans_the_full_level():
     assert len(codes) == len(set(codes))
 
 
-def test_scs_witnesses_independent_of_jobs():
-    serial = smallest_common_supertree(chain(3), star(4, "m"), all_witnesses=True, jobs=1)
-    parallel = smallest_common_supertree(chain(3), star(4, "m"), all_witnesses=True, jobs=2)
-    assert serial.optimum_size == parallel.optimum_size
-    assert [format_tree(w.tree) for w in serial.witnesses] == \
-           [format_tree(w.tree) for w in parallel.witnesses]
-
-
 # -- root merge -------------------------------------------------------------------------
 
 def test_root_merge_examples():
