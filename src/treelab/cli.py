@@ -2,7 +2,10 @@
 
 Exit codes: 0 when the operation succeeds and any checked property holds,
 1 when a checked property is violated (a size gap, a failed path-uniqueness
-check, a non-minor), 2 on usage, parse, or budget errors.  Report verbs
+check, a non-minor), 2 on usage, parse, input-file or budget errors, 3 on an
+internal error (a solver disagreement or any other uncaught exception,
+reported as one ``internal error:`` line on stderr), so a crash is never
+read as a violated property.  Report verbs
 default to JSON; wall-clock fields live under a separate "timing" key so the
 rest of the output is byte-stable across runs.
 """
@@ -28,15 +31,29 @@ from .families import (SCAN_CAP_DEFAULT, check_fig5_claims, fig1_family,
                        subproblem_transfer_check, verify_counterexample)
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise TreeError(f"{path} is not text: {err}") from None
+
+
 def _load_literal(arg: str) -> Tree:
     """Parse an inline tree literal, or the contents of a file via @path."""
     if arg.startswith("@"):
-        arg = Path(arg[1:]).read_text().strip()
+        arg = _read(arg[1:]).strip()
     return parse_tree(arg)
 
 
 def _load_mapping(path: str) -> dict[str, str]:
-    return json.load(open(path))
+    """Read an embedding file: a JSON object mapping node names to node names."""
+    try:
+        data = json.loads(_read(path))
+    except json.JSONDecodeError as err:
+        raise TreeError(f"mapping file {path} is not JSON: {err}") from None
+    if not (isinstance(data, dict) and all(isinstance(v, str) for v in data.values())):
+        raise TreeError(f"mapping file {path} must hold a JSON object of string -> string")
+    return data
 
 
 def _emit(args, data: dict, text: str | None = None) -> None:
@@ -363,6 +380,9 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:  # SolverDisagreement, or a bug: never exit 1
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 def entrypoint() -> None:

@@ -4,8 +4,9 @@ An injective node map f: S -> T is a minor embedding when every source arc
 (a, b) maps to the (unique) target path f(a) ⇝ f(b) and no intermediate node
 of that path lies in the image of f.  This module validates candidate maps,
 enumerates all embeddings by backtracking, decides containment by memoized
-tree inclusion, builds subset-induced minors (the canonical witness form),
-and checks preservation of incomparability.
+tree inclusion over the shapes interned in `trees`, builds subset-induced
+minors (the canonical witness form), and checks preservation of
+incomparability.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import combinations, product
 from typing import Iterable, Mapping
 
 from .errors import EmbeddingError, MultiRootError, TreeError
-from .trees import Tree, are_isomorphic
+from .trees import _KIDS, _LABEL, _SIZE, Tree, _shape, are_isomorphic
 
 
 @dataclass
@@ -216,33 +217,12 @@ def find_embedding(s: Tree, t: Tree) -> MinorEmbedding | None:
 
 
 # -- inclusion decider -----------------------------------------------------------
-# Subtrees are interned as shapes, one id per isomorphism class keyed by (label,
-# sorted child ids).  `_fits` is the unordered tree-inclusion recursion of
-# Kilpelainen & Mannila (SIAM J. Comput. 24(2), 1995) on shapes; its memo lives
-# as long as the process, so one memo serves a whole level scan.
+# `_fits` is the unordered tree-inclusion recursion of Kilpelainen & Mannila
+# (SIAM J. Comput. 24(2), 1995) on the shapes interned by `trees`, which it only
+# reads.  Its memos live as long as the process: one serves a whole level scan.
 
-_SHAPE_IDS: dict[tuple, int] = {}
-_LABEL: list[str | None] = []
-_KIDS: list[tuple[int, ...]] = []
-_SIZE: list[int] = []
 _FITS: dict[tuple[int, int], bool] = {}
 _PACKS: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
-
-
-def _shape(t: Tree) -> int:
-    """The interned shape of a non-empty tree, cached on the tree."""
-    if t._shape is None:
-        ids: dict[str, int] = {}
-        for v in reversed(t.preorder):
-            key = (t.labels.get(v), tuple(sorted(ids[c] for c in t.children(v))))
-            if key not in _SHAPE_IDS:
-                _SHAPE_IDS[key] = len(_KIDS)
-                _LABEL.append(key[0])
-                _KIDS.append(key[1])
-                _SIZE.append(1 + sum(_SIZE[k] for k in key[1]))
-            ids[v] = _SHAPE_IDS[key]
-        t._shape = ids[t.root]
-    return t._shape
 
 
 def _fits(s: int, t: int) -> bool:
@@ -286,16 +266,13 @@ def is_minor(s: Tree, t: Tree) -> bool:
     """Whether s embeds into t as a minor.
 
     Sound shortcuts come first: a size-k source only fits a target of size
-    >= k; equal sizes force the embedding to be an isomorphism (every target
-    node is an image, so arcs must map to arcs); the longest source chain and
-    the source leaf antichain must both fit.  The inclusion recursion over
-    interned shapes decides the rest; `find_embedding` builds witnesses.
+    >= k, and the longest source chain and the source leaf antichain must
+    both fit.  The inclusion recursion over the shapes interned by `trees`
+    decides the rest (at equal sizes it compares shape ids: every target
+    node is then an image, so the embedding is an isomorphism);
+    `find_embedding` builds witnesses.
     """
-    if s.size > t.size:
-        return False
-    if s.size == t.size:
-        return are_isomorphic(s, t)
-    if s.height > t.height or len(s.leaves) > len(t.leaves):
+    if s.size > t.size or s.height > t.height or len(s.leaves) > len(t.leaves):
         return False
     if s.root is None:
         raise TreeError("minor containment needs non-empty trees")
@@ -305,9 +282,10 @@ def is_minor(s: Tree, t: Tree) -> bool:
 def is_minor_by_subsets(s: Tree, t: Tree) -> bool:
     """Subset oracle: some |s|-node subset of t induces a minor isomorphic to s.
 
-    Independent of the backtracking search and of the inclusion recursion;
-    every minor of t is isomorphic to the induced minor on its image, so
-    this is complete.
+    Independent of the backtracking search; it shares the shape table of
+    `trees` with the inclusion recursion, since `are_isomorphic` compares
+    shape ids.  Every minor of t is isomorphic to the induced minor on its
+    image, so this is complete.
     """
     if s.size > t.size or s.root is None:
         return False

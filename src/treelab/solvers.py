@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import BudgetError, MultiRootError, SolverDisagreement, TreeError
-from .trees import (ENUM_CAP_DEFAULT, Tree, canonical_code, enumerate_trees,
-                    format_tree)
+from .trees import (ENUM_CAP_DEFAULT, Tree, _shape, canonical_code,
+                    enumerate_trees, format_tree)
 from .embeddings import (MinorEmbedding, check_embedding, find_embedding,
                          induced_minor, is_minor, is_minor_by_subsets)
 
@@ -93,7 +93,7 @@ def largest_common_minor(t1: Tree, t2: Tree, all_witnesses: bool = False,
 
     Strategy: walk k downward from min(|t1|, |t2|); at each k enumerate the
     size-k node subsets of the smaller input, keep those whose induced minor
-    exists, deduplicate by canonical code, and test each candidate for minor
+    exists, deduplicate by interned shape, and test each candidate for minor
     containment in the other input.  The first k with a hit is the optimum;
     its witnesses are one per isomorphism class, each carrying the identity
     embedding on the subset side and the first found embedding on the other.
@@ -111,28 +111,25 @@ def largest_common_minor(t1: Tree, t2: Tree, all_witnesses: bool = False,
     levels: list[LevelStats] = []
 
     for k in range(small.size, 0, -1):
-        # dedup by canonical code: each isomorphism class is tested once
-        seen: set[str] = set()
-        hits: list[tuple[str, Tree]] = []
-        candidates = 0
+        # dedup by shape: each isomorphism class is tested once
+        seen: set[int] = set()
+        hits: list[Tree] = []
         for w in combinations(small_nodes, k):
             try:
                 m = induced_minor(small, w)
             except MultiRootError:
                 continue
-            code = canonical_code(m)
-            if code in seen:
+            if _shape(m) in seen:
                 continue
-            seen.add(code)
-            candidates += 1
+            seen.add(_shape(m))
             if is_minor(m, other):
-                hits.append((code, m))
+                hits.append(m)
                 if not all_witnesses:
                     break
-        levels.append(LevelStats(k, candidates, len(hits)))
+        levels.append(LevelStats(k, len(seen), len(hits)))
         if hits:
             witnesses = []
-            for _, m in sorted(hits, key=lambda pair: pair[0]):
+            for m in sorted(hits, key=canonical_code):
                 into_small = _identity_embedding(m, small)
                 into_other = find_embedding(m, other)
                 assert into_other is not None
@@ -259,8 +256,11 @@ def unit_edit_distance(t1: Tree, t2: Tree, budget: int = NODE_BUDGET_DEFAULT) ->
 def cross_check_minor(s: Tree, t: Tree, budget: int = NODE_BUDGET_DEFAULT) -> bool:
     """Run the inclusion, backtracking and subset strategies; they must agree.
 
-    Disagreement raises `SolverDisagreement` - it would mean a bug in one of
-    the three independently implemented strategies, never a valid outcome.
+    Disagreement raises `SolverDisagreement` - it would mean a bug, never a
+    valid outcome.  Only the backtracking `find_embedding` does not read the
+    shape table of `trees`: inclusion and the subset oracle both decide
+    through shape ids, so a wrong table would make them agree.  The tests'
+    `reference_code` and `brute_force_isomorphic` check the table itself.
     """
     if s.size > budget or t.size > budget:
         raise BudgetError(f"cross-check limited to inputs of {budget} nodes")

@@ -1,9 +1,10 @@
 """Rooted unordered trees with named nodes.
 
-Parsing and printing of tree literals, structural validation, canonical
-codes (the single isomorphism authority), exhaustive enumeration of all
-non-isomorphic rooted unordered trees of a given size, disjoint unions,
-and DOT export.
+Parsing and printing of tree literals, structural validation, the interned
+shape table (the single isomorphism authority: canonical codes, isomorphism,
+common-minor deduplication and the inclusion decider all read it), exhaustive
+enumeration of all non-isomorphic rooted unordered trees of a given size,
+disjoint unions, and DOT export.
 
 All types are immutable after construction; operations return new objects.
 Children are unordered everywhere: algorithms never depend on sibling order
@@ -144,8 +145,8 @@ class Tree:
     """
 
     __slots__ = ("root", "labels", "region_tags", "_nodes", "_arcs", "_children",
-                 "_parent", "_preorder", "_tin", "_tout", "_depth", "_code",
-                 "_shape", "_desc_cache")
+                 "_parent", "_preorder", "_tin", "_tout", "_depth", "_shape",
+                 "_desc_cache")
 
     def __init__(self, nodes: Iterable[str], arcs: Iterable[tuple[str, str]],
                  root: str | None = None, labels: Mapping[str, str] | None = None,
@@ -162,13 +163,15 @@ class Tree:
             for v in (extra or {}):
                 if v not in node_set:
                     raise TreeError(f"{name} given for unknown node {v!r}")
+        for v, label in (labels or {}).items():  # as in literals, so codes stay unique
+            if not (isinstance(label, str) and NAME_PATTERN.fullmatch(label)):
+                raise TreeError(f"label {label!r} of node {v} is not of the form [A-Za-z0-9_]+")
 
         self.root = root
         self.labels = dict(labels or {})
         self.region_tags = dict(region_tags or {})
         self._nodes = node_set
         self._arcs = arc_set
-        self._code: str | None = None
         self._shape: int | None = None
         self._desc_cache: dict[str, tuple[str, ...]] = {}
 
@@ -356,8 +359,11 @@ def validate(g) -> list[StructureViolation]:
 
 # -- literals ---------------------------------------------------------------
 
-class _Parser:
-    """Recursive-descent parser for the tree-literal grammar.
+_TOKEN = re.compile(r"[A-Za-z0-9_]+|\S")
+
+
+def parse_tree(text: str) -> Tree:
+    """Parse a tree literal like ``a(b:x(c),d)`` into a validated Tree.
 
     tree     := node
     node     := NAME label? children?
@@ -366,68 +372,49 @@ class _Parser:
     NAME     := [A-Za-z0-9_]+
 
     Whitespace is insignificant between tokens.  Duplicate names within one
-    literal are an error.
+    literal are an error.  Open nodes are kept on an explicit stack, so the
+    nesting depth is not limited by the interpreter's recursion limit.
     """
+    tokens = [(m.start(), m.group()) for m in _TOKEN.finditer(text)]
+    tokens.append((len(text), ""))
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+    def name_at(i: int) -> str:
+        if not NAME_PATTERN.fullmatch(tokens[i][1]):
+            raise ParseError("expected a name ([A-Za-z0-9_]+)", tokens[i][0])
+        return tokens[i][1]
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def fail(self, message: str):
-        raise ParseError(message, self.pos)
-
-    def name(self) -> str:
-        self.skip_ws()
-        m = NAME_PATTERN.match(self.text, self.pos)
-        if not m:
-            self.fail("expected a name ([A-Za-z0-9_]+)")
-        self.pos = m.end()
-        return m.group()
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def node(self, out_arcs, out_labels, seen) -> str:
-        start = self.pos
-        name = self.name()
-        if name in seen:
-            self.pos = start
-            self.fail(f"duplicate node name {name!r}")
-        seen.add(name)
-        if self.peek() == ":":
-            self.pos += 1
-            out_labels[name] = self.name()
-        if self.peek() == "(":
-            self.pos += 1
-            while True:
-                child = self.node(out_arcs, out_labels, seen)
-                out_arcs.append((name, child))
-                ch = self.peek()
-                if ch == ",":
-                    self.pos += 1
-                    continue
-                if ch == ")":
-                    self.pos += 1
-                    break
-                self.fail("expected ',' or ')'")
-        return name
-
-
-def parse_tree(text: str) -> Tree:
-    """Parse a tree literal like ``a(b:x(c),d)`` into a validated Tree."""
-    parser = _Parser(text)
     arcs: list[tuple[str, str]] = []
     labels: dict[str, str] = {}
     seen: set[str] = set()
-    root = parser.node(arcs, labels, seen)
-    parser.skip_ws()
-    if parser.pos != len(text):
-        parser.fail("unexpected trailing input")
+    open_nodes: list[str] = []  # nodes whose child list is being read
+    root, i = None, 0
+    while True:
+        name = name_at(i)
+        if name in seen:
+            raise ParseError(f"duplicate node name {name!r}", tokens[i][0])
+        seen.add(name)
+        if open_nodes:
+            arcs.append((open_nodes[-1], name))
+        else:
+            root = name
+        i += 1
+        if tokens[i][1] == ":":
+            labels[name] = name_at(i + 1)
+            i += 2
+        if tokens[i][1] == "(":
+            open_nodes.append(name)
+            i += 1
+            continue
+        while open_nodes and tokens[i][1] == ")":
+            open_nodes.pop()
+            i += 1
+        if not open_nodes:
+            break
+        if tokens[i][1] != ",":
+            raise ParseError("expected ',' or ')'", tokens[i][0])
+        i += 1
+    if tokens[i][1]:
+        raise ParseError("unexpected trailing input", tokens[i][0])
     return Tree(seen, arcs, root, labels)
 
 
@@ -435,49 +422,79 @@ def format_tree(t: Tree) -> str:
     """Serialize a tree to a literal; inverse of `parse_tree`.
 
     Children are printed in sorted-name order so output is deterministic.
-    Region tags are presentation metadata and are not serialized.
+    Region tags are presentation metadata and are not serialized.  The
+    literal is written in one pass over the preorder: between consecutive
+    nodes the depth change decides between ``(`` and ``)...,``.
     """
     if t.root is None:
         raise TreeError("the empty tree has no literal form")
+    parts = []
+    prev = None
+    for v in t._preorder:
+        if prev is not None:
+            rise = t._depth[prev] - t._depth[v]
+            parts.append("(" if rise < 0 else ")" * rise + ",")
+        parts.append(v + ":" + t.labels[v] if v in t.labels else v)
+        prev = v
+    parts.append(")" * t._depth[prev])
+    return "".join(parts)
 
-    def fmt(v: str) -> str:
-        s = v
-        if v in t.labels:
-            s += ":" + t.labels[v]
-        kids = t.children(v)
-        if kids:
-            s += "(" + ",".join(fmt(c) for c in kids) + ")"
-        return s
 
-    return fmt(t.root)
+# -- shapes and isomorphism ----------------------------------------------------
+# Every subtree is interned as a shape: one id per isomorphism class, keyed by
+# its root label and the sorted ids of its children (the canonical numbering of
+# Aho, Hopcroft & Ullman, 1974).  This table is the single isomorphism
+# authority and `_shape` its only writer; `embeddings` reads the per-shape
+# label, children and size.  It lives as long as the process, as do the code
+# strings `canonical_code` caches per shape.
+
+_SHAPE_IDS: dict[tuple[str | None, tuple[int, ...]], int] = {}
+_LABEL: list[str | None] = []
+_KIDS: list[tuple[int, ...]] = []
+_SIZE: list[int] = []
+_CODE: dict[int, str] = {}
 
 
-# -- isomorphism ------------------------------------------------------------
+def _shape(t: Tree) -> int:
+    """The interned shape of a tree (-1 for the empty tree), cached on it."""
+    if t._shape is None:
+        ids: dict[str, int] = {}
+        for v in reversed(t._preorder):
+            key = (t.labels.get(v), tuple(sorted([ids[c] for c in t._children[v]])))
+            s = _SHAPE_IDS.get(key)
+            if s is None:
+                s = _SHAPE_IDS[key] = len(_KIDS)
+                label, kids = key
+                _LABEL.append(label)
+                _KIDS.append(kids)
+                _SIZE.append(1 + sum(_SIZE[k] for k in kids))
+            ids[v] = s
+        t._shape = ids.get(t.root, -1)
+    return t._shape
+
 
 def canonical_code(t: Tree) -> str:
     """Order-invariant code: equal codes iff trees are isomorphic.
 
     Leaves become ``()``, internal nodes concatenate their children's codes
     in sorted order; a node's label, when present, is prepended inside its
-    parentheses.  Node names never enter the code.
+    parentheses.  Node names never enter the code; the empty tree's is "".
     """
-    if t._code is not None:
-        return t._code
     if t.root is None:
-        t._code = ""
         return ""
-
-    def code(v: str) -> str:
-        kids = sorted(code(c) for c in t.children(v))
-        return "(" + t.labels.get(v, "") + "".join(kids) + ")"
-
-    t._code = code(t.root)
-    return t._code
+    s = _shape(t)
+    if s not in _CODE:  # one pass bottom-up, freeing finished subtrees' codes
+        codes: dict[str, str] = {}
+        for v in reversed(t._preorder):
+            kids = sorted([codes.pop(c) for c in t._children[v]])
+            codes[v] = "(" + t.labels.get(v, "") + "".join(kids) + ")"
+        _CODE[s] = codes[t.root]
+    return _CODE[s]
 
 
 def are_isomorphic(t1: Tree, t2: Tree) -> bool:
-    """Isomorphism of rooted unordered (label-respecting) trees."""
-    return canonical_code(t1) == canonical_code(t2)
+    """Isomorphism of rooted unordered (label-respecting) trees: equal shapes."""
+    return _shape(t1) == _shape(t2)
 
 
 # -- enumeration ------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Shared fixtures and independent brute-force oracles.
 
-The oracles here deliberately avoid the library's own machinery (canonical
-codes, backtracking search) so tests cross-check two unrelated strategies.
+The oracles here deliberately avoid the library's own machinery (the shape
+table, backtracking search) so tests cross-check two unrelated strategies.
 """
 
 from itertools import permutations
@@ -28,6 +28,20 @@ def brute_force_isomorphic(t1, t2):
         return False
 
     return match(t1.root, t2.root)
+
+
+def reference_code(t):
+    """The canonical code by its recursive definition, an oracle for the code
+    the library reads from its shape table: leaves are ``()``, a node wraps
+    its label and its children's codes, sorted, in parentheses."""
+    if t.root is None:
+        return ""
+
+    def code(v):
+        kids = sorted(code(c) for c in t.children(v))
+        return "(" + t.labels.get(v, "") + "".join(kids) + ")"
+
+    return code(t.root)
 
 
 def brute_force_embeddings(s, t):

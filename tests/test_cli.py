@@ -3,7 +3,10 @@ import subprocess
 import sys
 import warnings
 
-from treelab import DegenerateFamilyWarning
+import pytest
+
+from treelab import DegenerateFamilyWarning, SolverDisagreement
+from treelab import cli
 from treelab.cli import main
 
 
@@ -111,6 +114,24 @@ def test_tree_literal_from_file(capsys, tmp_path):
     assert code == 0 and out.strip() == "(()())"
 
 
+def test_deep_literals_parse_and_canon(capsys, tmp_path):
+    depth = 1500
+    literal = "".join(f"n{i}(" for i in range(depth - 1)) + f"n{depth - 1}" + ")" * (depth - 1)
+    path = tmp_path / "deep.txt"
+    path.write_text(literal)
+    code, out, _ = run(capsys, "canon", f"@{path}")
+    assert code == 0 and out.strip() == "(" * depth + ")" * depth
+    code, out, _ = run(capsys, "parse", literal)
+    assert code == 0 and out.strip() == literal
+
+
+def test_undecodable_literal_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"\xff\xfe")
+    code, _, err = run(capsys, "canon", f"@{path}")
+    assert code == 2 and "not text" in err
+
+
 # -- quotient and prop21 ---------------------------------------------------------------
 
 T1 = "a(y(p1(p2(p3)),r),s1(s2,s3))"
@@ -141,6 +162,16 @@ def test_quotient_with_embedding_files(capsys, tmp_path):
                           "--mu", "c1(c2)", "--g1", str(g1), "--g2", str(g2))
     assert code == 0
     assert {"members": ["1:n2", "2:m3"], "in_mu_image": True} in data["classes"]
+
+
+@pytest.mark.parametrize("content", ['{bad', '["a"]', '{"a": 1}'])
+def test_malformed_mapping_file_exits_2(capsys, tmp_path, content):
+    g = tmp_path / "g.json"
+    g.write_text(content)
+    code, _, err = run(capsys, "quotient", "n1(n2)", "m1(m2,m3)",
+                       "--mu", "c1(c2)", "--g1", str(g), "--g2", str(g))
+    assert code == 2
+    assert err.startswith("error: mapping file") and "target node" not in err
 
 
 def test_prop21_violation_exits_1(capsys):
@@ -228,6 +259,27 @@ def test_scan_cli_all_zero(capsys):
 def test_scan_cli_unknown_check(capsys):
     code, _, err = run(capsys, "scan", "--max-size", "3", "--check", "bogus")
     assert code == 2 and "unknown" in err
+
+
+# -- internal errors ---------------------------------------------------------------------
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("target, exc, argv", [
+    ("verify_counterexample", SolverDisagreement("strategies disagree"),
+     ("verify", "fig1", "--p", "p", "--r", "q", "--s", "s1(s2)")),
+    ("scan_pairs", KeyError("boom"), ("scan", "--max-size", "3")),
+])
+def test_internal_errors_exit_3_without_traceback(capsys, monkeypatch, target, exc, argv):
+    # exit 1 means a verified violation; a crash must never look like one
+    monkeypatch.setattr(cli, target, _raise(exc))
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == f"internal error: {type(exc).__name__}: {exc}\n"
 
 
 # -- output contracts ------------------------------------------------------------------------

@@ -6,7 +6,8 @@ from treelab import (BudgetError, Digraph, InvalidTreeError, ParseError, Tree,
                      disjoint_union, enumerate_trees, format_tree, parse_tree,
                      star, to_dot, tree_from_arcs, validate)
 
-from conftest import all_trees_up_to, brute_force_isomorphic, enumerate_by_leaf_growth
+from conftest import (all_trees_up_to, brute_force_isomorphic, enumerate_by_leaf_growth,
+                      reference_code)
 
 COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
 
@@ -93,6 +94,16 @@ def test_round_trip_random_names_and_labels(t):
     assert parse_tree(format_tree(t)) == t
 
 
+def test_deep_chain_round_trips():
+    n = 10_000
+    literal = "".join(f"v{i}(" for i in range(n - 1)) + f"v{n - 1}" + ")" * (n - 1)
+    t = parse_tree(literal)
+    assert t.size == n and t.height == n - 1
+    assert format_tree(t) == literal
+    assert canonical_code(t) == "(" * n + ")" * n
+    assert are_isomorphic(t, chain(n))
+
+
 # -- validation -------------------------------------------------------------------
 
 def test_validate_accepts_every_enumerated_tree():
@@ -130,6 +141,13 @@ def test_validate_flags_multiple_roots_and_unreachable():
     g = Digraph(frozenset("abcd"), frozenset({("a", "b"), ("c", "d")}))
     kinds = {v.kind for v in validate(g)}
     assert "multi_root" in kinds
+
+
+def test_tree_constructor_rejects_labels_outside_the_literal_grammar():
+    # an empty label would print as "a:" and share the unlabeled node's code
+    for bad in ("", "x y", 3):
+        with pytest.raises(TreeError, match="label"):
+            Tree(["a"], [], "a", labels={"a": bad})
 
 
 def test_tree_constructor_rejects_bad_data():
@@ -173,6 +191,38 @@ def test_code_equality_matches_permutation_search_up_to_6():
         for i, t1 in enumerate(level):
             for t2 in level[i:]:
                 assert are_isomorphic(t1, t2) == brute_force_isomorphic(t1, t2)
+
+
+def test_code_matches_reference_on_every_tree_up_to_9():
+    for t in all_trees_up_to(9):
+        assert canonical_code(t) == reference_code(t)
+
+
+@st.composite
+def random_labeled_trees(draw, max_size=90, labels=st.from_regex(r"[A-Za-z0-9_]{1,4}",
+                                                                  fullmatch=True)):
+    """A random recursive tree (node i hangs below a node before it) with
+    shuffled names and random labels."""
+    n = draw(st.integers(1, max_size))
+    prefix = draw(st.from_regex(r"[A-Za-z_]{1,3}", fullmatch=True))
+    names = [f"{prefix}{k}" for k in draw(st.permutations(range(n)))]
+    arcs = [(names[draw(st.integers(0, i - 1))], names[i]) for i in range(1, n)]
+    pool = draw(st.lists(labels, min_size=1, max_size=3))
+    marks = draw(st.dictionaries(st.sampled_from(names), st.sampled_from(pool), max_size=n))
+    return Tree(names, arcs, names[0], marks)
+
+
+@given(random_labeled_trees())
+def test_code_matches_reference_on_random_labeled_trees(t):
+    assert canonical_code(t) == reference_code(t)
+
+
+@given(random_labeled_trees(max_size=6, labels=st.sampled_from("xy")),
+       random_labeled_trees(max_size=6, labels=st.sampled_from("xy")))
+def test_iso_matches_permutation_search_on_labeled_pairs(t1, t2):
+    assert are_isomorphic(t1, t2) == brute_force_isomorphic(t1, t2)
+    copy = t1.relabel({v: v + "_c" for v in t1.nodes})
+    assert are_isomorphic(t1, copy) and brute_force_isomorphic(t1, copy)
 
 
 def test_relabeled_copies_stay_isomorphic():
