@@ -98,9 +98,9 @@ def cmd_iso(args) -> int:
 
 
 def cmd_enum(args) -> int:
-    trees = enumerate_trees(args.size, cap=args.budget_nodes or ENUM_CAP_DEFAULT)
-    literals = [format_tree(t) for t in trees]
-    _emit(args, {"size": args.size, "count": len(trees), "trees": literals},
+    literals = [format_tree(t) for t in
+                enumerate_trees(args.size, cap=args.budget_nodes or ENUM_CAP_DEFAULT)]
+    _emit(args, {"size": args.size, "count": len(literals), "trees": literals},
           "\n".join(literals))
     return 0
 
@@ -152,6 +152,8 @@ def cmd_scs(args) -> int:
 
 def _quotient_from_args(args):
     t1, t2 = _load_literal(args.t1), _load_literal(args.t2)
+    if (args.g1 or args.g2) and not (args.mu and args.g1 and args.g2):
+        raise TreeError("--g1 and --g2 go together, with --mu")
     if args.mu:
         mu = _load_literal(args.mu)
         if args.g1 and args.g2:

@@ -3,7 +3,7 @@
 Both problems are solved by exhaustion, never by heuristics: optimality at
 size k is only claimed after the neighbouring level has been fully scanned.
 The two directions use independent substrates (node subsets of one input for
-common minors, the full catalogue of enumerated trees for common supertrees)
+common minors, the full catalogue of enumerated tree shapes for supertrees)
 so they can cross-check each other.
 """
 
@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import BudgetError, MultiRootError, SolverDisagreement, TreeError
-from .trees import (ENUM_CAP_DEFAULT, Tree, _shape, canonical_code,
-                    enumerate_trees, format_tree)
-from .embeddings import (MinorEmbedding, check_embedding, find_embedding,
+from .trees import (ENUM_CAP_DEFAULT, Tree, _catalogue, _shape, _tree_from_levels,
+                    canonical_code, format_tree)
+from .embeddings import (MinorEmbedding, _fits, check_embedding, find_embedding,
                          induced_minor, is_minor, is_minor_by_subsets)
 
 #: Default per-input node cap for the brute-force common-minor search.
@@ -145,10 +145,10 @@ def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
                               enum_cap: int = ENUM_CAP_DEFAULT) -> ScsResult:
     """Minimum-size tree containing both inputs as minors, with witnesses.
 
-    Strategy: walk n upward from max(|t1|, |t2|) and test every enumerated
-    tree of size n (in sorted canonical order) for containing both inputs;
-    the first level with a hit is the optimum.  The root-merge construction
-    guarantees a hit by n = |t1| + |t2| - 1.  Only hits get embeddings.
+    Strategy: walk n upward from max(|t1|, |t2|) and test every catalogued
+    shape of size n (in sorted canonical order) for containing both inputs;
+    the first level with a hit is the optimum (the root merge guarantees one
+    by n = |t1| + |t2| - 1).  Only hits become named `Tree`s, with embeddings.
     """
     started = time.perf_counter()
     _require_solvable(t1, t2)
@@ -160,10 +160,11 @@ def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
     natural = t1.size + t2.size - 1
     ceiling = natural if max_size is None else min(max_size, natural)
     levels: list[LevelStats] = []
+    s1, s2 = _shape(t1), _shape(t2)
 
-    if not all_witnesses:
+    if not all_witnesses and start <= ceiling:
         # Absorption fast path: if one input already contains the other, the
-        # bigger input is itself an optimal witness.
+        # bigger input (of size start) is itself an optimal witness.
         for big, little in ((t1, t2), (t2, t1)):
             if big.size >= little.size and is_minor(little, big):
                 f_little = find_embedding(little, big)
@@ -179,13 +180,12 @@ def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
             raise BudgetError(
                 f"supertree search needs size-{n} enumeration (cap {enum_cap}); "
                 f"every size below {n} was exhaustively refuted", lower_bound=n)
-        catalogue = enumerate_trees(n, enum_cap)
         hits: list[Tree] = []
         candidates = 0
-        for c in catalogue:
+        for c, seq in _catalogue(n):
             candidates += 1
-            if is_minor(t1, c) and is_minor(t2, c):
-                hits.append(c)
+            if _fits(s1, c) and _fits(s2, c):
+                hits.append(_tree_from_levels(seq))
                 if not all_witnesses:
                     break
         levels.append(LevelStats(n, candidates, len(hits)))

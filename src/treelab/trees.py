@@ -2,9 +2,9 @@
 
 Parsing and printing of tree literals, structural validation, the interned
 shape table (the single isomorphism authority: canonical codes, isomorphism,
-common-minor deduplication and the inclusion decider all read it), exhaustive
-enumeration of all non-isomorphic rooted unordered trees of a given size,
-disjoint unions, and DOT export.
+common-minor deduplication and the inclusion decider all read it), the cached
+catalogue of shapes of every rooted unordered tree size, which the iterator
+`enumerate_trees` names tree by tree, disjoint unions, and DOT export.
 
 All types are immutable after construction; operations return new objects.
 Children are unordered everywhere: algorithms never depend on sibling order
@@ -444,33 +444,63 @@ def format_tree(t: Tree) -> str:
 # Every subtree is interned as a shape: one id per isomorphism class, keyed by
 # its root label and the sorted ids of its children (the canonical numbering of
 # Aho, Hopcroft & Ullman, 1974).  This table is the single isomorphism
-# authority and `_shape` its only writer; `embeddings` reads the per-shape
+# authority and `_intern` its only writer; `embeddings` reads the per-shape
 # label, children and size.  It lives as long as the process, as do the code
-# strings `canonical_code` caches per shape.
+# strings `_code` caches per shape and the catalogue of enumerated shapes.
 
 _SHAPE_IDS: dict[tuple[str | None, tuple[int, ...]], int] = {}
 _LABEL: list[str | None] = []
 _KIDS: list[tuple[int, ...]] = []
 _SIZE: list[int] = []
-_CODE: dict[int, str] = {}
+_CODE: dict[int, str] = {-1: ""}
+_CATALOGUE: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
+
+
+def _intern(levels, labels) -> int:
+    """Intern, bottom-up, every subtree of the tree with preorder level sequence
+    `levels` and node labels `labels` (None: unlabeled); the root's id or -1."""
+    done: list[tuple[int, int]] = []  # (level, shape) of subtrees awaiting their parent
+    for level, label in zip(reversed(levels), reversed(labels)):
+        kids = []
+        while done and done[-1][0] > level:
+            kids.append(done.pop()[1])
+        key = (label, tuple(sorted(kids)))
+        s = _SHAPE_IDS.get(key)
+        if s is None:
+            s = _SHAPE_IDS[key] = len(_KIDS)
+            _LABEL.append(label)
+            _KIDS.append(key[1])
+            _SIZE.append(1 + sum(_SIZE[k] for k in key[1]))
+        done.append((level, s))
+    return done[0][1] if done else -1
 
 
 def _shape(t: Tree) -> int:
     """The interned shape of a tree (-1 for the empty tree), cached on it."""
     if t._shape is None:
-        ids: dict[str, int] = {}
-        for v in reversed(t._preorder):
-            key = (t.labels.get(v), tuple(sorted([ids[c] for c in t._children[v]])))
-            s = _SHAPE_IDS.get(key)
-            if s is None:
-                s = _SHAPE_IDS[key] = len(_KIDS)
-                label, kids = key
-                _LABEL.append(label)
-                _KIDS.append(kids)
-                _SIZE.append(1 + sum(_SIZE[k] for k in kids))
-            ids[v] = s
-        t._shape = ids.get(t.root, -1)
+        t._shape = _intern([t._depth[v] for v in t._preorder],
+                           [t.labels.get(v) for v in t._preorder])
     return t._shape
+
+
+def _code(s: int) -> str:
+    """Canonical code of shape s: one walk over its subtree occurrences in the
+    shape table, without recursion, keeping only the root's code (the codes
+    of all its subtree shapes would cost memory quadratic in depth)."""
+    if s not in _CODE:
+        done: list[list[str]] = [[]]  # child codes of each open node, innermost last
+        stack = [s]  # ~x closes shape x once its children are done
+        while stack:
+            x = stack.pop()
+            if x >= 0:
+                done.append([])
+                stack.append(~x)
+                stack.extend(_KIDS[x])
+            else:
+                kids = sorted(done.pop())
+                done[-1].append("(" + (_LABEL[~x] or "") + "".join(kids) + ")")
+        _CODE[s] = done[0][0]
+    return _CODE[s]
 
 
 def canonical_code(t: Tree) -> str:
@@ -480,16 +510,7 @@ def canonical_code(t: Tree) -> str:
     in sorted order; a node's label, when present, is prepended inside its
     parentheses.  Node names never enter the code; the empty tree's is "".
     """
-    if t.root is None:
-        return ""
-    s = _shape(t)
-    if s not in _CODE:  # one pass bottom-up, freeing finished subtrees' codes
-        codes: dict[str, str] = {}
-        for v in reversed(t._preorder):
-            kids = sorted([codes.pop(c) for c in t._children[v]])
-            codes[v] = "(" + t.labels.get(v, "") + "".join(kids) + ")"
-        _CODE[s] = codes[t.root]
-    return _CODE[s]
+    return _code(_shape(t))
 
 
 def are_isomorphic(t1: Tree, t2: Tree) -> bool:
@@ -502,19 +523,15 @@ def are_isomorphic(t1: Tree, t2: Tree) -> bool:
 def _level_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """Yield the canonical level sequence of every rooted tree on n nodes.
 
-    Successor generation over level sequences: start from the path
-    ``1,2,...,n`` and repeatedly rewind the rightmost entry above 2, copying
-    the segment from its parent onward.  Each isomorphism class appears
-    exactly once.
+    Successor generation over level sequences (Beyer & Hedetniemi, 1980):
+    start from the path ``1,2,...,n`` and repeatedly rewind the rightmost
+    entry above 2, copying the segment from its parent onward.  Each
+    isomorphism class appears exactly once.
     """
     seq = list(range(1, n + 1))
     while True:
         yield tuple(seq)
-        p = None
-        for i in range(n - 1, -1, -1):
-            if seq[i] > 2:
-                p = i
-                break
+        p = next((i for i in range(n - 1, -1, -1) if seq[i] > 2), None)
         if p is None:
             return
         q = p - 1
@@ -529,32 +546,33 @@ def _tree_from_levels(levels: tuple[int, ...]) -> Tree:
     arcs = []
     last_at = {}
     for i, lv in enumerate(levels):
-        name = f"v{i}"
         if lv > 1:
-            arcs.append((last_at[lv - 1], name))
-        last_at[lv] = name
+            arcs.append((last_at[lv - 1], f"v{i}"))
+        last_at[lv] = f"v{i}"
     return Tree((f"v{i}" for i in range(len(levels))), arcs, "v0")
 
 
-_ENUM_CACHE: dict[int, tuple[Tree, ...]] = {}
+def _catalogue(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(shape id, level sequence) of every unlabeled rooted tree on n >= 1
+    nodes, in sorted canonical code order; cached per size."""
+    if n not in _CATALOGUE:
+        entries = ((_intern(ls, (None,) * n), ls) for ls in _level_sequences(n))
+        _CATALOGUE[n] = tuple(sorted(entries, key=lambda entry: _code(entry[0])))
+    return _CATALOGUE[n]
 
 
-def enumerate_trees(n: int, cap: int = ENUM_CAP_DEFAULT) -> tuple[Tree, ...]:
+def enumerate_trees(n: int, cap: int = ENUM_CAP_DEFAULT) -> Iterator[Tree]:
     """All non-isomorphic rooted unordered unlabeled trees with n nodes.
 
     Exactly one representative per isomorphism class, in sorted canonical
-    code order.  Nodes are named ``v0..v{n-1}`` in preorder.
+    code order.  Nodes are named ``v0..v{n-1}`` in preorder.  Only the
+    shapes are cached: the iterator builds each `Tree` as it is consumed.
     """
     if n < 1:
         raise TreeError(f"tree size must be at least 1, got {n}")
     if n > cap:
         raise BudgetError(f"enumeration of size-{n} trees exceeds the cap of {cap}")
-    got = _ENUM_CACHE.get(n)
-    if got is None:
-        got = tuple(sorted((_tree_from_levels(ls) for ls in _level_sequences(n)),
-                           key=canonical_code))
-        _ENUM_CACHE[n] = got
-    return got
+    return (_tree_from_levels(ls) for _, ls in _catalogue(n))
 
 
 # -- small constructions -----------------------------------------------------

@@ -159,8 +159,8 @@ def test_criterion_5_quotient_structural_identities():
 
     rng = random.Random(20260810)
     for _ in range(200):
-        t1 = rng.choice(enumerate_trees(rng.choice((6, 7))))
-        t2 = rng.choice(enumerate_trees(rng.choice((6, 7))))
+        t1 = rng.choice(tuple(enumerate_trees(rng.choice((6, 7)))))
+        t2 = rng.choice(tuple(enumerate_trees(rng.choice((6, 7)))))
         check_pair(t1, t2)
 
     elapsed = time.perf_counter() - started
@@ -188,7 +188,7 @@ def test_criterion_6_strategy_equivalence():
 def test_criterion_7_enumeration_counts():
     started = time.perf_counter()
     expected = [1, 1, 2, 4, 9, 20, 48, 115, 286]
-    got = [len(enumerate_trees(n)) for n in range(1, 10)]
+    got = [len(tuple(enumerate_trees(n))) for n in range(1, 10)]
     assert got == expected
     for n in range(1, 10):
         assert {canonical_code(t) for t in enumerate_trees(n)} == \

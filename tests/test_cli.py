@@ -107,6 +107,13 @@ def test_scs_max_size_budget_exit(capsys):
     assert code == 2 and "size" in err
 
 
+def test_scs_max_size_applies_when_one_input_contains_the_other(capsys):
+    for extra in ((), ("--all",)):
+        code, out, err = run(capsys, "scs", "a(b)", "c(d,e)", "--max-size", "1", *extra)
+        assert code == 2 and out == ""
+        assert "no common supertree of size <= 1" in err
+
+
 def test_tree_literal_from_file(capsys, tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("a(b,c)\n")
@@ -172,6 +179,20 @@ def test_malformed_mapping_file_exits_2(capsys, tmp_path, content):
                        "--mu", "c1(c2)", "--g1", str(g), "--g2", str(g))
     assert code == 2
     assert err.startswith("error: mapping file") and "target node" not in err
+
+
+@pytest.mark.parametrize("verb", ["quotient", "prop21"])
+@pytest.mark.parametrize("flags", [("--mu", "c1(c2)", "--g1", "G"),
+                                   ("--mu", "c1(c2)", "--g2", "G"),
+                                   ("--g1", "G", "--g2", "G"),
+                                   ("--g1", "G")])
+def test_mapping_files_need_each_other_and_mu(capsys, tmp_path, verb, flags):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"c1": "nowhere", "c2": "n2"}))
+    argv = [str(g) if f == "G" else f for f in flags]
+    code, out, err = run(capsys, verb, "n1(n2)", "m1(m2,m3)", *argv)
+    assert code == 2 and out == ""
+    assert err.strip() == "error: --g1 and --g2 go together, with --mu"
 
 
 def test_prop21_violation_exits_1(capsys):

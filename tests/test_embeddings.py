@@ -211,7 +211,7 @@ def test_induced_minor_on_image_is_isomorphic_to_source():
 def test_found_embeddings_validate(data):
     n1 = data.draw(st.integers(1, 5))
     n2 = data.draw(st.integers(n1, 6))
-    level1, level2 = enumerate_trees(n1), enumerate_trees(n2)
+    level1, level2 = tuple(enumerate_trees(n1)), tuple(enumerate_trees(n2))
     s = level1[data.draw(st.integers(0, len(level1) - 1))]
     t = level2[data.draw(st.integers(0, len(level2) - 1))]
     f = find_embedding(s, t)

@@ -2,9 +2,11 @@ import pytest
 
 from treelab import (BudgetError, TreeError, are_isomorphic, canonical_code,
                      chain, check_embedding, cross_check_minor,
-                     enumerate_trees, format_tree, is_minor,
+                     enumerate_trees, find_embedding, format_tree, is_minor,
                      largest_common_minor, parse_tree, root_merge_supertree,
                      smallest_common_supertree, star, unit_edit_distance)
+
+from treelab import solvers
 
 from conftest import all_trees_up_to
 
@@ -158,10 +160,76 @@ def test_scs_rejects_labeled_inputs():
 def test_scs_all_witnesses_scans_the_full_level():
     r = smallest_common_supertree(chain(3), star(3, "m"), all_witnesses=True)
     assert r.optimum_size == 4
-    assert r.levels[-1].candidates == len(enumerate_trees(4))
+    assert r.levels[-1].candidates == len(tuple(enumerate_trees(4)))
     assert r.levels[-1].hits == len(r.witnesses)
     codes = witness_codes(r)
     assert len(codes) == len(set(codes))
+
+
+def test_scs_max_size_applies_to_the_absorption_fast_path():
+    t1, t2 = parse_tree("a(b)"), parse_tree("c(d,e)")
+    for all_witnesses in (False, True):
+        with pytest.raises(BudgetError, match="size <= 1"):
+            smallest_common_supertree(t1, t2, all_witnesses=all_witnesses, max_size=1)
+        with pytest.raises(BudgetError, match="size <= 2"):
+            smallest_common_supertree(t1, t2, all_witnesses=all_witnesses, max_size=2)
+    assert smallest_common_supertree(t1, t2, max_size=3).optimum_size == 3
+
+
+def reference_supertree(t1, t2, all_witnesses):
+    """Test-only supertree scan that decides every candidate with the
+    backtracking `find_embedding`, which never reads the shape table.
+    Returns (optimum, [(size, candidates, hits)], witness literals)."""
+    if not all_witnesses:  # the solver's absorption fast path
+        for big, little in ((t1, t2), (t2, t1)):
+            if big.size >= little.size and find_embedding(little, big) is not None:
+                return big.size, [(big.size, 1, 1)], [format_tree(big)]
+    levels = []
+    for n in range(max(t1.size, t2.size), t1.size + t2.size):
+        hits, candidates = [], 0
+        for c in enumerate_trees(n):
+            candidates += 1
+            if find_embedding(t1, c) is not None and find_embedding(t2, c) is not None:
+                hits.append(format_tree(c))
+                if not all_witnesses:
+                    break
+        levels.append((n, candidates, len(hits)))
+        if hits:
+            return n, levels, hits
+    raise AssertionError("the root merge is a common supertree")
+
+
+def test_scs_matches_the_backtracking_reference_up_to_4():
+    trees = all_trees_up_to(4)
+    for t1 in trees:
+        for t2 in trees:
+            for all_witnesses in (False, True):
+                got = smallest_common_supertree(t1, t2, all_witnesses=all_witnesses)
+                optimum, levels, literals = reference_supertree(t1, t2, all_witnesses)
+                assert got.optimum_size == optimum
+                assert [(lv.size, lv.candidates, lv.hits) for lv in got.levels] == levels
+                assert [format_tree(w.tree) for w in got.witnesses] == literals
+                for lv in got.levels[:-1]:
+                    assert lv.hits == 0
+                    assert lv.candidates == len(tuple(enumerate_trees(lv.size)))
+                assert_witnesses_valid(got)
+
+
+def test_scs_level_loop_names_only_hits(monkeypatch):
+    built = []
+
+    def counting(levels):
+        built.append(levels)
+        return real(levels)
+
+    def refuse(*args):
+        raise AssertionError("is_minor called in the level loop")
+
+    real = solvers._tree_from_levels
+    monkeypatch.setattr(solvers, "_tree_from_levels", counting)
+    monkeypatch.setattr(solvers, "is_minor", refuse)
+    r = smallest_common_supertree(chain(3), star(3, "m"), all_witnesses=True)
+    assert len(built) == r.levels[-1].hits == len(r.witnesses) > 1
 
 
 # -- root merge -------------------------------------------------------------------------

@@ -6,6 +6,8 @@ from treelab import (BudgetError, Digraph, InvalidTreeError, ParseError, Tree,
                      disjoint_union, enumerate_trees, format_tree, parse_tree,
                      star, to_dot, tree_from_arcs, validate)
 
+from treelab.trees import _catalogue, _shape, _tree_from_levels
+
 from conftest import (all_trees_up_to, brute_force_isomorphic, enumerate_by_leaf_growth,
                       reference_code)
 
@@ -78,7 +80,7 @@ def test_round_trip_exhaustive_up_to_8():
 @st.composite
 def random_trees(draw):
     n = draw(st.integers(1, 6))
-    shapes = enumerate_trees(n)
+    shapes = tuple(enumerate_trees(n))
     t = shapes[draw(st.integers(0, len(shapes) - 1))]
     names = draw(st.lists(st.from_regex(r"[A-Za-z0-9_]{1,8}", fullmatch=True),
                           min_size=n, max_size=n, unique=True))
@@ -187,7 +189,7 @@ def test_labels_enter_the_code():
 
 def test_code_equality_matches_permutation_search_up_to_6():
     for n in range(1, 7):
-        level = enumerate_trees(n)
+        level = tuple(enumerate_trees(n))
         for i, t1 in enumerate(level):
             for t2 in level[i:]:
                 assert are_isomorphic(t1, t2) == brute_force_isomorphic(t1, t2)
@@ -235,7 +237,7 @@ def test_relabeled_copies_stay_isomorphic():
 # -- enumeration ----------------------------------------------------------------------
 
 def test_enumeration_counts():
-    assert [len(enumerate_trees(n)) for n in range(1, 11)] == COUNTS
+    assert [len(tuple(enumerate_trees(n))) for n in range(1, 11)] == COUNTS
 
 
 def test_enumeration_matches_leaf_growth_oracle():
@@ -251,6 +253,22 @@ def test_enumeration_is_sorted_and_duplicate_free():
         assert codes == sorted(codes)
         assert len(codes) == len(set(codes))
         assert all(t.size == n for t in enumerate_trees(n))
+
+
+def test_catalogue_entries_are_the_shapes_of_their_sequences():
+    for n in range(1, 11):
+        entries = _catalogue(n)
+        assert len(entries) == COUNTS[n - 1]
+        for shape, sequence in entries:
+            assert _shape(_tree_from_levels(sequence)) == shape
+
+
+def test_enumeration_is_lazy_and_repeatable():
+    level = enumerate_trees(6)
+    assert iter(level) is level
+    first = next(level)
+    assert first.preorder == tuple(f"v{i}" for i in range(6))
+    assert [format_tree(t) for t in enumerate_trees(6)][0] == format_tree(first)
 
 
 def test_enumeration_bounds():
