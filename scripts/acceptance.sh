@@ -31,7 +31,7 @@ check "prop21 violated on the headline instance" 1 \
 check "quotient report builds" 0 treelab quotient "$T1" "$T2"
 
 # criterion 7: enumeration counts
-for pair in "1 1" "4 4" "7 48" "9 286"; do
+for pair in "1 1" "4 4" "7 48" "9 286" "11 1842" "14 32973"; do
   set -- $pair
   n=$1 expected=$2
   got=$(treelab enum --size "$n" | wc -l)
@@ -64,6 +64,7 @@ check "minor positive" 0 treelab minor 'a(b)' 'x(y,z)'
 check "minor negative" 1 treelab minor 'x(y,z)' 'a(b(c))'
 check "parse error exits 2" 2 treelab parse 'a(b,'
 check "budget error exits 2" 2 treelab enum --size 15
+check "--budget-nodes 0 is a usage error" 2 treelab enum --size 3 --budget-nodes 0
 
 # criteria 3-6 exercise library sweeps; run them through pytest
 if python3 -m pytest -q "$(cd "$(dirname "$0")/.." && pwd)/tests/test_acceptance.py"; then

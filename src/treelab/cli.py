@@ -19,8 +19,9 @@ import sys
 from pathlib import Path
 
 from .errors import BudgetError, TreeError
-from .trees import (ENUM_CAP_DEFAULT, Tree, are_isomorphic, canonical_code,
-                    enumerate_trees, format_tree, parse_tree, to_dot, validate)
+from .trees import (ENUM_CAP_DEFAULT, Tree, _literal_from_levels, _sized_sequences,
+                    are_isomorphic, canonical_code, format_tree, parse_tree, to_dot,
+                    validate)
 from .embeddings import MinorEmbedding, enumerate_embeddings, find_embedding
 from .solvers import (NODE_BUDGET_DEFAULT, largest_common_minor,
                       smallest_common_supertree)
@@ -98,8 +99,8 @@ def cmd_iso(args) -> int:
 
 
 def cmd_enum(args) -> int:
-    literals = [format_tree(t) for t in
-                enumerate_trees(args.size, cap=args.budget_nodes or ENUM_CAP_DEFAULT)]
+    literals = list(map(_literal_from_levels, _sized_sequences(
+        args.size, args.budget_nodes or ENUM_CAP_DEFAULT)))
     _emit(args, {"size": args.size, "count": len(literals), "trees": literals},
           "\n".join(literals))
     return 0
@@ -261,6 +262,16 @@ def cmd_scan(args) -> int:
     return 1 if report.violation_found else 0
 
 
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     # The shared flags are accepted both before and after the verb; SUPPRESS
     # keeps the subparser from clobbering values parsed at the top level.
@@ -271,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS)
     common.add_argument("--dot-dir", default=argparse.SUPPRESS,
                         help="write DOT renderings here")
-    common.add_argument("--budget-nodes", type=int, default=argparse.SUPPRESS,
-                        help="override the search/enumeration caps")
+    common.add_argument("--budget-nodes", type=_at_least_one, default=argparse.SUPPRESS,
+                        help="override the search/enumeration caps (at least 1)")
 
     parser = argparse.ArgumentParser(
         prog="treelab", parents=[common],

@@ -3,8 +3,11 @@
 Parsing and printing of tree literals, structural validation, the interned
 shape table (the single isomorphism authority: canonical codes, isomorphism,
 common-minor deduplication and the inclusion decider all read it), the cached
-catalogue of shapes of every rooted unordered tree size, which the iterator
-`enumerate_trees` names tree by tree, disjoint unions, and DOT export.
+catalogue of shapes of every rooted unordered tree size (in generation order,
+which is canonical-code order), enumeration of every size straight from its
+level sequences (the iterator `enumerate_trees` names tree by tree and
+`_literal_from_levels` writes literals; neither interns anything), disjoint
+unions, and DOT export.
 
 All types are immutable after construction; operations return new objects.
 Children are unordered everywhere: algorithms never depend on sibling order
@@ -446,7 +449,9 @@ def format_tree(t: Tree) -> str:
 # Aho, Hopcroft & Ullman, 1974).  This table is the single isomorphism
 # authority and `_intern` its only writer; `embeddings` reads the per-shape
 # label, children and size.  It lives as long as the process, as do the code
-# strings `_code` caches per shape and the catalogue of enumerated shapes.
+# strings `_code` caches per shape and the catalogue of shapes that the supertree
+# search scans.  Enumeration (`enumerate_trees`, `treelab enum`) reads the level
+# sequences directly and writes nothing here.
 
 _SHAPE_IDS: dict[tuple[str | None, tuple[int, ...]], int] = {}
 _LABEL: list[str | None] = []
@@ -552,27 +557,66 @@ def _tree_from_levels(levels: tuple[int, ...]) -> Tree:
     return Tree((f"v{i}" for i in range(len(levels))), arcs, "v0")
 
 
+def _literal_from_levels(levels: tuple[int, ...]) -> str:
+    """`format_tree(_tree_from_levels(levels))` without building the `Tree`.
+
+    Node i is named ``v{i}``; children are printed in sorted-name order (so
+    ``v10`` comes before ``v2``), visited with an explicit stack.
+    """
+    kids: list[list[int]] = [[] for _ in levels]
+    last_at = {}
+    for i, lv in enumerate(levels):
+        if lv > 1:
+            kids[last_at[lv - 1]].append(i)
+        last_at[lv] = i
+    parts = []
+    prev, stack = levels[0], [0]
+    while stack:
+        i = stack.pop()
+        rise = prev - levels[i]
+        parts.append("(" if rise < 0 else ")" * rise + ",")
+        parts.append(f"v{i}")
+        prev = levels[i]
+        stack.extend(sorted(kids[i], key=str, reverse=True))
+    parts[0] = ""  # the root follows no sibling
+    parts.append(")" * (prev - levels[0]))
+    return "".join(parts)
+
+
 def _catalogue(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(shape id, level sequence) of every unlabeled rooted tree on n >= 1
-    nodes, in sorted canonical code order; cached per size."""
+    nodes, in generation order; cached per size.
+
+    That order is sorted canonical-code order.  `_level_sequences` yields
+    canonical level sequences in decreasing lexicographic order; a larger
+    level sequence has the smaller parenthesis string, since ``(`` < ``)``;
+    and the parenthesis string of a canonical level sequence is the shape's
+    canonical code.  So no code is computed here.
+    """
     if n not in _CATALOGUE:
-        entries = ((_intern(ls, (None,) * n), ls) for ls in _level_sequences(n))
-        _CATALOGUE[n] = tuple(sorted(entries, key=lambda entry: _code(entry[0])))
+        _CATALOGUE[n] = tuple((_intern(ls, (None,) * n), ls) for ls in _level_sequences(n))
     return _CATALOGUE[n]
+
+
+def _sized_sequences(n: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """The level sequences of every tree on n nodes, in canonical-code order;
+    the size and cap are checked when this is called, not when iterated."""
+    if n < 1:
+        raise TreeError(f"tree size must be at least 1, got {n}")
+    if n > cap:
+        raise BudgetError(f"enumeration of size-{n} trees exceeds the cap of {cap}")
+    return _level_sequences(n)
 
 
 def enumerate_trees(n: int, cap: int = ENUM_CAP_DEFAULT) -> Iterator[Tree]:
     """All non-isomorphic rooted unordered unlabeled trees with n nodes.
 
     Exactly one representative per isomorphism class, in sorted canonical
-    code order.  Nodes are named ``v0..v{n-1}`` in preorder.  Only the
-    shapes are cached: the iterator builds each `Tree` as it is consumed.
+    code order, which is the order the level sequences are generated in
+    (see `_catalogue`).  Nodes are named ``v0..v{n-1}`` in preorder.  Nothing
+    is cached or interned: the iterator builds each `Tree` as it is consumed.
     """
-    if n < 1:
-        raise TreeError(f"tree size must be at least 1, got {n}")
-    if n > cap:
-        raise BudgetError(f"enumeration of size-{n} trees exceeds the cap of {cap}")
-    return (_tree_from_levels(ls) for _, ls in _catalogue(n))
+    return map(_tree_from_levels, _sized_sequences(n, cap))
 
 
 # -- small constructions -----------------------------------------------------

@@ -6,7 +6,7 @@ import warnings
 import pytest
 
 from treelab import DegenerateFamilyWarning, SolverDisagreement
-from treelab import cli
+from treelab import cli, enumerate_trees, format_tree, trees
 from treelab.cli import main
 
 
@@ -74,6 +74,35 @@ def test_enum_lists_trees(capsys):
 def test_enum_budget_error(capsys):
     code, _, err = run(capsys, "enum", "--size", "15")
     assert code == 2 and "budget" in err.lower() or "cap" in err
+
+
+@pytest.mark.parametrize("argv", [("enum", "--size", "3"), ("lcs", "a(b)", "x(y)"),
+                                  ("scs", "a(b)", "x(y)")])
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_budget_nodes_below_one_is_a_usage_error(capsys, argv, budget):
+    code, out, err = run(capsys, *argv, "--budget-nodes", budget)
+    assert code == 2 and out == ""
+    assert "usage:" in err and "at least 1" in err
+
+
+def test_enum_builds_no_tree_and_interns_no_shape(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enum must not build a Tree or intern a shape")
+
+    monkeypatch.setattr(trees, "_tree_from_levels", refuse)
+    monkeypatch.setattr(trees, "_intern", refuse)
+    monkeypatch.setattr(trees, "_CATALOGUE", {})
+    code, out, err = run(capsys, "enum", "--size", "9")
+    assert code == 0 and err == "" and len(out.splitlines()) == 286
+
+
+def test_enum_output_is_the_enumerated_trees_literals(capsys):
+    for n in range(1, 12):
+        want = [format_tree(t) for t in enumerate_trees(n)]
+        code, out, _ = run(capsys, "enum", "--size", str(n))
+        assert code == 0 and out == "\n".join(want) + "\n"
+        code, data = run_json(capsys, "--format", "json", "enum", "--size", str(n))
+        assert code == 0 and data == {"size": n, "count": len(want), "trees": want}
 
 
 # -- solvers ------------------------------------------------------------------------

@@ -6,7 +6,8 @@ from treelab import (BudgetError, Digraph, InvalidTreeError, ParseError, Tree,
                      disjoint_union, enumerate_trees, format_tree, parse_tree,
                      star, to_dot, tree_from_arcs, validate)
 
-from treelab.trees import _catalogue, _shape, _tree_from_levels
+from treelab.trees import (_catalogue, _code, _level_sequences, _literal_from_levels,
+                           _shape, _tree_from_levels)
 
 from conftest import (all_trees_up_to, brute_force_isomorphic, enumerate_by_leaf_growth,
                       reference_code)
@@ -261,6 +262,35 @@ def test_catalogue_entries_are_the_shapes_of_their_sequences():
         assert len(entries) == COUNTS[n - 1]
         for shape, sequence in entries:
             assert _shape(_tree_from_levels(sequence)) == shape
+
+
+def parenthesis_string(levels):
+    """The balanced-parenthesis string of a preorder level sequence."""
+    out, prev = [], 0
+    for lv in levels:
+        out.append(")" * (prev - lv + 1) + "(")
+        prev = lv
+    return "".join(out) + ")" * prev
+
+
+def test_catalogue_is_in_generation_order_which_is_code_order():
+    for n in range(1, 13):
+        entries = _catalogue(n)
+        assert [sequence for _, sequence in entries] == list(_level_sequences(n))
+        codes = [_code(shape) for shape, _ in entries]
+        assert all(a < b for a, b in zip(codes, codes[1:]))
+        assert codes == [parenthesis_string(sequence) for _, sequence in entries]
+
+
+def test_literals_from_levels_are_the_named_trees_literals():
+    # size 11 is the first with a node v10, printed before v2 among siblings
+    for n in range(1, 12):
+        for shape, sequence in _catalogue(n):
+            literal = _literal_from_levels(sequence)
+            assert literal == format_tree(_tree_from_levels(sequence))
+            assert _shape(parse_tree(literal)) == shape
+    deep = tuple(range(1, 3001))
+    assert _literal_from_levels(deep) == format_tree(_tree_from_levels(deep))
 
 
 def test_enumeration_is_lazy_and_repeatable():
