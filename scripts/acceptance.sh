@@ -65,6 +65,9 @@ check "minor negative" 1 treelab minor 'x(y,z)' 'a(b(c))'
 check "parse error exits 2" 2 treelab parse 'a(b,'
 check "budget error exits 2" 2 treelab enum --size 15
 check "--budget-nodes 0 is a usage error" 2 treelab enum --size 3 --budget-nodes 0
+check "--jobs 0 is a usage error" 2 treelab scan --max-size 2 --jobs 0
+check "embeddings --limit 0 is a usage error" 2 treelab embeddings 'a(b)' 'x(y,z)' --limit 0
+check "scan --max-size 0 exits 2" 2 treelab scan --max-size 0 --jobs 1
 
 # criteria 3-6 exercise library sweeps; run them through pytest
 if python3 -m pytest -q "$(cd "$(dirname "$0")/.." && pwd)/tests/test_acceptance.py"; then

@@ -1,8 +1,10 @@
 """Process-based fan-out of the pair scan with deterministic aggregation.
 
-Work items are serialized as tree literals so workers never need to pickle
-Tree objects; `parallel_map` preserves input order, which keeps every result
-independent of the worker count.  `scan_pairs` is the only caller.
+Work items are the level sequences of the two trees of a pair (tuples of
+ints), so workers neither pickle `Tree` objects nor parse literals; each
+process builds and caches its small trees from the sequences.  `parallel_map`
+preserves input order, which keeps every result independent of the worker
+count.  `scan_pairs` is the only caller.
 """
 
 from __future__ import annotations

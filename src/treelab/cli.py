@@ -120,7 +120,8 @@ def cmd_minor(args) -> int:
 def cmd_embeddings(args) -> int:
     s, t = _load_literal(args.s), _load_literal(args.t)
     found = enumerate_embeddings(s, t, limit=args.limit)
-    _emit(args, {"count": len(found), "exhaustive": args.limit is None,
+    exhaustive = args.limit is None or len(found) < args.limit
+    _emit(args, {"count": len(found), "exhaustive": exhaustive,
                  "embeddings": [f.to_json() for f in found]},
           "\n".join(json.dumps(f.to_json()) for f in found))
     return 0
@@ -168,6 +169,8 @@ def _quotient_from_args(args):
     else:
         lcs = largest_common_minor(t1, t2,
                                    budget=args.budget_nodes or NODE_BUDGET_DEFAULT)
+        if not lcs.witnesses:
+            raise TreeError("the inputs have no common minor: they share no node label")
         witness = lcs.witnesses[0]
         mu, g1, g2 = witness.tree, witness.emb1, witness.emb2
     return t1, t2, build_quotient(t1, t2, mu, g1, g2)
@@ -276,8 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     # The shared flags are accepted both before and after the verb; SUPPRESS
     # keeps the subparser from clobbering values parsed at the top level.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                        help="worker processes for scan (other verbs ignore it)")
+    common.add_argument("--jobs", type=_at_least_one, default=argparse.SUPPRESS,
+                        help="worker processes for scan, at least 1 (default: the "
+                             "CPU count; other verbs ignore it)")
     common.add_argument("--format", choices=("json", "text"),
                         default=argparse.SUPPRESS)
     common.add_argument("--dot-dir", default=argparse.SUPPRESS,
@@ -312,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("embeddings", cmd_embeddings, help="enumerate minor embeddings of S into T")
     p.add_argument("s")
     p.add_argument("t")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_at_least_one, default=None,
+                   help="stop after this many embeddings (at least 1)")
     p = add("lcs", cmd_lcs, help="largest common minor")
     p.add_argument("t1")
     p.add_argument("t2")

@@ -162,10 +162,13 @@ def enumerate_embeddings(s: Tree, t: Tree, limit: int | None = None) -> list[Min
       image (later assignments are fenced off by adding the path's
       intermediate nodes to ``blocked``).
 
-    With `limit` the first k maps in search order are returned.
+    With `limit` (at least 1) the first `limit` maps in search order are
+    returned.
     """
     if s.root is None or t.root is None:
         raise TreeError("embedding enumeration needs non-empty trees")
+    if limit is not None and limit < 1:
+        raise TreeError(f"embedding limit must be at least 1, got {limit}")
     if s.size > t.size:
         return []
 

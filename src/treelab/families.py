@@ -19,6 +19,7 @@ best-effort reconstruction and all its checks are report-grade.
 
 from __future__ import annotations
 
+import functools
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -27,13 +28,14 @@ from typing import Iterable
 
 from ._parallel import parallel_map
 from .errors import BudgetError, EmbeddingError, SolverDisagreement, TreeError
-from .trees import (ENUM_CAP_DEFAULT, Tree, are_isomorphic, canonical_code,
-                    chain, enumerate_trees, format_tree, parse_tree, star,
+from .trees import (ENUM_CAP_DEFAULT, Tree, _catalogue, _code, _literal_from_levels,
+                    _tree_from_levels, are_isomorphic, chain,
+                    enumerate_trees, format_tree, parse_tree, star,
                     tree_from_arcs, validate)
 from .embeddings import (EmbeddingViolation, MinorEmbedding, check_embedding,
                          enumerate_embeddings)
-from .solvers import (NODE_BUDGET_DEFAULT, largest_common_minor,
-                      smallest_common_supertree)
+from .solvers import (NODE_BUDGET_DEFAULT, _lcs_core, _scs_core,
+                      largest_common_minor, smallest_common_supertree)
 from .quotient import (QuotientGraph, Prop21Report, build_quotient,
                        check_eq2_eq3, check_prop21, eq4_prediction,
                        reduce_quotient)
@@ -697,19 +699,25 @@ class ScanReport:
                 "timing": {"wall_ms": round(self.wall_ms, 3)}}
 
 
-def _scan_one_pair(args: tuple[str, str, bool]) -> dict:
-    lit1, lit2, with_prop21 = args
-    t1, t2 = parse_tree(lit1), parse_tree(lit2)
-    lcs = largest_common_minor(t1, t2, all_witnesses=with_prop21,
-                               budget=max(t1.size, t2.size))
-    scs = smallest_common_supertree(t1, t2)
-    gap = scs.optimum_size - eq4_prediction(t1, t2, lcs.optimum_size)
+#: The scan's trees, built once per process from their level sequences.
+_scan_tree = functools.lru_cache(maxsize=None)(_tree_from_levels)
+
+
+def _scan_one_pair(args: tuple[tuple[int, ...], tuple[int, ...], bool]) -> dict:
+    seq1, seq2, with_prop21 = args
+    t1, t2 = _scan_tree(seq1), _scan_tree(seq2)  # |t1| <= |t2| by scan order
+    if with_prop21:
+        lcs = largest_common_minor(t1, t2, all_witnesses=True, budget=t2.size)
+        lcs_size = lcs.optimum_size
+    else:
+        lcs_size = _lcs_core(t1, t2, False)[0]
+    scs_size = _scs_core(t1, t2, False, t1.size + t2.size - 1, ENUM_CAP_DEFAULT)[0]
+    gap = scs_size - eq4_prediction(t1, t2, lcs_size)
     if gap < 0:
         raise SolverDisagreement(
-            f"negative gap for {lit1} / {lit2}: supertree optimum "
-            f"{scs.optimum_size} below the prediction")
-    rec = {"t1": lit1, "t2": lit2, "lcs": lcs.optimum_size,
-           "scs": scs.optimum_size, "gap": gap}
+            f"negative gap for {format_tree(t1)} / {format_tree(t2)}: supertree "
+            f"optimum {scs_size} below the prediction")
+    rec = {"lcs": lcs_size, "scs": scs_size, "gap": gap}
     if with_prop21:
         quotients = []
         for w in lcs.witnesses:
@@ -736,7 +744,8 @@ def scan_pairs(max_size: int, checks: Iterable[str] = ("eq4",),
 
     For every pair the exact common-minor and common-supertree optima are
     computed; the gap distribution is recorded and the first pair (in
-    size-then-code order) with a positive gap is reported.  With the
+    size-then-code order) with a positive gap is reported.  Workers receive
+    level sequences and ask the solver cores for sizes only.  With the
     ``prop21`` check enabled, every optimal common-minor witness additionally
     has its quotient built and checked: path-uniqueness violations, the
     structural identities, and whether reduction yields a tree.
@@ -745,19 +754,23 @@ def scan_pairs(max_size: int, checks: Iterable[str] = ("eq4",),
     unknown = set(checks) - {"eq4", "prop21"}
     if unknown:
         raise TreeError(f"unknown scan checks: {sorted(unknown)}")
+    if max_size < 1:
+        raise TreeError(f"scan size must be at least 1, got {max_size}")
     if max_size > cap:
         raise BudgetError(f"scan limited to sizes <= {cap} (got {max_size})")
     started = time.perf_counter()
 
-    trees = [t for k in range(1, max_size + 1) for t in enumerate_trees(k)]
-    literals = [format_tree(t) for t in trees]
+    shapes = [sc for k in range(1, max_size + 1) for sc in _catalogue(k)]
     order = sorted(
-        ((i, j) for i in range(len(trees)) for j in range(i, len(trees))),
-        key=lambda ij: (trees[ij[0]].size + trees[ij[1]].size,
-                        canonical_code(trees[ij[0]]), canonical_code(trees[ij[1]])))
+        ((i, j) for i in range(len(shapes)) for j in range(i, len(shapes))),
+        key=lambda ij: (len(shapes[ij[0]][1]) + len(shapes[ij[1]][1]),
+                        _code(shapes[ij[0]][0]), _code(shapes[ij[1]][0])))
     with_prop21 = "prop21" in checks
-    work = [(literals[i], literals[j], with_prop21) for i, j in order]
+    work = [(shapes[i][1], shapes[j][1], with_prop21) for i, j in order]
     records = parallel_map(_scan_one_pair, work, jobs)
+    literals = [_literal_from_levels(seq) for _, seq in shapes]
+    for (i, j), rec in zip(order, records):
+        rec["t1"], rec["t2"] = literals[i], literals[j]
 
     histogram: dict[int, int] = {}
     minimal = None

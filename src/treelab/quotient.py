@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
 from .errors import EmbeddingError, TreeError
 from .trees import Digraph, Tree, node_str
@@ -237,25 +238,28 @@ class Prop21Report:
         return {"holds": self.holds, "violations": [v.to_json() for v in self.violations]}
 
 
-def _simple_paths(succ, v, w) -> list[tuple]:
-    """All simple directed paths v ⇝ w (endpoints included)."""
-    out = []
+def _simple_paths_from(succ, v) -> Iterator[tuple]:
+    """Every simple directed path from v with at least one arc (endpoints
+    included), in depth-first order over the successor lists.
+
+    The open path is kept on an explicit stack of successor iterators, so its
+    length is not limited by the interpreter's recursion limit.  The paths
+    ending at any one node w come in the order of a depth-first search for
+    v ⇝ w alone: extending a path past w only adds paths to other ends.
+    """
     path = [v]
     on_path = {v}
-
-    def walk(x):
-        for y in succ[x]:
-            if y == w:
-                out.append(tuple(path) + (w,))
-            elif y not in on_path:
-                path.append(y)
-                on_path.add(y)
-                walk(y)
-                on_path.discard(y)
-                path.pop()
-
-    walk(v)
-    return out
+    pending = [iter(succ[v])]
+    while pending:
+        y = next(pending[-1], None)
+        if y is None:
+            pending.pop()
+            on_path.discard(path.pop())
+        elif y not in on_path:
+            path.append(y)
+            on_path.add(y)
+            yield tuple(path)
+            pending.append(iter(succ[y]))
 
 
 def check_prop21(q: QuotientGraph) -> Prop21Report:
@@ -268,7 +272,8 @@ def check_prop21(q: QuotientGraph) -> Prop21Report:
     (ii) when two different paths v ⇝ w share no intermediate node: one of
     the two must be the arc (v, w) itself.
 
-    Every violation is enumerated with its explicit paths.
+    Every violation is enumerated with its explicit paths.  The simple paths
+    are enumerated by one depth-first walk per source class.
     """
     succ: dict[ThetaClass, list[ThetaClass]] = {c: [] for c in q.classes}
     for a, b in q.arcs:
@@ -279,10 +284,11 @@ def check_prop21(q: QuotientGraph) -> Prop21Report:
     violations: list[Prop21Violation] = []
     classes = sorted(q.classes)
     for v in classes:
+        paths_to: dict[ThetaClass, list[tuple]] = {}
+        for p in _simple_paths_from(succ, v):
+            paths_to.setdefault(p[-1], []).append(p)
         for w in classes:
-            if v == w:
-                continue
-            paths = _simple_paths(succ, v, w)
+            paths = paths_to.get(w, ())
             if len(paths) < 2:
                 continue
             arc_path = (v, w) if (v, w) in q.arcs else None

@@ -5,6 +5,11 @@ size k is only claimed after the neighbouring level has been fully scanned.
 The two directions use independent substrates (node subsets of one input for
 common minors, the full catalogue of enumerated tree shapes for supertrees)
 so they can cross-check each other.
+
+Each search is a core that works on interned shapes only (`_lcs_core`,
+`_scs_core`) and returns the optimum, the scanned levels and its hits; the
+public solvers wrap the cores and build named `Tree`s and embeddings for the
+hits alone.  The pair scan calls the cores directly when it needs sizes only.
 """
 
 from __future__ import annotations
@@ -13,9 +18,9 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .errors import BudgetError, MultiRootError, SolverDisagreement, TreeError
-from .trees import (ENUM_CAP_DEFAULT, Tree, _catalogue, _shape, _tree_from_levels,
-                    canonical_code, format_tree)
+from .errors import BudgetError, SolverDisagreement, TreeError
+from .trees import (ENUM_CAP_DEFAULT, Tree, _catalogue, _intern, _shape,
+                    _tree_from_levels, canonical_code, format_tree)
 from .embeddings import (MinorEmbedding, _fits, check_embedding, find_embedding,
                          induced_minor, is_minor, is_minor_by_subsets)
 
@@ -71,7 +76,8 @@ class SolverResult:
 
 
 class LcsResult(SolverResult):
-    """Largest common minor: no common minor of size optimum_size+1 exists."""
+    """Largest common minor: no common minor of size optimum_size+1 exists
+    (optimum 0 and no witnesses when the inputs share no node label)."""
 
 
 class ScsResult(SolverResult):
@@ -87,16 +93,67 @@ def _identity_embedding(s: Tree, t: Tree) -> MinorEmbedding:
     return MinorEmbedding(s, t, {v: v for v in s.nodes})
 
 
+def _lcs_core(small: Tree, other: Tree,
+              all_witnesses: bool) -> tuple[int, list[LevelStats], list[tuple[str, ...]]]:
+    """The common-minor search on shapes: (optimum, levels, hit subsets).
+
+    Walk k downward from |small|; at each k take the size-k node subsets of
+    `small` in `combinations(sorted(small.nodes), k)` order.  A subset's
+    induced minor is read off the preorder as a level sequence (each node
+    hangs under its nearest in-subset ancestor, kept on a stack) and interned
+    with `_intern`, so no `Tree` is built; a subset whose first node is not
+    an ancestor of all the others has a second root and is skipped.  Each
+    shape is tested once, by `_fits` into `other`.  The first k with a hit
+    is the optimum; the hits are the first subset of each hit shape, in
+    discovery order (only the first one unless `all_witnesses`).  Labeled
+    inputs that share no node label have no common minor: optimum 0, no hits.
+    """
+    order, tin, tout = small._preorder, small._tin, small._tout
+    # position i of the name-sorted node list holds that node's preorder index
+    by_name = [tin[v] for v in sorted(small.nodes)]
+    ends = [tout[v] for v in order]
+    labels = [small.labels.get(v) for v in order]
+    target = _shape(other)
+    levels: list[LevelStats] = []
+
+    for k in range(small.size, 0, -1):
+        # dedup by shape: each isomorphism class is tested once
+        seen: set[int] = set()
+        hits: list[tuple[int, ...]] = []
+        for w in combinations(by_name, k):
+            pre = sorted(w)
+            if pre[-1] >= ends[pre[0]]:
+                continue  # more than one node without an in-subset ancestor
+            depth: list[int] = []
+            open_ends: list[int] = []  # preorder ends of the in-subset ancestors
+            for i in pre:
+                while open_ends and open_ends[-1] <= i:
+                    open_ends.pop()
+                depth.append(len(open_ends))
+                open_ends.append(ends[i])
+            s = _intern(depth, [labels[i] for i in pre])
+            if s in seen:
+                continue
+            seen.add(s)
+            if _fits(s, target):
+                hits.append(w)
+                if not all_witnesses:
+                    break
+        levels.append(LevelStats(k, len(seen), len(hits)))
+        if hits:
+            return k, levels, [tuple(order[i] for i in w) for w in hits]
+    return 0, levels, []  # labeled inputs that share no node label
+
+
 def largest_common_minor(t1: Tree, t2: Tree, all_witnesses: bool = False,
                          budget: int = NODE_BUDGET_DEFAULT) -> LcsResult:
     """Maximum-size tree that is a minor of both inputs, with witnesses.
 
-    Strategy: walk k downward from min(|t1|, |t2|); at each k enumerate the
-    size-k node subsets of the smaller input, keep those whose induced minor
-    exists, deduplicate by interned shape, and test each candidate for minor
-    containment in the other input.  The first k with a hit is the optimum;
-    its witnesses are one per isomorphism class, each carrying the identity
-    embedding on the subset side and the first found embedding on the other.
+    `_lcs_core` finds the optimum on shapes, walking the node subsets of the
+    smaller input; only its hits become named `Tree`s (`induced_minor` on the
+    first subset of each hit shape), sorted by canonical code.  Each witness
+    carries the identity embedding on the subset side and the first found
+    embedding on the other.
     """
     started = time.perf_counter()
     _require_solvable(t1, t2)
@@ -107,37 +164,55 @@ def largest_common_minor(t1: Tree, t2: Tree, all_witnesses: bool = False,
 
     flipped = t2.size < t1.size
     small, other = (t2, t1) if flipped else (t1, t2)
-    small_nodes = sorted(small.nodes)
-    levels: list[LevelStats] = []
+    k, levels, hits = _lcs_core(small, other, all_witnesses)
+    witnesses = []
+    for m in sorted((induced_minor(small, w) for w in hits), key=canonical_code):
+        into_small = _identity_embedding(m, small)
+        into_other = find_embedding(m, other)
+        assert into_other is not None
+        g1, g2 = (into_other, into_small) if flipped else (into_small, into_other)
+        witnesses.append(CommonTreeWitness(m, g1, g2))
+    return LcsResult(k, witnesses, levels, (time.perf_counter() - started) * 1e3)
 
-    for k in range(small.size, 0, -1):
-        # dedup by shape: each isomorphism class is tested once
-        seen: set[int] = set()
-        hits: list[Tree] = []
-        for w in combinations(small_nodes, k):
-            try:
-                m = induced_minor(small, w)
-            except MultiRootError:
-                continue
-            if _shape(m) in seen:
-                continue
-            seen.add(_shape(m))
-            if is_minor(m, other):
-                hits.append(m)
+
+def _scs_core(t1: Tree, t2: Tree, all_witnesses: bool, ceiling: int,
+              enum_cap: int) -> tuple[int, list[LevelStats], Tree | list[tuple[int, ...]]]:
+    """The supertree search on shapes: (optimum, levels, hits).
+
+    Without `all_witnesses`, an input that contains the other is itself an
+    optimal witness (absorption); the hits are then that input.  Otherwise
+    walk n upward from max(|t1|, |t2|) to `ceiling` and test every catalogued
+    shape of size n, in canonical-code order, with `_fits` for both inputs;
+    the hits are the level sequences of the hit shapes at the first level
+    with one (only the first unless `all_witnesses`).
+    """
+    start = max(t1.size, t2.size)
+    levels: list[LevelStats] = []
+    if not all_witnesses and start <= ceiling:
+        for big, little in ((t1, t2), (t2, t1)):
+            if big.size >= little.size and is_minor(little, big):
+                return big.size, [LevelStats(big.size, 1, 1)], big
+
+    s1, s2 = _shape(t1), _shape(t2)
+    for n in range(start, ceiling + 1):
+        if n > enum_cap:
+            raise BudgetError(
+                f"supertree search needs size-{n} enumeration (cap {enum_cap}); "
+                f"every size below {n} was exhaustively refuted", lower_bound=n)
+        hits: list[tuple[int, ...]] = []
+        candidates = 0
+        for c, seq in _catalogue(n):
+            candidates += 1
+            if _fits(s1, c) and _fits(s2, c):
+                hits.append(seq)
                 if not all_witnesses:
                     break
-        levels.append(LevelStats(k, len(seen), len(hits)))
+        levels.append(LevelStats(n, candidates, len(hits)))
         if hits:
-            witnesses = []
-            for m in sorted(hits, key=canonical_code):
-                into_small = _identity_embedding(m, small)
-                into_other = find_embedding(m, other)
-                assert into_other is not None
-                g1, g2 = (into_other, into_small) if flipped else (into_small, into_other)
-                witnesses.append(CommonTreeWitness(m, g1, g2))
-            return LcsResult(k, witnesses, levels,
-                             (time.perf_counter() - started) * 1e3)
-    raise AssertionError("unreachable: the single-node tree is a minor of any tree")
+            return n, levels, hits
+    raise BudgetError(
+        f"no common supertree of size <= {ceiling}; search stopped at the "
+        f"requested ceiling", lower_bound=ceiling + 1)
 
 
 def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
@@ -145,10 +220,10 @@ def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
                               enum_cap: int = ENUM_CAP_DEFAULT) -> ScsResult:
     """Minimum-size tree containing both inputs as minors, with witnesses.
 
-    Strategy: walk n upward from max(|t1|, |t2|) and test every catalogued
-    shape of size n (in sorted canonical order) for containing both inputs;
-    the first level with a hit is the optimum (the root merge guarantees one
-    by n = |t1| + |t2| - 1).  Only hits become named `Tree`s, with embeddings.
+    `_scs_core` finds the optimum on shapes, scanning the catalogue upward
+    from max(|t1|, |t2|) (the root merge guarantees a hit by
+    n = |t1| + |t2| - 1, or `max_size` if smaller).  Only its hits become
+    named `Tree`s, each with the first found embedding of either input.
     """
     started = time.perf_counter()
     _require_solvable(t1, t2)
@@ -156,53 +231,24 @@ def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
         raise TreeError("supertree search enumerates unlabeled trees; "
                         "labeled inputs are not supported")
 
-    start = max(t1.size, t2.size)
     natural = t1.size + t2.size - 1
     ceiling = natural if max_size is None else min(max_size, natural)
-    levels: list[LevelStats] = []
-    s1, s2 = _shape(t1), _shape(t2)
-
-    if not all_witnesses and start <= ceiling:
-        # Absorption fast path: if one input already contains the other, the
-        # bigger input (of size start) is itself an optimal witness.
-        for big, little in ((t1, t2), (t2, t1)):
-            if big.size >= little.size and is_minor(little, big):
-                f_little = find_embedding(little, big)
-                assert f_little is not None
-                ident = _identity_embedding(big, big)
-                emb1, emb2 = (ident, f_little) if big is t1 else (f_little, ident)
-                return ScsResult(big.size, [CommonTreeWitness(big, emb1, emb2)],
-                                 [LevelStats(big.size, 1, 1)],
-                                 (time.perf_counter() - started) * 1e3)
-
-    for n in range(start, ceiling + 1):
-        if n > enum_cap:
-            raise BudgetError(
-                f"supertree search needs size-{n} enumeration (cap {enum_cap}); "
-                f"every size below {n} was exhaustively refuted", lower_bound=n)
-        hits: list[Tree] = []
-        candidates = 0
-        for c, seq in _catalogue(n):
-            candidates += 1
-            if _fits(s1, c) and _fits(s2, c):
-                hits.append(_tree_from_levels(seq))
-                if not all_witnesses:
-                    break
-        levels.append(LevelStats(n, candidates, len(hits)))
-        if hits:
-            witnesses = []
-            for c in hits:
-                f1 = find_embedding(t1, c)
-                f2 = find_embedding(t2, c)
-                assert f1 is not None and f2 is not None
-                witnesses.append(CommonTreeWitness(c, f1, f2))
-            return ScsResult(n, witnesses, levels,
-                             (time.perf_counter() - started) * 1e3)
-
-    assert max_size is not None and ceiling < natural
-    raise BudgetError(
-        f"no common supertree of size <= {ceiling}; search stopped at the "
-        f"requested ceiling", lower_bound=ceiling + 1)
+    n, levels, hits = _scs_core(t1, t2, all_witnesses, ceiling, enum_cap)
+    if isinstance(hits, Tree):  # absorption: the bigger input is the witness
+        little = t2 if hits is t1 else t1
+        f_little = find_embedding(little, hits)
+        assert f_little is not None
+        ident = _identity_embedding(hits, hits)
+        emb1, emb2 = (ident, f_little) if hits is t1 else (f_little, ident)
+        witnesses = [CommonTreeWitness(hits, emb1, emb2)]
+    else:
+        witnesses = []
+        for c in map(_tree_from_levels, hits):
+            f1 = find_embedding(t1, c)
+            f2 = find_embedding(t2, c)
+            assert f1 is not None and f2 is not None
+            witnesses.append(CommonTreeWitness(c, f1, f2))
+    return ScsResult(n, witnesses, levels, (time.perf_counter() - started) * 1e3)
 
 
 def root_merge_supertree(t1: Tree, t2: Tree) -> Tree:

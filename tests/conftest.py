@@ -1,14 +1,23 @@
 """Shared fixtures and independent brute-force oracles.
 
-The oracles here deliberately avoid the library's own machinery (the shape
-table, backtracking search) so tests cross-check two unrelated strategies.
+The brute-force oracles here deliberately avoid the library's own machinery
+(the shape table, backtracking search) so tests cross-check two unrelated
+strategies.  `lcs_by_subset_walk` and `simple_paths_recursive` are the
+straightforward forms of two routines the library runs in a faster form
+(the common-minor walk on shapes, one path walk per source); differential
+tests hold the fast forms to them.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import strategies as st
 
-from treelab import Tree, canonical_code, chain, enumerate_trees, parse_tree
+from treelab import (MinorEmbedding, MultiRootError, Tree, canonical_code, chain,
+                     enumerate_trees, find_embedding, induced_minor, is_minor,
+                     parse_tree)
+from treelab.solvers import CommonTreeWitness, LcsResult, LevelStats
+from treelab.trees import _shape
 
 
 def brute_force_isomorphic(t1, t2):
@@ -79,6 +88,71 @@ def enumerate_by_leaf_growth(n):
                 grown.setdefault(canonical_code(bigger), bigger)
         level = grown
     return level
+
+
+def lcs_by_subset_walk(t1, t2, all_witnesses=False):
+    """The largest common minor by building a validated `induced_minor` Tree
+    for every node subset of the smaller input, largest subsets first, and
+    testing each new shape with `is_minor`; witnesses as `largest_common_minor`
+    reports them."""
+    flipped = t2.size < t1.size
+    small, other = (t2, t1) if flipped else (t1, t2)
+    levels = []
+    for k in range(small.size, 0, -1):
+        seen, hits = set(), []
+        for w in combinations(sorted(small.nodes), k):
+            try:
+                m = induced_minor(small, w)
+            except MultiRootError:
+                continue
+            if _shape(m) in seen:
+                continue
+            seen.add(_shape(m))
+            if is_minor(m, other):
+                hits.append(m)
+                if not all_witnesses:
+                    break
+        levels.append(LevelStats(k, len(seen), len(hits)))
+        if hits:
+            witnesses = []
+            for m in sorted(hits, key=canonical_code):
+                into_small = MinorEmbedding(m, small, {v: v for v in m.nodes})
+                into_other = find_embedding(m, other)
+                g1, g2 = (into_other, into_small) if flipped else (into_small, into_other)
+                witnesses.append(CommonTreeWitness(m, g1, g2))
+            return LcsResult(k, witnesses, levels)
+    return LcsResult(0, [], levels)
+
+
+def simple_paths_recursive(succ, v, w):
+    """All simple directed paths v ⇝ w (endpoints included), by a recursive
+    depth-first search that never enters w except as the last node."""
+    out = []
+    path = [v]
+    on_path = {v}
+
+    def walk(x):
+        for y in succ[x]:
+            if y == w:
+                out.append(tuple(path) + (w,))
+            elif y not in on_path:
+                path.append(y)
+                on_path.add(y)
+                walk(y)
+                on_path.discard(y)
+                path.pop()
+
+    walk(v)
+    return out
+
+
+@st.composite
+def labeled_trees(draw, max_size=9):
+    """Random trees of 1..max_size nodes, each node labeled a or b."""
+    n = draw(st.integers(1, max_size))
+    arcs = [(f"v{draw(st.integers(0, i - 1))}", f"v{i}") for i in range(1, n)]
+    labels = {f"v{i}": draw(st.sampled_from("ab")) for i in range(n)}
+    return Tree((f"v{i}" for i in range(n)), arcs, "v0", labels)
 
 
 def all_trees_up_to(n):

@@ -115,6 +115,14 @@ def test_lcs_report_includes_edit_distance(capsys):
     assert data["witnesses"][0]["tree_literal"]
 
 
+def test_lcs_of_inputs_sharing_no_label(capsys):
+    code, data = run_json(capsys, "lcs", "a:x(b:x)", "c:y")
+    assert code == 0 and data["optimum_size"] == 0 and data["witnesses"] == []
+    assert data["unit_edit_distance"] == 3
+    code, out, err = run(capsys, "quotient", "a:x(b:x)", "c:y")
+    assert code == 2 and out == "" and "no common minor" in err
+
+
 def test_scs_report(capsys):
     code, data = run_json(capsys, "scs", "a(b)", "x(y,z)")
     assert code == 0 and data["optimum_size"] == 3
@@ -275,6 +283,21 @@ def test_embeddings_verb(capsys):
     assert data["embeddings"] == [{"a": "x", "b": "y"}, {"a": "x", "b": "z"}]
     code, data = run_json(capsys, "embeddings", "a(b)", "x(y,z)", "--limit", "1")
     assert data["count"] == 1 and data["exhaustive"] is False
+    # a limit the search never reached means every embedding was found
+    code, data = run_json(capsys, "embeddings", "a(b)", "x(y,z)", "--limit", "5")
+    assert data["count"] == 2 and data["exhaustive"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ("embeddings", "a(b)", "x(y,z)", "--limit", "{}"),
+    ("scan", "--max-size", "2", "--jobs", "{}"),
+    ("--jobs", "{}", "scan", "--max-size", "2"),
+])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_limit_and_jobs_below_one_are_usage_errors(capsys, argv, value):
+    code, out, err = run(capsys, *(arg.format(value) for arg in argv))
+    assert code == 2 and out == ""
+    assert "usage:" in err and "at least 1" in err
 
 
 def test_verify_gap_zero_exits_0(capsys):
@@ -304,6 +327,12 @@ def test_scan_cli_all_zero(capsys):
     assert code == 0
     assert data["gap_histogram"] == {"0": 10}
     assert data["minimal_violating_pair"] is None
+
+
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_scan_cli_size_below_one_exits_2(capsys, size):
+    code, out, err = run(capsys, "scan", "--max-size", size, "--jobs", "1")
+    assert code == 2 and out == "" and "at least 1" in err
 
 
 def test_scan_cli_unknown_check(capsys):

@@ -159,6 +159,12 @@ def test_limit_is_a_prefix_of_the_full_enumeration():
         assert [f.to_json() for f in enumerate_embeddings(s, t, limit=k)] == full[:k]
 
 
+def test_limit_below_one_is_rejected():
+    for limit in (0, -1):
+        with pytest.raises(TreeError, match="at least 1"):
+            enumerate_embeddings(chain(2), star(3, "m"), limit=limit)
+
+
 def test_enumeration_rejects_empty_source():
     from treelab import Tree
     with pytest.raises(TreeError):

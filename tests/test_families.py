@@ -11,6 +11,8 @@ from treelab import (BudgetError, DegenerateFamilyWarning, EmbeddingError,
                      scan_pairs, smallest_common_supertree, star,
                      subproblem_transfer_check, validate, verify_counterexample)
 
+from treelab import families, solvers, trees
+
 from conftest import all_trees_up_to
 
 P3, R1, S3 = "p1(p2(p3))", "r", "s1(s2,s3)"
@@ -320,3 +322,38 @@ def test_scan_guards():
         scan_pairs(8)
     with pytest.raises(TreeError):
         scan_pairs(3, checks=("eq5",))
+    for size in (0, -1):
+        with pytest.raises(TreeError, match="at least 1"):
+            scan_pairs(size)
+
+
+def test_scan_census_up_to_7():
+    report = scan_pairs(7, checks=("eq4", "prop21"))
+    assert report.pairs_scanned == 3655
+    assert report.gap_histogram == {0: 3652, 1: 3}
+    assert report.prop21_summary["quotients_checked"] == 4796
+    assert len(report.prop21_summary["violating_pairs"]) == 278
+    assert report.prop21_summary["identity_findings"] == []
+    assert report.prop21_summary["implication_findings"] == []
+
+
+@pytest.mark.parametrize("checks", [("eq4",), ("eq4", "prop21")])
+def test_scan_parses_nothing_and_builds_minors_only_for_witnesses(monkeypatch, checks):
+    def refuse(*args):
+        raise AssertionError("the scan must not parse literals")
+
+    built = []
+
+    def counting(t, w):
+        built.append(w)
+        return real(t, w)
+
+    real = solvers.induced_minor
+    monkeypatch.setattr(families, "parse_tree", refuse)
+    monkeypatch.setattr(trees, "parse_tree", refuse)
+    monkeypatch.setattr(solvers, "induced_minor", counting)
+    report = scan_pairs(5, checks=checks)
+    assert report.pairs_scanned == 153
+    # one induced minor per optimal common-minor witness, and none without prop21
+    assert len(built) == report.prop21_summary["quotients_checked"]
+    assert (len(built) > report.pairs_scanned) == ("prop21" in checks)

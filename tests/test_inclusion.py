@@ -7,14 +7,14 @@ where backtracking would be slow, against the subset oracle.
 
 import time
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 import treelab.embeddings as embeddings
 from treelab import (Tree, canonical_code, enumerate_trees, find_embedding,
                      is_minor, is_minor_by_subsets, parse_tree, star,
                      tree_from_arcs)
 
-from conftest import all_trees_up_to
+from conftest import all_trees_up_to, labeled_trees
 
 
 def wide_trees(n):
@@ -30,14 +30,6 @@ def wide_trees(n):
         arcs += [("r", f"b{i}") for i in range(n - 2 - k)]
         out.append(tree_from_arcs("r", arcs))
     return out
-
-
-@st.composite
-def labeled_trees(draw, max_size=9):
-    n = draw(st.integers(1, max_size))
-    arcs = [(f"v{draw(st.integers(0, i - 1))}", f"v{i}") for i in range(1, n)]
-    labels = {f"v{i}": draw(st.sampled_from("ab")) for i in range(n)}
-    return Tree((f"v{i}" for i in range(n)), arcs, "v0", labels)
 
 
 def test_agrees_with_backtracking_on_all_pairs_up_to_7():

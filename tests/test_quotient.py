@@ -8,7 +8,9 @@ from treelab import (EmbeddingError, MinorEmbedding, TreeError, build_quotient,
                      parse_tree, quotient_to_dot, reduce_quotient, star,
                      validate)
 
-from conftest import all_trees_up_to
+from treelab.quotient import _simple_paths_from
+
+from conftest import all_trees_up_to, simple_paths_recursive
 
 
 def identity_embedding(s, t):
@@ -213,6 +215,39 @@ def test_prop21_report_json(headline):
 
 
 # -- the size prediction ------------------------------------------------------------------
+
+def successors(q):
+    succ = {c: [] for c in q.classes}
+    for a, b in sorted(q.arcs):
+        succ[a].append(b)
+    return succ
+
+
+def test_path_walk_matches_the_per_pair_search_on_all_witness_quotients_up_to_6():
+    trees = all_trees_up_to(6)
+    quotients = 0
+    for i, t1 in enumerate(trees):
+        for t2 in trees[i:]:
+            for w in largest_common_minor(t1, t2, all_witnesses=True).witnesses:
+                q = build_quotient(t1, t2, w.tree, w.emb1, w.emb2)
+                succ = successors(q)
+                for v in q.classes:
+                    paths_to = {}
+                    for path in _simple_paths_from(succ, v):
+                        paths_to.setdefault(path[-1], []).append(path)
+                    for x in q.classes:
+                        assert paths_to.get(x, []) == simple_paths_recursive(succ, v, x)
+                quotients += 1
+    assert quotients == 836
+
+
+def test_path_walk_has_no_depth_limit():
+    n = 5000
+    succ = {i: [i + 1] for i in range(n - 1)}
+    succ[n - 1] = []
+    lengths = [len(p) for p in _simple_paths_from(succ, 0)]
+    assert lengths == list(range(2, n + 1))
+
 
 def test_eq4_prediction_examples():
     t = parse_tree("a(b,c)")

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from treelab import (BudgetError, TreeError, are_isomorphic, canonical_code,
                      chain, check_embedding, cross_check_minor,
@@ -8,7 +9,7 @@ from treelab import (BudgetError, TreeError, are_isomorphic, canonical_code,
 
 from treelab import solvers
 
-from conftest import all_trees_up_to
+from conftest import all_trees_up_to, labeled_trees, lcs_by_subset_walk
 
 
 def witness_codes(result):
@@ -99,6 +100,67 @@ def test_lcs_report_schema():
                          "levels_scanned", "timing"}
     assert set(data["witnesses"][0]) == {"tree_literal", "embedding1", "embedding2"}
     assert "wall_ms" in data["timing"]
+
+
+def report(result):
+    data = result.to_json()
+    data.pop("timing")
+    return data
+
+
+def test_lcs_core_matches_the_subset_walk_on_all_pairs_up_to_6():
+    trees = all_trees_up_to(6)
+    for t1 in trees:
+        for t2 in trees:
+            for all_witnesses in (False, True):
+                want = lcs_by_subset_walk(t1, t2, all_witnesses)
+                got = largest_common_minor(t1, t2, all_witnesses=all_witnesses)
+                assert report(got) == report(want), (t1, t2, all_witnesses)
+    assert len(trees) ** 2 == 1369
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_trees(max_size=8), labeled_trees(max_size=8))
+def test_lcs_core_matches_the_subset_walk_on_random_labeled_pairs(t1, t2):
+    for all_witnesses in (False, True):
+        assert (report(largest_common_minor(t1, t2, all_witnesses=all_witnesses))
+                == report(lcs_by_subset_walk(t1, t2, all_witnesses)))
+
+
+def test_lcs_core_returns_the_first_subset_of_each_hit_shape():
+    small, other = parse_tree("r(a(b),c)"), parse_tree("x(y(v,u))")
+    # size 3 in subset order: {a,b,c} has two roots and is skipped, {a,b,r}
+    # is a chain, {a,c,r} a cherry, {b,c,r} the cherry again
+    k, levels, hits = solvers._lcs_core(small, other, True)
+    assert k == 3 and [lv.to_json() for lv in levels] == [
+        {"size": 4, "candidates": 1, "hits": 0},
+        {"size": 3, "candidates": 2, "hits": 2}]
+    assert hits == [("a", "b", "r"), ("a", "c", "r")]
+    k, levels, hits = solvers._lcs_core(small, other, False)
+    assert (k, levels[-1].candidates, hits) == (3, 1, [("a", "b", "r")])
+
+
+def test_lcs_of_inputs_sharing_no_label_is_empty():
+    r = largest_common_minor(parse_tree("a:x(b:x)"), parse_tree("c:y"))
+    assert (r.optimum_size, r.witnesses) == (0, [])
+    assert [lv.to_json() for lv in r.levels] == [
+        {"size": 1, "candidates": 1, "hits": 0}]
+
+
+def test_lcs_builds_one_induced_minor_per_witness(monkeypatch):
+    built = []
+
+    def counting(t, w):
+        built.append(frozenset(w))
+        return real(t, w)
+
+    real = solvers.induced_minor
+    monkeypatch.setattr(solvers, "induced_minor", counting)
+    t1, t2 = parse_tree("a(y(p1(p2(p3)),r),s1(s2,s3))"), parse_tree("a(p1(p2(p3)),z(r,s1(s2,s3)))")
+    r = largest_common_minor(t1, t2, all_witnesses=True)
+    assert len(built) == len(r.witnesses) == r.levels[-1].hits
+    assert [w.tree.nodes for w in r.witnesses] == sorted(
+        built, key=lambda w: canonical_code(real(t1, w)))
 
 
 # -- smallest common supertree -------------------------------------------------------
