@@ -25,6 +25,18 @@ check "verify fig1 headline instance reports gap" 1 \
   treelab verify fig1 --p 'p1(p2(p3))' --r 'r' --s 's1(s2,s3)' --jobs 1
 treelab verify fig1 --p 'p1(p2(p3))' --r 'r' --s 's1(s2,s3)' --jobs 1 --format text
 
+# the first-hit level's count is a rank in code order; star(8)/chain(8) pins
+# it at size 14, where no other check reaches
+got=$(treelab scs 'n1(n2,n3,n4,n5,n6,n7,n8)' 'm1(m2(m3(m4(m5(m6(m7(m8)))))))' |
+  python3 -c 'import json, sys; d = json.load(sys.stdin); lv = d["levels_scanned"][-1]
+print(d["optimum_size"], lv["size"], lv["candidates"])')
+if [ "$got" = "14 14 4052" ]; then
+  echo "PASS  scs star(8)/chain(8) is 14, found at candidate 4052 of size 14"
+else
+  echo "FAIL  scs star(8)/chain(8): optimum, size, candidates = $got, expected 14 14 4052"
+  failures=$((failures + 1))
+fi
+
 # criterion 2: path-uniqueness violation and the diamond
 check "prop21 violated on the headline instance" 1 \
   treelab prop21 "$T1" "$T2" --mu 'a(p1(p2(p3)),r,s1(s2,s3))'

@@ -10,8 +10,8 @@ from .errors import (BudgetError, EmbeddingError, InvalidTreeError,
                      MultiRootError, ParseError, SolverDisagreement, TreeError)
 from .trees import (Digraph, StructureViolation, Tree, are_isomorphic,
                     canonical_code, chain, disjoint_union, enumerate_trees,
-                    format_tree, parse_tree, star, to_dot, tree_from_arcs,
-                    validate)
+                    format_tree, is_rooted_tree, parse_tree, star, to_dot,
+                    tree_from_arcs, validate)
 from .embeddings import (EmbeddingViolation, Lemma4Witness, MinorEmbedding,
                          check_embedding, check_lemma4, enumerate_embeddings,
                          find_embedding, incomparable, induced_minor, is_minor,

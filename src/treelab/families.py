@@ -30,8 +30,8 @@ from ._parallel import parallel_map
 from .errors import BudgetError, EmbeddingError, SolverDisagreement, TreeError
 from .trees import (ENUM_CAP_DEFAULT, Tree, _catalogue, _code, _literal_from_levels,
                     _tree_from_levels, are_isomorphic, chain,
-                    enumerate_trees, format_tree, parse_tree, star,
-                    tree_from_arcs, validate)
+                    enumerate_trees, format_tree, is_rooted_tree, parse_tree,
+                    star, tree_from_arcs)
 from .embeddings import (EmbeddingViolation, MinorEmbedding, check_embedding,
                          enumerate_embeddings)
 from .solvers import (NODE_BUDGET_DEFAULT, _lcs_core, _scs_core,
@@ -432,7 +432,7 @@ def verify_counterexample(p: Tree, r: Tree, s: Tree, *,
     if bad:
         raise SolverDisagreement(f"quotient identities failed: {bad}")
     prop21 = check_prop21(q)
-    reduced_ok = not validate(reduce_quotient(q))
+    reduced_ok = is_rooted_tree(reduce_quotient(q))
     timing["quotient_ms"] = round((time.perf_counter() - t0) * 1e3, 3)
 
     t0 = time.perf_counter()
@@ -726,7 +726,7 @@ def _scan_one_pair(args: tuple[tuple[int, ...], tuple[int, ...], bool]) -> dict:
             if len(q.classes) != t1.size + t2.size - w.tree.size:
                 identity_findings.append("class count differs from |t1|+|t2|-|mu|")
             rep = check_prop21(q)
-            reduced_tree = not validate(reduce_quotient(q))
+            reduced_tree = is_rooted_tree(reduce_quotient(q))
             quotients.append({
                 "mu": format_tree(w.tree),
                 "holds": rep.holds,

@@ -1,26 +1,29 @@
 """Exact largest common minor and smallest common supertree solvers.
 
 Both problems are solved by exhaustion, never by heuristics: optimality at
-size k is only claimed after the neighbouring level has been fully scanned.
+size k is only claimed after the neighbouring level has been fully decided.
 The two directions use independent substrates (node subsets of one input for
-common minors, the full catalogue of enumerated tree shapes for supertrees)
-so they can cross-check each other.
+common minors; for supertrees, every supertree of the bigger input, grown
+one node at a time, which a deletion lemma shows are all the trees that can
+host both inputs) so they can cross-check each other.
 
-Each search is a core that works on interned shapes only (`_lcs_core`,
-`_scs_core`) and returns the optimum, the scanned levels and its hits; the
-public solvers wrap the cores and build named `Tree`s and embeddings for the
-hits alone.  The pair scan calls the cores directly when it needs sizes only.
+Each search is a core that works on interned shapes only and returns the
+optimum and its hits (`_lcs_core` also its levels; the supertree levels are
+counts of trees in code order, which the public solver derives).  The public
+solvers wrap the cores and build named `Tree`s and embeddings for the hits
+alone.  The pair scan calls the cores directly when it needs sizes only.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import BudgetError, SolverDisagreement, TreeError
-from .trees import (ENUM_CAP_DEFAULT, Tree, _catalogue, _intern, _shape,
-                    _tree_from_levels, canonical_code, format_tree)
+from .trees import (_KIDS, _LABEL, ENUM_CAP_DEFAULT, Tree, _code, _intern, _intern_node,
+                    _level_sequences, _levels_of, _shape, _tree_from_levels,
+                    canonical_code, format_tree)
 from .embeddings import (MinorEmbedding, _fits, check_embedding, find_embedding,
                          induced_minor, is_minor, is_minor_by_subsets)
 
@@ -30,7 +33,13 @@ NODE_BUDGET_DEFAULT = 12
 
 @dataclass
 class LevelStats:
-    """One fully scanned size level of an exhaustive search."""
+    """One fully decided size level of an exhaustive search.
+
+    For supertrees, `candidates` counts the size-n trees this level decides,
+    in code order: all of them, or, when the search stops at its first hit,
+    those up to and including the hit.  For common minors it counts the
+    distinct size-k induced minors tested.
+    """
 
     size: int
     candidates: int
@@ -175,44 +184,109 @@ def largest_common_minor(t1: Tree, t2: Tree, all_witnesses: bool = False,
     return LcsResult(k, witnesses, levels, (time.perf_counter() - started) * 1e3)
 
 
+#: One-node insertions strictly below the root of each shape (the moves of
+#: `_insertions` but the new root), memoized like `embeddings._FITS`.
+_GROWN: dict[int, frozenset[int]] = {}
+
+
+def _insertions(s: int) -> frozenset[int]:
+    """Every shape made from shape s by inserting one unlabeled node: a new
+    root above s, or a new child of some node adopting a sub-multiset of that
+    node's children (the empty one gives a new leaf).
+
+    Below its root a shape grows by its root's adoptions, or by one copy of
+    a child shape replaced by each of that child's moves.  Shapes are grown
+    children first from an explicit stack, so depth is never a limit.
+    """
+    stack = [s]
+    while stack:
+        x = stack[-1]
+        if x in _GROWN:
+            stack.pop()
+            continue
+        kids = _KIDS[x]
+        kinds = sorted(set(kids))
+        todo = [c for c in kinds if c not in _GROWN]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        label = _LABEL[x]
+        counts = [kids.count(k) for k in kinds]
+        grown = set()
+        for take in product(*(range(c + 1) for c in counts)):
+            adopted = tuple(k for k, t in zip(kinds, take) for _ in range(t))
+            kept = [k for k, c, t in zip(kinds, counts, take) for _ in range(c - t)]
+            kept.append(_intern_node(None, adopted))
+            grown.add(_intern_node(label, tuple(sorted(kept))))
+        for c in kinds:
+            i = kids.index(c)
+            rest = kids[:i] + kids[i + 1:]
+            for y in _GROWN[c]:
+                grown.add(_intern_node(label, tuple(sorted(rest + (y,)))))
+        _GROWN[x] = frozenset(grown)
+    return _GROWN[s] | {_intern_node(None, (s,))}
+
+
 def _scs_core(t1: Tree, t2: Tree, all_witnesses: bool, ceiling: int,
-              enum_cap: int) -> tuple[int, list[LevelStats], Tree | list[tuple[int, ...]]]:
-    """The supertree search on shapes: (optimum, levels, hits).
+              enum_cap: int) -> tuple[int, Tree | list[int]]:
+    """The supertree search on shapes: (optimum, hits).
 
     Without `all_witnesses`, an input that contains the other is itself an
     optimal witness (absorption); the hits are then that input.  Otherwise
-    walk n upward from max(|t1|, |t2|) to `ceiling` and test every catalogued
-    shape of size n, in canonical-code order, with `_fits` for both inputs;
-    the hits are the level sequences of the hit shapes at the first level
-    with one (only the first unless `all_witnesses`).
+    walk n upward from max(|t1|, |t2|) to `ceiling` through the size-n
+    supertrees of the bigger input, starting from that input itself, and
+    test each, in canonical-code order, with `_fits` for the other input;
+    the hits are the hit shapes of the first level with one (only the first
+    unless `all_witnesses`).  On equal sizes the input with more leaves is
+    grown, since the cost of `_fits` grows with the width of what it places.
+
+    The levels are complete by a deletion lemma.  Let C, of size
+    n + 1 > |T|, contain T.  Deleting a node outside the image of an
+    embedding leaves a size-n tree that still contains T: a non-image leaf,
+    else contract a non-image non-root, else drop a one-child root.  So the
+    size-(n + 1) supertrees of T are exactly the one-node insertions
+    (`_insertions`) into its size-n supertrees, and a level without a hit
+    refutes every tree of its size.
     """
     start = max(t1.size, t2.size)
-    levels: list[LevelStats] = []
     if not all_witnesses and start <= ceiling:
         for big, little in ((t1, t2), (t2, t1)):
             if big.size >= little.size and is_minor(little, big):
-                return big.size, [LevelStats(big.size, 1, 1)], big
+                return big.size, big
 
-    s1, s2 = _shape(t1), _shape(t2)
+    big, little = ((t1, t2) if (t1.size, len(t1.leaves)) >= (t2.size, len(t2.leaves))
+                   else (t2, t1))
+    target = _shape(little)
+    level = [_shape(big)]
     for n in range(start, ceiling + 1):
         if n > enum_cap:
             raise BudgetError(
                 f"supertree search needs size-{n} enumeration (cap {enum_cap}); "
                 f"every size below {n} was exhaustively refuted", lower_bound=n)
-        hits: list[tuple[int, ...]] = []
-        candidates = 0
-        for c, seq in _catalogue(n):
-            candidates += 1
-            if _fits(s1, c) and _fits(s2, c):
-                hits.append(seq)
+        if n > start:
+            level = sorted({c for s in level for c in _insertions(s)}, key=_code)
+        hits: list[int] = []
+        for c in level:
+            if _fits(target, c):
+                hits.append(c)
                 if not all_witnesses:
                     break
-        levels.append(LevelStats(n, candidates, len(hits)))
         if hits:
-            return n, levels, hits
+            return n, hits
     raise BudgetError(
         f"no common supertree of size <= {ceiling}; search stopped at the "
         f"requested ceiling", lower_bound=ceiling + 1)
+
+
+def _code_rank(n: int, stop: tuple[int, ...] | None = None) -> int:
+    """How many size-n trees come, in code order, up to and including the one
+    with level sequence `stop` (all of them without `stop`)."""
+    rank = 0
+    for rank, levels in enumerate(_level_sequences(n), 1):
+        if levels == stop:
+            break
+    return rank
 
 
 def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
@@ -220,10 +294,15 @@ def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
                               enum_cap: int = ENUM_CAP_DEFAULT) -> ScsResult:
     """Minimum-size tree containing both inputs as minors, with witnesses.
 
-    `_scs_core` finds the optimum on shapes, scanning the catalogue upward
-    from max(|t1|, |t2|) (the root merge guarantees a hit by
-    n = |t1| + |t2| - 1, or `max_size` if smaller).  Only its hits become
-    named `Tree`s, each with the first found embedding of either input.
+    `_scs_core` finds the optimum on shapes, growing the supertrees of the
+    bigger input upward from max(|t1|, |t2|) (the root merge guarantees a
+    hit by n = |t1| + |t2| - 1, or `max_size` if smaller).  The levels are
+    reported as a scan of every tree of each size in code order would
+    report them: a level without a hit, and the hit level with
+    `all_witnesses`, counts every tree of its size; the first-hit level
+    counts up to the hit.  Only the hits become named `Tree`s, built from
+    their canonical level sequences, each with the first found embedding of
+    either input.
     """
     started = time.perf_counter()
     _require_solvable(t1, t2)
@@ -233,8 +312,9 @@ def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
 
     natural = t1.size + t2.size - 1
     ceiling = natural if max_size is None else min(max_size, natural)
-    n, levels, hits = _scs_core(t1, t2, all_witnesses, ceiling, enum_cap)
+    n, hits = _scs_core(t1, t2, all_witnesses, ceiling, enum_cap)
     if isinstance(hits, Tree):  # absorption: the bigger input is the witness
+        levels = [LevelStats(n, 1, 1)]
         little = t2 if hits is t1 else t1
         f_little = find_embedding(little, hits)
         assert f_little is not None
@@ -242,8 +322,12 @@ def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
         emb1, emb2 = (ident, f_little) if hits is t1 else (f_little, ident)
         witnesses = [CommonTreeWitness(hits, emb1, emb2)]
     else:
+        sequences = [_levels_of(c) for c in hits]
+        levels = [LevelStats(k, _code_rank(k), 0) for k in range(max(t1.size, t2.size), n)]
+        levels.append(LevelStats(n, _code_rank(n, None if all_witnesses else sequences[0]),
+                                 len(hits)))
         witnesses = []
-        for c in map(_tree_from_levels, hits):
+        for c in map(_tree_from_levels, sequences):
             f1 = find_embedding(t1, c)
             f2 = find_embedding(t2, c)
             assert f1 is not None and f2 is not None

@@ -1,9 +1,10 @@
 """Rooted unordered trees with named nodes.
 
-Parsing and printing of tree literals, structural validation, the interned
-shape table (the single isomorphism authority: canonical codes, isomorphism,
-common-minor deduplication and the inclusion decider all read it), the cached
-catalogue of shapes of every rooted unordered tree size (in generation order,
+Parsing and printing of tree literals, structural validation (a report of
+every violation, or the boolean `is_rooted_tree`), the interned shape table
+(the single isomorphism authority: canonical codes, isomorphism, common-minor
+deduplication and the inclusion decider all read it), the cached catalogue
+of shapes of every rooted unordered tree size (in generation order,
 which is canonical-code order), enumeration of every size straight from its
 level sequences (the iterator `enumerate_trees` names tree by tree and
 `_literal_from_levels` writes literals; neither interns anything), disjoint
@@ -360,6 +361,31 @@ def validate(g) -> list[StructureViolation]:
     return structure_violations(g.nodes, g.arcs, root)
 
 
+def is_rooted_tree(g) -> bool:
+    """`not validate(g)` without building the report: False on a self-loop, a
+    dangling arc, a second parent, zero or several roots, or an unreachable
+    node (which covers cycles); True on the empty digraph."""
+    nodes = g.nodes
+    kids: dict = {}
+    has_parent: set = set()
+    for a, b in g.arcs:
+        if a == b or a not in nodes or b not in nodes or b in has_parent:
+            return False
+        has_parent.add(b)
+        kids.setdefault(a, []).append(b)
+    if not nodes:
+        return True
+    if len(nodes) - len(has_parent) != 1:
+        return False
+    root = next(v for v in nodes if v not in has_parent)
+    stack, seen = [root], 1
+    while stack:
+        for w in kids.get(stack.pop(), ()):
+            stack.append(w)
+            seen += 1
+    return seen == len(nodes)
+
+
 # -- literals ---------------------------------------------------------------
 
 _TOKEN = re.compile(r"[A-Za-z0-9_]+|\S")
@@ -447,11 +473,12 @@ def format_tree(t: Tree) -> str:
 # Every subtree is interned as a shape: one id per isomorphism class, keyed by
 # its root label and the sorted ids of its children (the canonical numbering of
 # Aho, Hopcroft & Ullman, 1974).  This table is the single isomorphism
-# authority and `_intern` its only writer; `embeddings` reads the per-shape
-# label, children and size.  It lives as long as the process, as do the code
-# strings `_code` caches per shape and the catalogue of shapes that the supertree
-# search scans.  Enumeration (`enumerate_trees`, `treelab enum`) reads the level
-# sequences directly and writes nothing here.
+# authority and `_intern_node` its only writer (`_intern` enters a whole tree
+# through it, the supertree growth in `solvers` one new node at a time);
+# `embeddings` reads the per-shape label, children and size.  It lives as long
+# as the process, as do the code strings `_code` caches per shape and the
+# catalogue of shapes that the pair scan walks.  Enumeration (`enumerate_trees`,
+# `treelab enum`) reads the level sequences directly and writes nothing here.
 
 _SHAPE_IDS: dict[tuple[str | None, tuple[int, ...]], int] = {}
 _LABEL: list[str | None] = []
@@ -459,6 +486,19 @@ _KIDS: list[tuple[int, ...]] = []
 _SIZE: list[int] = []
 _CODE: dict[int, str] = {-1: ""}
 _CATALOGUE: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
+
+
+def _intern_node(label: str | None, kids: tuple[int, ...]) -> int:
+    """The id of the shape with root label `label` and the sorted child shape
+    ids `kids`, entered into the table if it is new."""
+    key = (label, kids)
+    s = _SHAPE_IDS.get(key)
+    if s is None:
+        s = _SHAPE_IDS[key] = len(_KIDS)
+        _LABEL.append(label)
+        _KIDS.append(kids)
+        _SIZE.append(1 + sum(_SIZE[k] for k in kids))
+    return s
 
 
 def _intern(levels, labels) -> int:
@@ -469,14 +509,7 @@ def _intern(levels, labels) -> int:
         kids = []
         while done and done[-1][0] > level:
             kids.append(done.pop()[1])
-        key = (label, tuple(sorted(kids)))
-        s = _SHAPE_IDS.get(key)
-        if s is None:
-            s = _SHAPE_IDS[key] = len(_KIDS)
-            _LABEL.append(label)
-            _KIDS.append(key[1])
-            _SIZE.append(1 + sum(_SIZE[k] for k in key[1]))
-        done.append((level, s))
+        done.append((level, _intern_node(label, tuple(sorted(kids)))))
     return done[0][1] if done else -1
 
 
@@ -506,6 +539,20 @@ def _code(s: int) -> str:
                 done[-1].append("(" + (_LABEL[~x] or "") + "".join(kids) + ")")
         _CODE[s] = done[0][0]
     return _CODE[s]
+
+
+def _levels_of(s: int) -> tuple[int, ...]:
+    """The canonical level sequence of shape s (root at level 1): the depth at
+    each ``(`` of its code.  For an unlabeled shape this is the sequence the
+    catalogue holds for it, so `_tree_from_levels` names it as enumeration does."""
+    out, depth = [], 0
+    for ch in _code(s):
+        if ch == "(":
+            depth += 1
+            out.append(depth)
+        elif ch == ")":
+            depth -= 1
+    return tuple(out)
 
 
 def canonical_code(t: Tree) -> str:

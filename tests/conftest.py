@@ -2,10 +2,11 @@
 
 The brute-force oracles here deliberately avoid the library's own machinery
 (the shape table, backtracking search) so tests cross-check two unrelated
-strategies.  `lcs_by_subset_walk` and `simple_paths_recursive` are the
-straightforward forms of two routines the library runs in a faster form
-(the common-minor walk on shapes, one path walk per source); differential
-tests hold the fast forms to them.
+strategies.  `lcs_by_subset_walk`, `scs_by_catalogue` and
+`simple_paths_recursive` are the straightforward forms of three routines the
+library runs in a faster form (the common-minor walk on shapes, supertree
+growth from the bigger input, one path walk per source); differential tests
+hold the fast forms to them.
 """
 
 from itertools import combinations, permutations
@@ -16,8 +17,9 @@ from hypothesis import strategies as st
 from treelab import (MinorEmbedding, MultiRootError, Tree, canonical_code, chain,
                      enumerate_trees, find_embedding, induced_minor, is_minor,
                      parse_tree)
-from treelab.solvers import CommonTreeWitness, LcsResult, LevelStats
-from treelab.trees import _shape
+from treelab.embeddings import _fits
+from treelab.solvers import CommonTreeWitness, LcsResult, LevelStats, ScsResult
+from treelab.trees import _catalogue, _shape, _tree_from_levels
 
 
 def brute_force_isomorphic(t1, t2):
@@ -124,6 +126,37 @@ def lcs_by_subset_walk(t1, t2, all_witnesses=False):
     return LcsResult(0, [], levels)
 
 
+def scs_by_catalogue(t1, t2, all_witnesses=False):
+    """The smallest common supertree by testing every catalogued shape of each
+    size, in canonical-code order, with `_fits` for both inputs; an input
+    that contains the other is taken at once unless `all_witnesses`.  The
+    report is built as `smallest_common_supertree` builds it."""
+    if not all_witnesses:
+        for big, little in ((t1, t2), (t2, t1)):
+            if big.size >= little.size and is_minor(little, big):
+                f_little = find_embedding(little, big)
+                ident = MinorEmbedding(big, big, {v: v for v in big.nodes})
+                emb1, emb2 = (ident, f_little) if big is t1 else (f_little, ident)
+                return ScsResult(big.size, [CommonTreeWitness(big, emb1, emb2)],
+                                 [LevelStats(big.size, 1, 1)])
+    s1, s2 = _shape(t1), _shape(t2)
+    levels = []
+    for n in range(max(t1.size, t2.size), t1.size + t2.size):
+        hits, candidates = [], 0
+        for c, sequence in _catalogue(n):
+            candidates += 1
+            if _fits(s1, c) and _fits(s2, c):
+                hits.append(_tree_from_levels(sequence))
+                if not all_witnesses:
+                    break
+        levels.append(LevelStats(n, candidates, len(hits)))
+        if hits:
+            witnesses = [CommonTreeWitness(c, find_embedding(t1, c), find_embedding(t2, c))
+                         for c in hits]
+            return ScsResult(n, witnesses, levels)
+    raise AssertionError("the root merge is a common supertree")
+
+
 def simple_paths_recursive(succ, v, w):
     """All simple directed paths v ⇝ w (endpoints included), by a recursive
     depth-first search that never enters w except as the last node."""
@@ -153,6 +186,14 @@ def labeled_trees(draw, max_size=9):
     arcs = [(f"v{draw(st.integers(0, i - 1))}", f"v{i}") for i in range(1, n)]
     labels = {f"v{i}": draw(st.sampled_from("ab")) for i in range(n)}
     return Tree((f"v{i}" for i in range(n)), arcs, "v0", labels)
+
+
+@st.composite
+def unlabeled_trees(draw, max_size=9):
+    """Random unlabeled trees of 1..max_size nodes."""
+    n = draw(st.integers(1, max_size))
+    arcs = [(f"v{draw(st.integers(0, i - 1))}", f"v{i}") for i in range(1, n)]
+    return Tree((f"v{i}" for i in range(n)), arcs, "v0")
 
 
 def all_trees_up_to(n):

@@ -20,7 +20,7 @@ from treelab import (build_quotient, canonical_code, chain,
                      scan_pairs, subproblem_transfer_check,
                      validate, verify_counterexample)
 
-from conftest import all_trees_up_to, enumerate_by_leaf_growth
+from conftest import all_trees_up_to, enumerate_by_leaf_growth, scs_by_catalogue
 
 
 @pytest.fixture(scope="session")
@@ -39,13 +39,16 @@ def test_criterion_1_size_gap_refutation(headline_report):
     assert report.scs_size == 11 and report.scs_exact
     assert report.gap == 1
 
-    # all 719 trees of size 10 were scanned and none hosts both inputs
+    # all 719 trees of size 10 were decided and none hosts both inputs: the
+    # solver's count is reported, so the catalogue scan tests them one by one
     levels = {lv.size: lv for lv in report.scs_levels}
     assert levels[10].candidates == 719 and levels[10].hits == 0
     assert levels[11].hits >= 1
+    inst = fig1_family(*acceptance_parts_from(report))
+    scanned = {lv.size: lv for lv in scs_by_catalogue(inst.t1, inst.t2, True).levels}
+    assert scanned[10].candidates == 719 and scanned[10].hits == 0
 
     # the 11-node witnesses are embedding-verified on both sides
-    inst = fig1_family(*acceptance_parts_from(report))
     for literal in report.scs_witness_literals:
         witness = parse_tree(literal)
         assert witness.size == 11

@@ -1,3 +1,7 @@
+import json
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 
@@ -7,9 +11,12 @@ from treelab import (BudgetError, TreeError, are_isomorphic, canonical_code,
                      largest_common_minor, parse_tree, root_merge_supertree,
                      smallest_common_supertree, star, unit_edit_distance)
 
-from treelab import solvers
+from treelab import solvers, trees
+from treelab.embeddings import _fits
+from treelab.trees import _catalogue, _intern
 
-from conftest import all_trees_up_to, labeled_trees, lcs_by_subset_walk
+from conftest import (all_trees_up_to, labeled_trees, lcs_by_subset_walk,
+                      scs_by_catalogue, unlabeled_trees)
 
 
 def witness_codes(result):
@@ -261,10 +268,9 @@ def reference_supertree(t1, t2, all_witnesses):
     raise AssertionError("the root merge is a common supertree")
 
 
-def test_scs_matches_the_backtracking_reference_up_to_4():
-    trees = all_trees_up_to(4)
-    for t1 in trees:
-        for t2 in trees:
+def test_scs_matches_the_backtracking_reference_up_to_5():
+    for t1 in all_trees_up_to(5):
+        for t2 in all_trees_up_to(5):
             for all_witnesses in (False, True):
                 got = smallest_common_supertree(t1, t2, all_witnesses=all_witnesses)
                 optimum, levels, literals = reference_supertree(t1, t2, all_witnesses)
@@ -292,6 +298,76 @@ def test_scs_level_loop_names_only_hits(monkeypatch):
     monkeypatch.setattr(solvers, "is_minor", refuse)
     r = smallest_common_supertree(chain(3), star(3, "m"), all_witnesses=True)
     assert len(built) == r.levels[-1].hits == len(r.witnesses) > 1
+
+
+def test_scs_matches_the_catalogue_scan_on_all_pairs_up_to_6():
+    trees = all_trees_up_to(6)
+    for t1 in trees:
+        for t2 in trees:
+            for all_witnesses in (False, True):
+                want = scs_by_catalogue(t1, t2, all_witnesses)
+                got = smallest_common_supertree(t1, t2, all_witnesses=all_witnesses)
+                assert report(got) == report(want), (t1, t2, all_witnesses)
+    assert len(trees) ** 2 == 1369
+
+
+@settings(max_examples=100, deadline=None)
+@given(unlabeled_trees(max_size=8), unlabeled_trees(max_size=8))
+def test_scs_matches_the_catalogue_scan_on_random_pairs(t1, t2):
+    for all_witnesses in (False, True):
+        assert (report(smallest_common_supertree(t1, t2, all_witnesses=all_witnesses))
+                == report(scs_by_catalogue(t1, t2, all_witnesses)))
+
+
+def test_scs_witness_order_is_code_order_in_a_fresh_process():
+    # here no catalogue has interned shapes in code order before growth, so
+    # shape ids follow growth order and only the sort by code orders the hits
+    t1, t2 = "a(y(p1(p2(p3)),r),s1(s2,s3))", "a(p1(p2(p3)),z(r,s1(s2,s3)))"
+    proc = subprocess.run([sys.executable, "-m", "treelab", "scs", t1, t2, "--all"],
+                          capture_output=True, text=True, check=True)
+    got = [w["tree_literal"] for w in json.loads(proc.stdout)["witnesses"]]
+    want = scs_by_catalogue(parse_tree(t1), parse_tree(t2), True).witnesses
+    assert got == [format_tree(w.tree) for w in want] and len(got) == 5
+
+
+def test_scs_reads_no_catalogue(monkeypatch):
+    def refuse(n):
+        raise AssertionError("the supertree search read the catalogue")
+
+    monkeypatch.setattr(trees, "_catalogue", refuse)
+    assert not hasattr(solvers, "_catalogue")
+    t1, t2 = parse_tree("a(y(p1(p2(p3)),r),s1(s2,s3))"), parse_tree("a(p1(p2(p3)),z(r,s1(s2,s3)))")
+    assert smallest_common_supertree(t1, t2).optimum_size == 11
+    assert smallest_common_supertree(t1, t2, all_witnesses=True).optimum_size == 11
+
+
+def test_insertions_are_the_supertrees_one_size_up():
+    # the deletion lemma: exactly the size-(n + 1) trees containing s
+    for n in range(1, 9):
+        bigger = [c for c, _ in _catalogue(n + 1)]
+        for s, _ in _catalogue(n):
+            assert solvers._insertions(s) == {c for c in bigger if _fits(s, c)}
+
+
+def test_insertions_need_no_recursion():
+    # growing one level from an n-deep chain interns about n * n / 2 shapes
+    # (each leaf position has its own ancestors), so the chain stays short;
+    # a lowered recursion limit stands in for depth: any recursion per tree
+    # level would exhaust 50 frames
+    depth = 300
+    deep = _intern(range(1, depth + 1), [None] * depth)
+    longer = _intern(range(1, depth + 2), [None] * (depth + 1))
+    frames, f = 0, sys._getframe()
+    while f is not None:
+        frames, f = frames + 1, f.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames + 50)  # lowered, never raised
+    try:
+        grown = solvers._insertions(deep)
+    finally:
+        sys.setrecursionlimit(limit)
+    # a new leaf under one of the depth - 1 inner nodes, or the longer chain
+    assert longer in grown and len(grown) == depth
 
 
 # -- root merge -------------------------------------------------------------------------

@@ -1,13 +1,15 @@
+from types import SimpleNamespace
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from treelab import (BudgetError, Digraph, InvalidTreeError, ParseError, Tree,
                      TreeError, are_isomorphic, canonical_code, chain,
-                     disjoint_union, enumerate_trees, format_tree, parse_tree,
-                     star, to_dot, tree_from_arcs, validate)
+                     disjoint_union, enumerate_trees, format_tree, is_rooted_tree,
+                     parse_tree, star, to_dot, tree_from_arcs, validate)
 
-from treelab.trees import (_catalogue, _code, _level_sequences, _literal_from_levels,
-                           _shape, _tree_from_levels)
+from treelab.trees import (_catalogue, _code, _level_sequences, _levels_of,
+                           _literal_from_levels, _shape, _tree_from_levels)
 
 from conftest import (all_trees_up_to, brute_force_isomorphic, enumerate_by_leaf_growth,
                       reference_code)
@@ -146,6 +148,44 @@ def test_validate_flags_multiple_roots_and_unreachable():
     assert "multi_root" in kinds
 
 
+@st.composite
+def digraphs(draw):
+    """Node and arc sets with no tree constraint: a random tree or nothing,
+    plus random arcs (self-loops, cycles, second parents, arcs to the
+    non-node x), minus some arcs (extra roots, unreachable nodes)."""
+    n = draw(st.integers(0, 6))
+    nodes = [f"v{i}" for i in range(n)]
+    arcs = set()
+    if n and draw(st.booleans()):
+        arcs = {(nodes[draw(st.integers(0, i - 1))], nodes[i]) for i in range(1, n)}
+    names = st.sampled_from(nodes + ["x"])
+    arcs |= set(draw(st.lists(st.tuples(names, names), max_size=3)))
+    if arcs:
+        arcs -= draw(st.sets(st.sampled_from(sorted(arcs)), max_size=2))
+    return SimpleNamespace(nodes=frozenset(nodes), arcs=frozenset(arcs))
+
+
+@settings(max_examples=500)
+@given(digraphs())
+def test_is_rooted_tree_is_validate_without_the_report(g):
+    assert is_rooted_tree(g) == (not validate(g))
+
+
+def test_is_rooted_tree_examples():
+    def graph(nodes, arcs):
+        return SimpleNamespace(nodes=frozenset(nodes), arcs=frozenset(arcs))
+
+    assert is_rooted_tree(graph("", ())) and is_rooted_tree(Tree([], [], None))
+    assert is_rooted_tree(parse_tree("a(b(c),d)"))
+    assert not is_rooted_tree(graph("ab", {("a", "b"), ("b", "b")}))  # self-loop
+    assert not is_rooted_tree(graph("ab", {("a", "b"), ("b", "x")}))  # dangling arc
+    assert not is_rooted_tree(graph("", {("x", "y")}))  # dangling, no nodes
+    assert not is_rooted_tree(graph("abc", {("a", "b"), ("a", "c"), ("c", "b")}))
+    assert not is_rooted_tree(graph("ab", ()))  # two roots
+    assert not is_rooted_tree(graph("abc", {("a", "b"), ("c", "a")} | {("b", "c")}))
+    assert not is_rooted_tree(graph("abcd", {("a", "b"), ("c", "d"), ("d", "c")}))
+
+
 def test_tree_constructor_rejects_labels_outside_the_literal_grammar():
     # an empty label would print as "a:" and share the unlabeled node's code
     for bad in ("", "x y", 3):
@@ -280,6 +320,13 @@ def test_catalogue_is_in_generation_order_which_is_code_order():
         codes = [_code(shape) for shape, _ in entries]
         assert all(a < b for a, b in zip(codes, codes[1:]))
         assert codes == [parenthesis_string(sequence) for _, sequence in entries]
+
+
+def test_levels_of_a_shape_are_its_catalogue_sequence():
+    for n in range(1, 13):
+        for shape, sequence in _catalogue(n):
+            assert _levels_of(shape) == sequence
+    assert _levels_of(_shape(parse_tree("a:x(b:y,c)"))) == (1, 2, 2)
 
 
 def test_literals_from_levels_are_the_named_trees_literals():
