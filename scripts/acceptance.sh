@@ -42,6 +42,25 @@ check "prop21 violated on the headline instance" 1 \
   treelab prop21 "$T1" "$T2" --mu 'a(p1(p2(p3)),r,s1(s2,s3))'
 check "quotient report builds" 0 treelab quotient "$T1" "$T2"
 
+# the largest quotient workload: every optimal common-minor witness of every
+# pair up to size 7 (4,796 quotients), pinned by the SHA-256 of its report
+# without `timing`, serialized compactly in the program's key order
+want=607c6c1512f55dc4204704ca46c23b8956d1112ecdda87cefdfbaf7dc2c34e23
+got=$(treelab scan --max-size 7 --check eq4,prop21 --jobs 1 | python3 -c '
+import hashlib, json, sys
+def strip(v):
+    if isinstance(v, dict):
+        return {k: strip(x) for k, x in v.items() if k != "timing"}
+    return [strip(x) for x in v] if isinstance(v, list) else v
+text = json.dumps(strip(json.load(sys.stdin)), separators=(",", ":"), ensure_ascii=False)
+print(hashlib.sha256(text.encode()).hexdigest())')
+if [ "$got" = "$want" ]; then
+  echo "PASS  scan --max-size 7 --check eq4,prop21 report digest"
+else
+  echo "FAIL  scan --max-size 7 --check eq4,prop21 report digest is $got, expected $want"
+  failures=$((failures + 1))
+fi
+
 # criterion 7: enumeration counts
 for pair in "1 1" "4 4" "7 48" "9 286" "11 1842" "14 32973"; do
   set -- $pair

@@ -20,8 +20,8 @@ from pathlib import Path
 
 from .errors import BudgetError, TreeError
 from .trees import (ENUM_CAP_DEFAULT, Tree, _literal_from_levels, _sized_sequences,
-                    are_isomorphic, canonical_code, format_tree, parse_tree, to_dot,
-                    validate)
+                    are_isomorphic, canonical_code, format_tree, is_rooted_tree,
+                    parse_tree, to_dot)
 from .embeddings import MinorEmbedding, enumerate_embeddings, find_embedding
 from .solvers import (NODE_BUDGET_DEFAULT, largest_common_minor,
                       smallest_common_supertree)
@@ -182,7 +182,7 @@ def cmd_quotient(args) -> int:
     report = check_prop21(q)
     data = q.to_json()
     data["prop21"] = report.to_json()
-    data["reduced_is_tree"] = not validate(reduced)
+    data["reduced_is_tree"] = is_rooted_tree(reduced)
     data["eq4_prediction"] = eq4_prediction(t1, t2, q.t_mu.size)
     _emit(args, data,
           f"{len(q.classes)} classes, {len(q.arcs)} arcs; prop21 holds: "

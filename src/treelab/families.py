@@ -28,16 +28,17 @@ from typing import Iterable
 
 from ._parallel import parallel_map
 from .errors import BudgetError, EmbeddingError, SolverDisagreement, TreeError
-from .trees import (ENUM_CAP_DEFAULT, Tree, _catalogue, _code, _literal_from_levels,
-                    _tree_from_levels, are_isomorphic, chain,
+from .trees import (ENUM_CAP_DEFAULT, Digraph, Tree, _catalogue, _code,
+                    _literal_from_levels, _tree_from_levels, are_isomorphic, chain,
                     enumerate_trees, format_tree, is_rooted_tree, parse_tree,
                     star, tree_from_arcs)
 from .embeddings import (EmbeddingViolation, MinorEmbedding, check_embedding,
                          enumerate_embeddings)
 from .solvers import (NODE_BUDGET_DEFAULT, _lcs_core, _scs_core,
                       largest_common_minor, smallest_common_supertree)
-from .quotient import (QuotientGraph, Prop21Report, build_quotient,
-                       check_eq2_eq3, check_prop21, eq4_prediction,
+from .quotient import (QuotientGraph, Prop21Report, _glue, _identities,
+                       _prop21_core, _reduce_core, _require_witness, _successors,
+                       build_quotient, check_eq2_eq3, check_prop21, eq4_prediction,
                        reduce_quotient)
 
 #: Default size ceiling for the exhaustive pair scan.
@@ -721,17 +722,21 @@ def _scan_one_pair(args: tuple[tuple[int, ...], tuple[int, ...], bool]) -> dict:
     if with_prop21:
         quotients = []
         for w in lcs.witnesses:
-            q = build_quotient(t1, t2, w.tree, w.emb1, w.emb2)
-            identity_findings = list(check_eq2_eq3(q))
-            if len(q.classes) != t1.size + t2.size - w.tree.size:
+            _require_witness(w.tree, w.emb1, w.emb2)
+            mu, g1, g2 = w.tree.nodes, w.emb1.mapping, w.emb2.mapping
+            class_of1, class_of2, n, arcs, merged = _glue(t1, t2, mu, g1, g2)
+            identity_findings = _identities(range(n), class_of1, class_of2, mu,
+                                            g1, g2, merged)
+            if n != t1.size + t2.size - w.tree.size:
                 identity_findings.append("class count differs from |t1|+|t2|-|mu|")
-            rep = check_prop21(q)
-            reduced_tree = is_rooted_tree(reduce_quotient(q))
+            succ = _successors(n, arcs)
+            kinds = sorted({found[0] for found in _prop21_core(succ, merged)})
+            reduced = Digraph(frozenset(range(n)), frozenset(_reduce_core(succ)))
             quotients.append({
                 "mu": format_tree(w.tree),
-                "holds": rep.holds,
-                "violation_kinds": sorted({v.kind for v in rep.violations}),
-                "reduced_is_tree": reduced_tree,
+                "holds": not kinds,
+                "violation_kinds": kinds,
+                "reduced_is_tree": is_rooted_tree(reduced),
                 "identity_findings": identity_findings,
             })
         rec["quotients"] = quotients
@@ -747,8 +752,9 @@ def scan_pairs(max_size: int, checks: Iterable[str] = ("eq4",),
     size-then-code order) with a positive gap is reported.  Workers receive
     level sequences and ask the solver cores for sizes only.  With the
     ``prop21`` check enabled, every optimal common-minor witness additionally
-    has its quotient built and checked: path-uniqueness violations, the
-    structural identities, and whether reduction yields a tree.
+    has its quotient glued and checked on integer class ids, by the cores of
+    `treelab.quotient`: path-uniqueness violations, the structural
+    identities, and whether reduction yields a tree.
     """
     checks = tuple(checks)
     unknown = set(checks) - {"eq4", "prop21"}

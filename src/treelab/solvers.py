@@ -22,8 +22,8 @@ from itertools import combinations, product
 
 from .errors import BudgetError, SolverDisagreement, TreeError
 from .trees import (_KIDS, _LABEL, ENUM_CAP_DEFAULT, Tree, _code, _intern, _intern_node,
-                    _level_sequences, _levels_of, _shape, _tree_from_levels,
-                    canonical_code, format_tree)
+                    _level_sequences, _levels_of, _shape, _tree_count,
+                    _tree_from_levels, canonical_code, format_tree)
 from .embeddings import (MinorEmbedding, _fits, check_embedding, find_embedding,
                          induced_minor, is_minor, is_minor_by_subsets)
 
@@ -279,14 +279,13 @@ def _scs_core(t1: Tree, t2: Tree, all_witnesses: bool, ceiling: int,
         f"requested ceiling", lower_bound=ceiling + 1)
 
 
-def _code_rank(n: int, stop: tuple[int, ...] | None = None) -> int:
+def _code_rank(n: int, stop: tuple[int, ...]) -> int:
     """How many size-n trees come, in code order, up to and including the one
-    with level sequence `stop` (all of them without `stop`)."""
-    rank = 0
+    with level sequence `stop`."""
     for rank, levels in enumerate(_level_sequences(n), 1):
         if levels == stop:
-            break
-    return rank
+            return rank
+    raise AssertionError(f"{stop} is not a canonical size-{n} level sequence")
 
 
 def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
@@ -299,10 +298,11 @@ def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
     hit by n = |t1| + |t2| - 1, or `max_size` if smaller).  The levels are
     reported as a scan of every tree of each size in code order would
     report them: a level without a hit, and the hit level with
-    `all_witnesses`, counts every tree of its size; the first-hit level
-    counts up to the hit.  Only the hits become named `Tree`s, built from
-    their canonical level sequences, each with the first found embedding of
-    either input.
+    `all_witnesses`, counts every tree of its size (`_tree_count`, with no
+    walk); the first-hit level counts up to the hit, by walking the level's
+    sequences in code order (`_code_rank`).  Only the hits become named
+    `Tree`s, built from their canonical level sequences, each with the first
+    found embedding of either input.
     """
     started = time.perf_counter()
     _require_solvable(t1, t2)
@@ -323,9 +323,9 @@ def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
         witnesses = [CommonTreeWitness(hits, emb1, emb2)]
     else:
         sequences = [_levels_of(c) for c in hits]
-        levels = [LevelStats(k, _code_rank(k), 0) for k in range(max(t1.size, t2.size), n)]
-        levels.append(LevelStats(n, _code_rank(n, None if all_witnesses else sequences[0]),
-                                 len(hits)))
+        levels = [LevelStats(k, _tree_count(k), 0) for k in range(max(t1.size, t2.size), n)]
+        levels.append(LevelStats(n, _tree_count(n) if all_witnesses
+                                 else _code_rank(n, sequences[0]), len(hits)))
         witnesses = []
         for c in map(_tree_from_levels, sequences):
             f1 = find_embedding(t1, c)

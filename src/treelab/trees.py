@@ -594,6 +594,23 @@ def _level_sequences(n: int) -> Iterator[tuple[int, ...]]:
             seq[i] = seq[i - width]
 
 
+_TREE_COUNTS = [0, 1]
+
+
+def _tree_count(n: int) -> int:
+    """How many rooted unlabeled trees have n >= 1 nodes (OEIS A000081), by
+    the Euler-transform recurrence
+    m * a(m + 1) = sum over k = 1..m of (sum over d | k of d * a(d)) * a(m - k + 1);
+    cached, and equal to the number of level sequences `_level_sequences(n)`
+    yields."""
+    a = _TREE_COUNTS
+    while len(a) <= n:
+        m = len(a) - 1
+        a.append(sum(sum(d * a[d] for d in range(1, k + 1) if k % d == 0) * a[m - k + 1]
+                     for k in range(1, m + 1)) // m)
+    return a[n]
+
+
 def _tree_from_levels(levels: tuple[int, ...]) -> Tree:
     arcs = []
     last_at = {}

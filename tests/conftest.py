@@ -2,21 +2,23 @@
 
 The brute-force oracles here deliberately avoid the library's own machinery
 (the shape table, backtracking search) so tests cross-check two unrelated
-strategies.  `lcs_by_subset_walk`, `scs_by_catalogue` and
-`simple_paths_recursive` are the straightforward forms of three routines the
-library runs in a faster form (the common-minor walk on shapes, supertree
-growth from the bigger input, one path walk per source); differential tests
-hold the fast forms to them.
+strategies.  `lcs_by_subset_walk`, `scs_by_catalogue`,
+`simple_paths_recursive`, `prop21_by_classes` and `reduce_by_classes` are the
+straightforward forms of routines the library runs in a faster form (the
+common-minor walk on shapes, supertree growth from the bigger input, one path
+walk per source, and the path-uniqueness check and arc reduction on integer
+class ids); differential tests hold the fast forms to them.
 """
 
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import strategies as st
+from hypothesis import assume, strategies as st
 
-from treelab import (MinorEmbedding, MultiRootError, Tree, canonical_code, chain,
+from treelab import (Digraph, MinorEmbedding, MultiRootError, Prop21Report,
+                     Prop21Violation, Tree, canonical_code, chain, enumerate_embeddings,
                      enumerate_trees, find_embedding, induced_minor, is_minor,
-                     parse_tree)
+                     largest_common_minor, parse_tree)
 from treelab.embeddings import _fits
 from treelab.solvers import CommonTreeWitness, LcsResult, LevelStats, ScsResult
 from treelab.trees import _catalogue, _shape, _tree_from_levels
@@ -179,6 +181,83 @@ def simple_paths_recursive(succ, v, w):
     return out
 
 
+def class_successors(q):
+    """The sorted successor list of each class of a quotient."""
+    succ = {c: [] for c in q.classes}
+    for a, b in q.arcs:
+        succ[a].append(b)
+    for c in succ:
+        succ[c].sort()
+    return succ
+
+
+def prop21_by_classes(q):
+    """`check_prop21` on `ThetaClass` objects, as the library checked it
+    before its integer core, with every pair's paths from
+    `simple_paths_recursive`."""
+    succ = class_successors(q)
+    violations = []
+    classes = sorted(q.classes)
+    for v in classes:
+        for w in classes:
+            paths = simple_paths_recursive(succ, v, w) if v != w else []
+            if len(paths) < 2:
+                continue
+            arc_path = (v, w) if (v, w) in q.arcs else None
+
+            if arc_path is not None:
+                others = [p for p in paths if len(p) > 2]
+                if others:
+                    if v not in q.mu_image or w not in q.mu_image:
+                        violations.append(Prop21Violation(
+                            "i", v, w, tuple(others),
+                            "arc with an alternative path between non-merged classes"))
+                    if len(others) > 1:
+                        violations.append(Prop21Violation(
+                            "i", v, w, tuple(others),
+                            "alternative path is not unique"))
+                    for p in others:
+                        hit = [c for c in p[1:-1] if c in q.mu_image]
+                        if hit:
+                            violations.append(Prop21Violation(
+                                "i", v, w, (p,),
+                                f"alternative path passes through merged class {hit[0].label}"))
+
+            for p, r in combinations(paths, 2):
+                if set(p[1:-1]) & set(r[1:-1]):
+                    continue
+                if p != arc_path and r != arc_path:
+                    violations.append(Prop21Violation(
+                        "ii", v, w, (p, r),
+                        "two intermediate-disjoint paths, neither of which is the arc"))
+    return Prop21Report(not violations, violations)
+
+
+def reduce_by_classes(q):
+    """`reduce_quotient` on `ThetaClass` objects, as the library reduced
+    before its integer core: one search per arc for another way around."""
+    succ = class_successors(q)
+
+    def reachable_avoiding(v, w, banned_arc):
+        stack = [v]
+        seen = {v}
+        while stack:
+            x = stack.pop()
+            for y in succ[x]:
+                if (x, y) == banned_arc:
+                    continue
+                if y == w:
+                    return True
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return False
+
+    kept = frozenset((v, w) for v, w in q.arcs
+                     if not reachable_avoiding(v, w, (v, w)))
+    return Digraph(frozenset(q.classes), kept)
+
+
 @st.composite
 def labeled_trees(draw, max_size=9):
     """Random trees of 1..max_size nodes, each node labeled a or b."""
@@ -194,6 +273,24 @@ def unlabeled_trees(draw, max_size=9):
     n = draw(st.integers(1, max_size))
     arcs = [(f"v{draw(st.integers(0, i - 1))}", f"v{i}") for i in range(1, n)]
     return Tree((f"v{i}" for i in range(n)), arcs, "v0")
+
+
+@st.composite
+def glued_pairs(draw, max_size=8):
+    """(t1, t2, mu, g1, g2): two random labeled trees, a random common minor
+    (the induced minor of a random root-keeping node subset of a random
+    optimal common-minor witness) and a random embedding of it into each."""
+    t1 = draw(labeled_trees(max_size))
+    t2 = draw(labeled_trees(max_size))
+    witnesses = largest_common_minor(t1, t2, all_witnesses=True).witnesses
+    assume(witnesses)
+    optimum = draw(st.sampled_from(witnesses)).tree
+    rest = sorted(optimum.nodes - {optimum.root})
+    keep = draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
+    mu = induced_minor(optimum, [optimum.root, *keep])
+    g1 = draw(st.sampled_from(enumerate_embeddings(mu, t1, limit=64)))
+    g2 = draw(st.sampled_from(enumerate_embeddings(mu, t2, limit=64)))
+    return t1, t2, mu, g1, g2
 
 
 def all_trees_up_to(n):

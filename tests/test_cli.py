@@ -403,3 +403,12 @@ def test_installed_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "isomorphic"
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, treelab.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

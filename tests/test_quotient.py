@@ -1,20 +1,33 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
 
-from treelab import (EmbeddingError, MinorEmbedding, TreeError, build_quotient,
+from treelab import (Digraph, EmbeddingError, MinorEmbedding, TreeError, build_quotient,
                      build_theta, chain, check_eq2_eq3, check_prop21,
-                     eq4_prediction, fig1_family, largest_common_minor,
-                     parse_tree, quotient_to_dot, reduce_quotient, star,
+                     eq4_prediction, fig1_family, is_rooted_tree, largest_common_minor,
+                     parse_tree, quotient_to_dot, reduce_quotient, scan_pairs, star,
                      validate)
+from treelab import quotient
+from treelab.quotient import (_glue, _prop21_core, _reduce_core, _simple_paths_from,
+                              _successors)
 
-from treelab.quotient import _simple_paths_from
-
-from conftest import all_trees_up_to, simple_paths_recursive
+from conftest import (all_trees_up_to, class_successors, glued_pairs,
+                      prop21_by_classes, reduce_by_classes, simple_paths_recursive)
 
 
 def identity_embedding(s, t):
     return MinorEmbedding(s, t, {v: v for v in s.nodes})
+
+
+@pytest.fixture(scope="module")
+def witness_quotients_up_to_6():
+    """The quotient of every optimal common-minor witness of every pair of
+    trees up to size 6 (the quotients `scan --max-size 6` checks)."""
+    trees = all_trees_up_to(6)
+    return [build_quotient(t1, t2, w.tree, w.emb1, w.emb2)
+            for i, t1 in enumerate(trees) for t2 in trees[i:]
+            for w in largest_common_minor(t1, t2, all_witnesses=True).witnesses]
 
 
 @pytest.fixture(scope="module")
@@ -214,31 +227,19 @@ def test_prop21_report_json(headline):
     assert len(data["violations"][0]["paths"]) == 2
 
 
-# -- the size prediction ------------------------------------------------------------------
+# -- the path walk ------------------------------------------------------------------------
 
-def successors(q):
-    succ = {c: [] for c in q.classes}
-    for a, b in sorted(q.arcs):
-        succ[a].append(b)
-    return succ
-
-
-def test_path_walk_matches_the_per_pair_search_on_all_witness_quotients_up_to_6():
-    trees = all_trees_up_to(6)
-    quotients = 0
-    for i, t1 in enumerate(trees):
-        for t2 in trees[i:]:
-            for w in largest_common_minor(t1, t2, all_witnesses=True).witnesses:
-                q = build_quotient(t1, t2, w.tree, w.emb1, w.emb2)
-                succ = successors(q)
-                for v in q.classes:
-                    paths_to = {}
-                    for path in _simple_paths_from(succ, v):
-                        paths_to.setdefault(path[-1], []).append(path)
-                    for x in q.classes:
-                        assert paths_to.get(x, []) == simple_paths_recursive(succ, v, x)
-                quotients += 1
-    assert quotients == 836
+def test_path_walk_matches_the_per_pair_search_on_all_witness_quotients_up_to_6(
+        witness_quotients_up_to_6):
+    assert len(witness_quotients_up_to_6) == 836
+    for q in witness_quotients_up_to_6:
+        succ = class_successors(q)
+        for v in q.classes:
+            paths_to = {}
+            for path in _simple_paths_from(succ, v):
+                paths_to.setdefault(path[-1], []).append(path)
+            for x in q.classes:
+                assert paths_to.get(x, []) == simple_paths_recursive(succ, v, x)
 
 
 def test_path_walk_has_no_depth_limit():
@@ -248,6 +249,82 @@ def test_path_walk_has_no_depth_limit():
     lengths = [len(p) for p in _simple_paths_from(succ, 0)]
     assert lengths == list(range(2, n + 1))
 
+
+# -- the integer core against the class-based oracles ---------------------------------
+
+def assert_core_matches_the_oracles(q):
+    assert list(q.classes) == sorted(q.classes)  # ids follow the class order
+    assert check_prop21(q).to_json() == prop21_by_classes(q).to_json()
+    assert reduce_quotient(q) == reduce_by_classes(q)
+
+
+def test_core_matches_the_oracles_on_all_witness_quotients_up_to_6(
+        witness_quotients_up_to_6):
+    for q in witness_quotients_up_to_6:
+        assert_core_matches_the_oracles(q)
+
+
+def test_core_matches_the_oracles_on_the_headline(headline):
+    _, q = headline
+    assert_core_matches_the_oracles(q)
+    a = q.class_of_member(1, "a")
+    corrupted = dataclasses.replace(q, mu_image=q.mu_image - {a})
+    assert check_prop21(corrupted).to_json() == prop21_by_classes(corrupted).to_json()
+
+
+def test_core_matches_the_oracles_with_merged_classes_on_the_alternative_path():
+    # the arc n1 -> n4 (from m1 -> m2) beside the chain n1 -> n2 -> n3 -> n4;
+    # marking n2 and n3 merged by hand makes the reason name the first of them
+    t1, t2, mu = chain(4), chain(2, "m"), parse_tree("c1(c2)")
+    q = build_quotient(t1, t2, mu, MinorEmbedding(mu, t1, {"c1": "n1", "c2": "n4"}),
+                       MinorEmbedding(mu, t2, {"c1": "m1", "c2": "m2"}))
+    assert_core_matches_the_oracles(q)
+    n2, n3 = q.class_of_member(1, "n2"), q.class_of_member(1, "n3")
+    marked = dataclasses.replace(q, mu_image=q.mu_image | {n2, n3})
+    report = check_prop21(marked)
+    assert report.to_json() == prop21_by_classes(marked).to_json()
+    assert [v.reason for v in report.violations] == [
+        "alternative path passes through merged class 1:n2"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(glued_pairs(max_size=8))
+def test_core_matches_the_oracles_on_random_glued_pairs(glued):
+    assert_core_matches_the_oracles(build_quotient(*glued))
+
+
+def test_scan_builds_no_boundary_types(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a quotient boundary type was built")
+
+    monkeypatch.setattr(quotient, "ThetaClass", refuse)
+    monkeypatch.setattr(quotient, "QuotientGraph", refuse)
+    t = chain(2)
+    with pytest.raises(AssertionError):
+        build_quotient(t, t, t, identity_embedding(t, t), identity_embedding(t, t))
+    report = scan_pairs(6, checks=("eq4", "prop21"))
+    assert report.prop21_summary["quotients_checked"] == 836
+
+
+def test_core_has_no_depth_limit():
+    n = 3000
+    t1, t2, mu = chain(n), chain(n, "m"), parse_tree("c1(c2)")
+    # glued at the top: a fork below two merged classes, then two long chains
+    class_of1, _, size, arcs, merged = _glue(t1, t2, mu.nodes, {"c1": "n1", "c2": "n2"},
+                                             {"c1": "m1", "c2": "m2"})
+    assert size == 2 * n - 2 and merged == {class_of1["n1"], class_of1["n2"]}
+    succ = _successors(size, arcs)
+    assert _prop21_core(succ, merged) == []
+    assert set(_reduce_core(succ)) == arcs
+    # glued top to bottom: the arc n1 -> n3000 is subsumed by the whole chain
+    class_of1, _, size, arcs, merged = _glue(
+        t1, t2, mu.nodes, {"c1": "n1", "c2": f"n{n}"}, {"c1": "m1", "c2": "m2"})
+    kept = set(_reduce_core(_successors(size, arcs)))
+    assert arcs - kept == {(class_of1["n1"], class_of1[f"n{n}"])}
+    assert is_rooted_tree(Digraph(frozenset(range(size)), frozenset(kept)))
+
+
+# -- the size prediction ------------------------------------------------------------------
 
 def test_eq4_prediction_examples():
     t = parse_tree("a(b,c)")

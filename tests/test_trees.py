@@ -9,7 +9,7 @@ from treelab import (BudgetError, Digraph, InvalidTreeError, ParseError, Tree,
                      parse_tree, star, to_dot, tree_from_arcs, validate)
 
 from treelab.trees import (_catalogue, _code, _level_sequences, _levels_of,
-                           _literal_from_levels, _shape, _tree_from_levels)
+                           _literal_from_levels, _shape, _tree_count, _tree_from_levels)
 
 from conftest import (all_trees_up_to, brute_force_isomorphic, enumerate_by_leaf_growth,
                       reference_code)
@@ -279,6 +279,12 @@ def test_relabeled_copies_stay_isomorphic():
 
 def test_enumeration_counts():
     assert [len(tuple(enumerate_trees(n))) for n in range(1, 11)] == COUNTS
+
+
+def test_tree_count_is_the_number_of_level_sequences():
+    counts = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486, 32973]
+    assert [_tree_count(n) for n in range(1, 15)] == counts
+    assert [sum(1 for _ in _level_sequences(n)) for n in range(1, 15)] == counts
 
 
 def test_enumeration_matches_leaf_growth_oracle():
