@@ -61,6 +61,22 @@ else
   failures=$((failures + 1))
 fi
 
+# the witness search keeps its own stack: a 1,200-node chain embeds into itself
+# as the identity map (zero-padded names keep name order equal to preorder)
+chain_file=$(mktemp)
+python3 -c 'n = 1200; print("(".join(f"n{i:04d}" for i in range(n)) + ")" * (n - 1))' > "$chain_file"
+got=$(treelab embeddings "@$chain_file" "@$chain_file" --limit 1 | python3 -c '
+import json, sys
+d = json.load(sys.stdin)
+print(d["count"], all(k == v for k, v in d["embeddings"][0].items()), len(d["embeddings"][0]))')
+rm -f "$chain_file"
+if [ "$got" = "1 True 1200" ]; then
+  echo "PASS  embeddings of a 1,200-deep chain into itself is the identity"
+else
+  echo "FAIL  embeddings of a 1,200-deep chain into itself: count, identity, size = $got"
+  failures=$((failures + 1))
+fi
+
 # criterion 7: enumeration counts
 for pair in "1 1" "4 4" "7 48" "9 286" "11 1842" "14 32973"; do
   set -- $pair

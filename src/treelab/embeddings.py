@@ -3,17 +3,17 @@
 An injective node map f: S -> T is a minor embedding when every source arc
 (a, b) maps to the (unique) target path f(a) ⇝ f(b) and no intermediate node
 of that path lies in the image of f.  This module validates candidate maps,
-enumerates all embeddings by backtracking, decides containment by memoized
-tree inclusion over the shapes interned in `trees`, builds subset-induced
-minors (the canonical witness form), and checks preservation of
-incomparability.
+enumerates all embeddings by backtracking on an explicit stack, decides
+containment by memoized tree inclusion over the shapes interned in `trees`,
+builds subset-induced minors (the canonical witness form), and checks
+preservation of incomparability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import EmbeddingError, MultiRootError, TreeError
 from .trees import _KIDS, _LABEL, _SIZE, Tree, _shape, are_isomorphic
@@ -57,42 +57,46 @@ class EmbeddingViolation:
         return out
 
 
-def _labels_compatible(s: Tree, a: str, t: Tree, b: str) -> bool:
-    # Unlabeled trees are treated as identically labeled, so None == None.
-    return s.labels.get(a) == t.labels.get(b)
-
-
 def check_embedding(f: Mapping[str, str], s: Tree, t: Tree) -> list[EmbeddingViolation]:
     """Every way the map f fails to be a minor embedding of s into t.
 
     The empty list means f is valid.  Non-total or non-injective maps are
     reported as violations, not raised.
     """
+    return _violations(f, s.preorder, s.arcs, s.labels, t)
+
+
+def _violations(f: Mapping[str, str], order: Sequence[str], arcs: Iterable[tuple[str, str]],
+                labels: Mapping[str, str], t: Tree) -> list[EmbeddingViolation]:
+    """`check_embedding` for a source given by its nodes in preorder, its arcs
+    and its labels (unlabeled nodes are treated as identically labeled), so
+    the pair scan checks its witnesses without building them as `Tree`s."""
     out = []
-    for v in s.preorder:
+    nodes = t.nodes
+    for v in order:
         if v not in f:
             out.append(EmbeddingViolation(None, f"map is not total: {v} has no image"))
-        elif f[v] not in t.nodes:
+        elif f[v] not in nodes:
             out.append(EmbeddingViolation(
                 None, f"image of {v} is not a target node", witness_node=str(f[v])))
     by_image: dict[str, list[str]] = {}
-    for v in s.preorder:
-        if v in f and f[v] in t.nodes:
+    for v in order:
+        if v in f and f[v] in nodes:
             by_image.setdefault(f[v], []).append(v)
     for u, vs in sorted(by_image.items()):
         if len(vs) > 1:
             out.append(EmbeddingViolation(
                 None, f"map is not injective: {', '.join(vs)} share image {u}",
                 witness_node=u))
-    for v in s.preorder:
-        if v in f and f[v] in t.nodes and not _labels_compatible(s, v, t, f[v]):
+    for v in order:
+        if v in f and f[v] in nodes and labels.get(v) != t.labels.get(f[v]):
             out.append(EmbeddingViolation(
                 None, f"label of {v} differs from label of its image {f[v]}",
                 witness_node=f[v]))
 
     image = set(by_image)
-    for a, b in sorted(s.arcs):
-        if not (a in f and b in f and f[a] in t.nodes and f[b] in t.nodes):
+    for a, b in sorted(arcs):
+        if not (a in f and b in f and f[a] in nodes and f[b] in nodes):
             continue
         if f[a] == f[b] or not t.reaches(f[a], f[b]):
             out.append(EmbeddingViolation(
@@ -129,21 +133,48 @@ def induced_minor(t: Tree, w: Iterable[str]) -> Tree:
     extra = w - t.nodes
     if extra:
         raise TreeError(f"subset contains unknown nodes: {sorted(extra)}")
-    roots = []
-    arcs = []
-    for v in sorted(w):
-        p = t.parent(v)
-        while p is not None and p not in w:
-            p = t.parent(p)
-        if p is None:
-            roots.append(v)
-        else:
-            arcs.append((p, v))
+    roots, arcs = _induced_arcs(t, w)
     if len(roots) > 1:
         raise MultiRootError(roots)
     return Tree(w, arcs, roots[0],
                 {v: s for v, s in t.labels.items() if v in w},
                 {v: s for v, s in t.region_tags.items() if v in w})
+
+
+def _induced_arcs(t: Tree, w: frozenset[str]) -> tuple[list[str], list[tuple[str, str]]]:
+    """The roots and the arcs of the minor of t on its node subset w, both in
+    name order of the (child) node."""
+    roots, arcs = [], []
+    up = t._parent
+    for v in sorted(w):
+        p = up.get(v)
+        while p is not None and p not in w:
+            p = up.get(p)
+        if p is None:
+            roots.append(v)
+        else:
+            arcs.append((p, v))
+    return roots, arcs
+
+
+def _induced_preorder(t: Tree, w: Iterable[str]) -> tuple[list[str], list[int]]:
+    """The minor of t on a node subset w with one root, as `induced_minor`
+    would build it, without the `Tree`: its nodes in preorder (children in
+    name order) and the preorder position of each one's parent (-1 at the
+    root)."""
+    roots, arcs = _induced_arcs(t, frozenset(w))
+    kids: dict[str, list[str]] = {}
+    for a, b in arcs:  # b ascends, so each child list is in name order
+        kids.setdefault(a, []).append(b)
+    order: list[str] = []
+    parent: list[int] = []
+    stack = [(roots[0], -1)]
+    while stack:
+        v, p = stack.pop()
+        parent.append(p)
+        order.append(v)
+        stack.extend((c, len(order) - 1) for c in reversed(kids.get(v, ())))
+    return order, parent
 
 
 # -- backtracking search -------------------------------------------------------
@@ -152,64 +183,87 @@ def enumerate_embeddings(s: Tree, t: Tree, limit: int | None = None) -> list[Min
     """All minor embeddings of s into t, in deterministic search order.
 
     Source nodes are matched in preorder; candidate images in sorted name
-    order.  The source root may map anywhere; each later node is tried on
-    the strict descendants of its parent's image.  A partial assignment is
-    extended only while the path condition can still be met:
-
-    * the candidate image is unused and is not an intermediate node of any
-      committed arc path (``blocked``),
-    * the path from the parent's image avoids every node already in the
-      image (later assignments are fenced off by adding the path's
-      intermediate nodes to ``blocked``).
-
-    With `limit` (at least 1) the first `limit` maps in search order are
-    returned.
+    order (see `_search` for the pruning).  With `limit` (at least 1) the
+    first `limit` maps in search order are returned.
     """
     if s.root is None or t.root is None:
         raise TreeError("embedding enumeration needs non-empty trees")
     if limit is not None and limit < 1:
         raise TreeError(f"embedding limit must be at least 1, got {limit}")
-    if s.size > t.size:
-        return []
-
     order = s.preorder
-    root_candidates = sorted(t.nodes)
-    results: list[MinorEmbedding] = []
-    assigned: dict[str, str] = {}
+    parent = [s._tin[s._parent[v]] if v in s._parent else -1 for v in order]
+    found = _search(parent, [s.labels.get(v) for v in order], t, limit)
+    return [MinorEmbedding(s, t, dict(zip(order, images))) for images in found]
+
+
+def _search(parent: list[int], labels: list[str | None], t: Tree,
+            limit: int | None) -> list[list[str]]:
+    """The minor embeddings into t of the source whose preorder position i
+    has parent position `parent[i]` (-1 at the root) and label `labels[i]`,
+    each as the image of every position, in search order; the first `limit`
+    of them, or all.
+
+    Positions are placed in order on an explicit stack, so depth is never a
+    limit.  The root may map anywhere; each later position is tried on the
+    strict descendants of its parent's image, in name order.  A candidate is
+    taken only while the path condition can still be met: it is unused, is
+    not an intermediate node of any committed arc path (``blocked``), and
+    the path from the parent's image avoids every node already in the image
+    (its intermediate nodes are then fenced off in ``blocked``).
+    """
+    n = len(parent)
+    if n > t.size:
+        return []
+    up, target_labels = t._parent, t.labels
+    roots = sorted(t.nodes)
+    results: list[list[str]] = []
+    image: list[str | None] = [None] * n
+    mids: list[list[str]] = [[] for _ in range(n)]
+    candidates: list[tuple[str, ...] | list[str]] = [roots] * n
+    tried = [0] * n  # how many of position i's candidates have been taken or passed
     used: set[str] = set()
     blocked: dict[str, int] = {}
-
-    def place(i: int) -> bool:
-        if i == len(order):
-            results.append(MinorEmbedding(s, t, dict(assigned)))
-            return limit is not None and len(results) >= limit
-        v = order[i]
-        p = s.parent(v)
-        candidates = root_candidates if p is None else t.strict_descendants(assigned[p])
-        for u in candidates:
-            if u in used or blocked.get(u):
-                continue
-            if not _labels_compatible(s, v, t, u):
-                continue
-            mids: tuple[str, ...] = ()
-            if p is not None:
-                mids = t.path(assigned[p], u)[1:-1]
-                if any(m in used for m in mids):
-                    continue
-            assigned[v] = u
-            used.add(u)
-            for m in mids:
-                blocked[m] = blocked.get(m, 0) + 1
-            stop = place(i + 1)
-            for m in mids:
-                blocked[m] -= 1
+    i = 0
+    while i >= 0:
+        u = image[i]
+        if u is not None:  # retract position i's placement before moving on
             used.discard(u)
-            del assigned[v]
-            if stop:
-                return True
-        return False
-
-    place(0)
+            for m in mids[i]:
+                blocked[m] -= 1
+            image[i] = None
+        options, j = candidates[i], tried[i]
+        above = image[parent[i]] if parent[i] >= 0 else None
+        label = labels[i]
+        while j < len(options):
+            u = options[j]
+            j += 1
+            if u in used or blocked.get(u) or target_labels.get(u) != label:
+                continue
+            path = []
+            if above is not None:
+                m = up[u]
+                while m != above:
+                    path.append(m)
+                    m = up[m]
+                if any(m in used for m in path):
+                    continue
+            image[i] = u
+            used.add(u)
+            mids[i] = path
+            for m in path:
+                blocked[m] = blocked.get(m, 0) + 1
+            break
+        tried[i] = j
+        if image[i] is None:
+            i -= 1
+        elif i + 1 == n:
+            results.append(list(image))
+            if limit is not None and len(results) >= limit:
+                return results
+        else:
+            i += 1
+            candidates[i] = t.strict_descendants(image[parent[i]])
+            tried[i] = 0
     return results
 
 

@@ -28,16 +28,16 @@ from typing import Iterable
 
 from ._parallel import parallel_map
 from .errors import BudgetError, EmbeddingError, SolverDisagreement, TreeError
-from .trees import (ENUM_CAP_DEFAULT, Digraph, Tree, _catalogue, _code,
+from .trees import (ENUM_CAP_DEFAULT, Digraph, Tree, _catalogue, _code, _literal,
                     _literal_from_levels, _tree_from_levels, are_isomorphic, chain,
                     enumerate_trees, format_tree, is_rooted_tree, parse_tree,
                     star, tree_from_arcs)
-from .embeddings import (EmbeddingViolation, MinorEmbedding, check_embedding,
-                         enumerate_embeddings)
+from .embeddings import (EmbeddingViolation, MinorEmbedding, _induced_preorder, _search,
+                         _violations, check_embedding, enumerate_embeddings)
 from .solvers import (NODE_BUDGET_DEFAULT, _lcs_core, _scs_core,
                       largest_common_minor, smallest_common_supertree)
 from .quotient import (QuotientGraph, Prop21Report, _glue, _identities,
-                       _prop21_core, _reduce_core, _require_witness, _successors,
+                       _prop21_core, _reduce_core, _successors,
                        build_quotient, check_eq2_eq3, check_prop21, eq4_prediction,
                        reduce_quotient)
 
@@ -707,11 +707,7 @@ _scan_tree = functools.lru_cache(maxsize=None)(_tree_from_levels)
 def _scan_one_pair(args: tuple[tuple[int, ...], tuple[int, ...], bool]) -> dict:
     seq1, seq2, with_prop21 = args
     t1, t2 = _scan_tree(seq1), _scan_tree(seq2)  # |t1| <= |t2| by scan order
-    if with_prop21:
-        lcs = largest_common_minor(t1, t2, all_witnesses=True, budget=t2.size)
-        lcs_size = lcs.optimum_size
-    else:
-        lcs_size = _lcs_core(t1, t2, False)[0]
+    lcs_size, _, hits = _lcs_core(t1, t2, with_prop21)
     scs_size = _scs_core(t1, t2, False, t1.size + t2.size - 1, ENUM_CAP_DEFAULT)[0]
     gap = scs_size - eq4_prediction(t1, t2, lcs_size)
     if gap < 0:
@@ -720,27 +716,43 @@ def _scan_one_pair(args: tuple[tuple[int, ...], tuple[int, ...], bool]) -> dict:
             f"optimum {scs_size} below the prediction")
     rec = {"lcs": lcs_size, "scs": scs_size, "gap": gap}
     if with_prop21:
-        quotients = []
-        for w in lcs.witnesses:
-            _require_witness(w.tree, w.emb1, w.emb2)
-            mu, g1, g2 = w.tree.nodes, w.emb1.mapping, w.emb2.mapping
-            class_of1, class_of2, n, arcs, merged = _glue(t1, t2, mu, g1, g2)
-            identity_findings = _identities(range(n), class_of1, class_of2, mu,
-                                            g1, g2, merged)
-            if n != t1.size + t2.size - w.tree.size:
-                identity_findings.append("class count differs from |t1|+|t2|-|mu|")
-            succ = _successors(n, arcs)
-            kinds = sorted({found[0] for found in _prop21_core(succ, merged)})
-            reduced = Digraph(frozenset(range(n)), frozenset(_reduce_core(succ)))
-            quotients.append({
-                "mu": format_tree(w.tree),
-                "holds": not kinds,
-                "violation_kinds": kinds,
-                "reduced_is_tree": is_rooted_tree(reduced),
-                "identity_findings": identity_findings,
-            })
-        rec["quotients"] = quotients
+        rec["quotients"] = [_witness_quotient(t1, t2, w) for w in hits]
     return rec
+
+
+def _witness_quotient(t1: Tree, t2: Tree, w: tuple[str, ...]) -> dict:
+    """The prop21 record of the optimal common minor that t1 induces on its
+    node subset w, as `largest_common_minor` reports it (t1 is the subset
+    side, since |t1| <= |t2|), without building it: g1 is the identity on w
+    and g2 the first embedding the search finds into t2.  Both maps are
+    re-validated before the quotient is glued on class ids."""
+    order, parent = _induced_preorder(t1, w)
+    images = _search(parent, [t1.labels.get(v) for v in order], t2, 1)
+    if not images:
+        raise SolverDisagreement(
+            f"the witness search finds no embedding of the common minor on {w} of "
+            f"{format_tree(t1)} into {format_tree(t2)}, which inclusion accepted")
+    g1, g2 = {v: v for v in order}, dict(zip(order, images[0]))
+    mu_arcs = [(order[p], v) for v, p in zip(order, parent) if p >= 0]
+    for g, t in ((g1, t1), (g2, t2)):
+        bad = _violations(g, order, mu_arcs, t1.labels, t)
+        if bad:
+            raise EmbeddingError(bad)
+    class_of1, class_of2, n, arcs, merged = _glue(t1, t2, order, g1, g2)
+    identity_findings = _identities(range(n), class_of1, class_of2, order, g1, g2, merged)
+    if n != t1.size + t2.size - len(order):
+        identity_findings.append("class count differs from |t1|+|t2|-|mu|")
+    succ = _successors(n, arcs)
+    kinds = sorted({found[0] for found in _prop21_core(succ, merged)})
+    reduced = Digraph(frozenset(range(n)), frozenset(_reduce_core(succ)))
+    depths: list[int] = []
+    for p in parent:
+        depths.append(depths[p] + 1 if p >= 0 else 0)
+    return {"mu": _literal(order, depths, t1.labels),
+            "holds": not kinds,
+            "violation_kinds": kinds,
+            "reduced_is_tree": is_rooted_tree(reduced),
+            "identity_findings": identity_findings}
 
 
 def scan_pairs(max_size: int, checks: Iterable[str] = ("eq4",),
@@ -754,7 +766,10 @@ def scan_pairs(max_size: int, checks: Iterable[str] = ("eq4",),
     ``prop21`` check enabled, every optimal common-minor witness additionally
     has its quotient glued and checked on integer class ids, by the cores of
     `treelab.quotient`: path-uniqueness violations, the structural
-    identities, and whether reduction yields a tree.
+    identities, and whether reduction yields a tree.  The witnesses are those
+    `largest_common_minor` reports, but none is built as a named `Tree`:
+    each is glued straight from its node subset of the smaller tree, with
+    both embeddings re-validated first (`_witness_quotient`).
     """
     checks = tuple(checks)
     unknown = set(checks) - {"eq4", "prop21"}

@@ -23,7 +23,7 @@ from itertools import combinations, product
 from .errors import BudgetError, SolverDisagreement, TreeError
 from .trees import (_KIDS, _LABEL, ENUM_CAP_DEFAULT, Tree, _code, _intern, _intern_node,
                     _level_sequences, _levels_of, _shape, _tree_count,
-                    _tree_from_levels, canonical_code, format_tree)
+                    _tree_from_levels, format_tree)
 from .embeddings import (MinorEmbedding, _fits, check_embedding, find_embedding,
                          induced_minor, is_minor, is_minor_by_subsets)
 
@@ -102,33 +102,31 @@ def _identity_embedding(s: Tree, t: Tree) -> MinorEmbedding:
     return MinorEmbedding(s, t, {v: v for v in s.nodes})
 
 
-def _lcs_core(small: Tree, other: Tree,
-              all_witnesses: bool) -> tuple[int, list[LevelStats], list[tuple[str, ...]]]:
-    """The common-minor search on shapes: (optimum, levels, hit subsets).
+#: The distinct induced shapes of each size of each input tree, filled by
+#: `_minor_level` and kept, like `embeddings._FITS`, as long as the process.
+_MINOR_LEVELS: dict[tuple[Tree, int], list[tuple[int, tuple[str, ...]]]] = {}
 
-    Walk k downward from |small|; at each k take the size-k node subsets of
-    `small` in `combinations(sorted(small.nodes), k)` order.  A subset's
-    induced minor is read off the preorder as a level sequence (each node
-    hangs under its nearest in-subset ancestor, kept on a stack) and interned
-    with `_intern`, so no `Tree` is built; a subset whose first node is not
-    an ancestor of all the others has a second root and is skipped.  Each
-    shape is tested once, by `_fits` into `other`.  The first k with a hit
-    is the optimum; the hits are the first subset of each hit shape, in
-    discovery order (only the first one unless `all_witnesses`).  Labeled
-    inputs that share no node label have no common minor: optimum 0, no hits.
+
+def _minor_level(small: Tree, k: int) -> list[tuple[int, tuple[str, ...]]]:
+    """The distinct shapes of the size-k induced minors of `small`, each with
+    the first node subset (names in name order) that induces it, in the
+    order `combinations(sorted(small.nodes), k)` discovers them.
+
+    A subset's induced minor is read off the preorder as a level sequence
+    (each node hangs under its nearest in-subset ancestor, kept on a stack)
+    and interned with `_intern`, so no `Tree` is built; a subset whose first
+    node is not an ancestor of all the others has a second root and is
+    skipped.  Each level is walked completely once per tree and memoized,
+    since the pair scan asks again for the same smaller inputs.
     """
-    order, tin, tout = small._preorder, small._tin, small._tout
-    # position i of the name-sorted node list holds that node's preorder index
-    by_name = [tin[v] for v in sorted(small.nodes)]
-    ends = [tout[v] for v in order]
-    labels = [small.labels.get(v) for v in order]
-    target = _shape(other)
-    levels: list[LevelStats] = []
-
-    for k in range(small.size, 0, -1):
-        # dedup by shape: each isomorphism class is tested once
-        seen: set[int] = set()
-        hits: list[tuple[int, ...]] = []
+    level = _MINOR_LEVELS.get((small, k))
+    if level is None:
+        order, tin, tout = small._preorder, small._tin, small._tout
+        # position i of the name-sorted node list holds that node's preorder index
+        by_name = [tin[v] for v in sorted(small.nodes)]
+        ends = [tout[v] for v in order]
+        labels = [small.labels.get(v) for v in order]
+        first: dict[int, tuple[int, ...]] = {}
         for w in combinations(by_name, k):
             pre = sorted(w)
             if pre[-1] >= ends[pre[0]]:
@@ -140,17 +138,38 @@ def _lcs_core(small: Tree, other: Tree,
                     open_ends.pop()
                 depth.append(len(open_ends))
                 open_ends.append(ends[i])
-            s = _intern(depth, [labels[i] for i in pre])
-            if s in seen:
-                continue
-            seen.add(s)
+            first.setdefault(_intern(depth, [labels[i] for i in pre]), w)
+        level = _MINOR_LEVELS[small, k] = [(s, tuple(order[i] for i in w))
+                                           for s, w in first.items()]
+    return level
+
+
+def _lcs_core(small: Tree, other: Tree,
+              all_witnesses: bool) -> tuple[int, list[LevelStats], list[tuple[str, ...]]]:
+    """The common-minor search on shapes: (optimum, levels, hit subsets).
+
+    Walk k downward from |small| through the induced shapes of `small`
+    (`_minor_level`), testing each with `_fits` into `other`.  The first k
+    with a hit is the optimum.  A level counts the shapes tested: up to the
+    first hit, or all of them with `all_witnesses` or without a hit.  The
+    hits are the first subset of each hit shape (only the first hit unless
+    `all_witnesses`), sorted by the canonical code of the shape.  Labeled
+    inputs that share no node label have no common minor: optimum 0, no hits.
+    """
+    target = _shape(other)
+    levels: list[LevelStats] = []
+    for k in range(small.size, 0, -1):
+        level = _minor_level(small, k)
+        tested, hits = 0, []
+        for s, w in level:
+            tested += 1
             if _fits(s, target):
-                hits.append(w)
+                hits.append((s, w))
                 if not all_witnesses:
                     break
-        levels.append(LevelStats(k, len(seen), len(hits)))
+        levels.append(LevelStats(k, tested, len(hits)))
         if hits:
-            return k, levels, [tuple(order[i] for i in w) for w in hits]
+            return k, levels, [w for s, w in sorted(hits, key=lambda hit: _code(hit[0]))]
     return 0, levels, []  # labeled inputs that share no node label
 
 
@@ -158,11 +177,11 @@ def largest_common_minor(t1: Tree, t2: Tree, all_witnesses: bool = False,
                          budget: int = NODE_BUDGET_DEFAULT) -> LcsResult:
     """Maximum-size tree that is a minor of both inputs, with witnesses.
 
-    `_lcs_core` finds the optimum on shapes, walking the node subsets of the
-    smaller input; only its hits become named `Tree`s (`induced_minor` on the
-    first subset of each hit shape), sorted by canonical code.  Each witness
-    carries the identity embedding on the subset side and the first found
-    embedding on the other.
+    `_lcs_core` finds the optimum on shapes, walking the induced shapes of
+    the smaller input; only its hits become named `Tree`s (`induced_minor` on
+    the first subset of each hit shape), in canonical-code order.  Each
+    witness carries the identity embedding on the subset side and the first
+    embedding `find_embedding` finds on the other.
     """
     started = time.perf_counter()
     _require_solvable(t1, t2)
@@ -175,7 +194,8 @@ def largest_common_minor(t1: Tree, t2: Tree, all_witnesses: bool = False,
     small, other = (t2, t1) if flipped else (t1, t2)
     k, levels, hits = _lcs_core(small, other, all_witnesses)
     witnesses = []
-    for m in sorted((induced_minor(small, w) for w in hits), key=canonical_code):
+    for w in hits:
+        m = induced_minor(small, w)
         into_small = _identity_embedding(m, small)
         into_other = find_embedding(m, other)
         assert into_other is not None

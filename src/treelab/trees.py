@@ -276,9 +276,8 @@ class Tree:
         """Proper descendants of v, sorted by name."""
         self._known(v)
         cached = self._desc_cache.get(v)
-        if cached is None:
-            cached = tuple(sorted(u for u in self._nodes
-                                  if u != v and self.reaches(v, u)))
+        if cached is None:  # v's subtree is a slice of the preorder
+            cached = tuple(sorted(self._preorder[self._tin[v] + 1:self._tout[v]]))
             self._desc_cache[v] = cached
         return cached
 
@@ -451,21 +450,27 @@ def format_tree(t: Tree) -> str:
     """Serialize a tree to a literal; inverse of `parse_tree`.
 
     Children are printed in sorted-name order so output is deterministic.
-    Region tags are presentation metadata and are not serialized.  The
-    literal is written in one pass over the preorder: between consecutive
-    nodes the depth change decides between ``(`` and ``)...,``.
+    Region tags are presentation metadata and are not serialized.
     """
     if t.root is None:
         raise TreeError("the empty tree has no literal form")
+    return _literal(t._preorder, [t._depth[v] for v in t._preorder], t.labels)
+
+
+def _literal(order: Iterable[str], depths: Iterable[int], labels: Mapping[str, str]) -> str:
+    """The literal of the tree whose nodes, in preorder with children in
+    sorted-name order, are `order`, at `depths` (the root at 0).  Written in
+    one pass: between consecutive nodes the depth change decides between
+    ``(`` and ``)...,``."""
     parts = []
-    prev = None
-    for v in t._preorder:
-        if prev is not None:
-            rise = t._depth[prev] - t._depth[v]
-            parts.append("(" if rise < 0 else ")" * rise + ",")
-        parts.append(v + ":" + t.labels[v] if v in t.labels else v)
-        prev = v
-    parts.append(")" * t._depth[prev])
+    prev = 0
+    for v, d in zip(order, depths):
+        rise = prev - d
+        parts.append("(" if rise < 0 else ")" * rise + ",")
+        parts.append(v + ":" + labels[v] if v in labels else v)
+        prev = d
+    parts[0] = ""  # the root follows no sibling
+    parts.append(")" * prev)
     return "".join(parts)
 
 

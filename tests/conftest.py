@@ -3,11 +3,14 @@
 The brute-force oracles here deliberately avoid the library's own machinery
 (the shape table, backtracking search) so tests cross-check two unrelated
 strategies.  `lcs_by_subset_walk`, `scs_by_catalogue`,
-`simple_paths_recursive`, `prop21_by_classes` and `reduce_by_classes` are the
+`simple_paths_recursive`, `prop21_by_classes`, `reduce_by_classes`,
+`enumerate_embeddings_recursive` and `scan_pair_with_named_witnesses` are the
 straightforward forms of routines the library runs in a faster form (the
 common-minor walk on shapes, supertree growth from the bigger input, one path
-walk per source, and the path-uniqueness check and arc reduction on integer
-class ids); differential tests hold the fast forms to them.
+walk per source, the path-uniqueness check and arc reduction on integer
+class ids, the witness search on an explicit stack, and the pair scan's
+quotients glued from node subsets); differential tests hold the fast forms
+to them.
 """
 
 from itertools import combinations, permutations
@@ -16,12 +19,17 @@ import pytest
 from hypothesis import assume, strategies as st
 
 from treelab import (Digraph, MinorEmbedding, MultiRootError, Prop21Report,
-                     Prop21Violation, Tree, canonical_code, chain, enumerate_embeddings,
-                     enumerate_trees, find_embedding, induced_minor, is_minor,
+                     Prop21Violation, SolverDisagreement, Tree, TreeError, canonical_code,
+                     chain, enumerate_embeddings, enumerate_trees, find_embedding,
+                     format_tree, induced_minor, is_minor, is_rooted_tree,
                      largest_common_minor, parse_tree)
 from treelab.embeddings import _fits
-from treelab.solvers import CommonTreeWitness, LcsResult, LevelStats, ScsResult
-from treelab.trees import _catalogue, _shape, _tree_from_levels
+from treelab.families import _scan_tree
+from treelab.quotient import (_glue, _identities, _prop21_core, _reduce_core,
+                              _require_witness, _successors, eq4_prediction)
+from treelab.solvers import (CommonTreeWitness, LcsResult, LevelStats, ScsResult,
+                             _scs_core)
+from treelab.trees import ENUM_CAP_DEFAULT, _catalogue, _shape, _tree_from_levels
 
 
 def brute_force_isomorphic(t1, t2):
@@ -77,6 +85,92 @@ def brute_force_embeddings(s, t):
         if ok:
             out.append(f)
     return out
+
+
+def enumerate_embeddings_recursive(s, t, limit=None):
+    """`enumerate_embeddings` as the library searched before its explicit
+    stack: one recursive call per source node in preorder, candidate images
+    in name order, the same path and blocking rules."""
+    if limit is not None and limit < 1:
+        raise TreeError(f"embedding limit must be at least 1, got {limit}")
+    if s.size > t.size:
+        return []
+    order = s.preorder
+    root_candidates = sorted(t.nodes)
+    results = []
+    assigned = {}
+    used = set()
+    blocked = {}
+
+    def place(i):
+        if i == len(order):
+            results.append(MinorEmbedding(s, t, dict(assigned)))
+            return limit is not None and len(results) >= limit
+        v = order[i]
+        p = s.parent(v)
+        candidates = root_candidates if p is None else t.strict_descendants(assigned[p])
+        for u in candidates:
+            if u in used or blocked.get(u):
+                continue
+            if s.labels.get(v) != t.labels.get(u):
+                continue
+            mids = ()
+            if p is not None:
+                mids = t.path(assigned[p], u)[1:-1]
+                if any(m in used for m in mids):
+                    continue
+            assigned[v] = u
+            used.add(u)
+            for m in mids:
+                blocked[m] = blocked.get(m, 0) + 1
+            stop = place(i + 1)
+            for m in mids:
+                blocked[m] -= 1
+            used.discard(u)
+            del assigned[v]
+            if stop:
+                return True
+        return False
+
+    place(0)
+    return results
+
+
+def scan_pair_with_named_witnesses(args):
+    """One record of `scan_pairs` as the library computed it before gluing
+    straight from node subsets: a validated named witness per optimal common
+    minor from `largest_common_minor`, both embeddings re-checked by
+    `_require_witness`, and the literal from `format_tree`."""
+    seq1, seq2, with_prop21 = args
+    t1, t2 = _scan_tree(seq1), _scan_tree(seq2)
+    lcs = largest_common_minor(t1, t2, all_witnesses=True, budget=t2.size)
+    scs_size = _scs_core(t1, t2, False, t1.size + t2.size - 1, ENUM_CAP_DEFAULT)[0]
+    gap = scs_size - eq4_prediction(t1, t2, lcs.optimum_size)
+    if gap < 0:
+        raise SolverDisagreement("negative gap")
+    rec = {"lcs": lcs.optimum_size, "scs": scs_size, "gap": gap}
+    if with_prop21:
+        quotients = []
+        for w in lcs.witnesses:
+            _require_witness(w.tree, w.emb1, w.emb2)
+            mu, g1, g2 = w.tree.nodes, w.emb1.mapping, w.emb2.mapping
+            class_of1, class_of2, n, arcs, merged = _glue(t1, t2, mu, g1, g2)
+            identity_findings = _identities(range(n), class_of1, class_of2, mu,
+                                            g1, g2, merged)
+            if n != t1.size + t2.size - w.tree.size:
+                identity_findings.append("class count differs from |t1|+|t2|-|mu|")
+            succ = _successors(n, arcs)
+            kinds = sorted({found[0] for found in _prop21_core(succ, merged)})
+            reduced = Digraph(frozenset(range(n)), frozenset(_reduce_core(succ)))
+            quotients.append({
+                "mu": format_tree(w.tree),
+                "holds": not kinds,
+                "violation_kinds": kinds,
+                "reduced_is_tree": is_rooted_tree(reduced),
+                "identity_findings": identity_findings,
+            })
+        rec["quotients"] = quotients
+    return rec
 
 
 def enumerate_by_leaf_growth(n):

@@ -1,7 +1,9 @@
+import json
+import time
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from treelab import (EmbeddingError, MinorEmbedding, MultiRootError, TreeError,
                      are_isomorphic, chain, check_embedding,
@@ -9,7 +11,10 @@ from treelab import (EmbeddingError, MinorEmbedding, MultiRootError, TreeError,
                      fig1_family, find_embedding, incomparable, induced_minor,
                      is_minor, is_minor_by_subsets, map_path, parse_tree, star)
 
-from conftest import all_trees_up_to, brute_force_embeddings
+from treelab.cli import main
+
+from conftest import (all_trees_up_to, brute_force_embeddings,
+                      enumerate_embeddings_recursive, labeled_trees)
 
 
 def identity(t, target=None):
@@ -157,6 +162,36 @@ def test_limit_is_a_prefix_of_the_full_enumeration():
     full = [f.to_json() for f in enumerate_embeddings(s, t)]
     for k in range(1, len(full) + 1):
         assert [f.to_json() for f in enumerate_embeddings(s, t, limit=k)] == full[:k]
+
+
+def test_search_matches_the_recursive_oracle_on_all_pairs_up_to_6():
+    trees = all_trees_up_to(6)
+    for s in trees:
+        for t in trees:
+            for limit in (None, 1):
+                assert (enumerate_embeddings(s, t, limit)
+                        == enumerate_embeddings_recursive(s, t, limit)), (s, t, limit)
+    assert len(trees) ** 2 == 1369
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_trees(max_size=8), labeled_trees(max_size=8))
+def test_search_matches_the_recursive_oracle_on_random_labeled_pairs(s, t):
+    for limit in (None, 1):
+        assert enumerate_embeddings(s, t, limit) == enumerate_embeddings_recursive(s, t, limit)
+
+
+def test_deep_chain_embeds_into_itself_without_recursion(tmp_path, capsys):
+    # deeper than the interpreter's recursion limit
+    names = [f"n{i:04d}" for i in range(1200)]
+    path = tmp_path / "chain"
+    path.write_text("(".join(names) + ")" * (len(names) - 1))
+    started = time.perf_counter()
+    code = main(["embeddings", f"@{path}", f"@{path}", "--limit", "1"])
+    assert time.perf_counter() - started < 10
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0 and data["count"] == 1
+    assert data["embeddings"] == [{v: v for v in names}]
 
 
 def test_limit_below_one_is_rejected():

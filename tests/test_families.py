@@ -11,9 +11,10 @@ from treelab import (BudgetError, DegenerateFamilyWarning, EmbeddingError,
                      scan_pairs, smallest_common_supertree, star,
                      subproblem_transfer_check, validate, verify_counterexample)
 
-from treelab import families, solvers, trees
+from treelab import embeddings, families, quotient, solvers, trees
+from treelab.trees import _catalogue
 
-from conftest import all_trees_up_to
+from conftest import all_trees_up_to, scan_pair_with_named_witnesses
 
 P3, R1, S3 = "p1(p2(p3))", "r", "s1(s2,s3)"
 
@@ -338,22 +339,32 @@ def test_scan_census_up_to_7():
 
 
 @pytest.mark.parametrize("checks", [("eq4",), ("eq4", "prop21")])
-def test_scan_parses_nothing_and_builds_minors_only_for_witnesses(monkeypatch, checks):
+def test_scan_parses_nothing_and_builds_no_named_witness(monkeypatch, checks):
     def refuse(*args):
-        raise AssertionError("the scan must not parse literals")
+        raise AssertionError("the scan must not parse literals or build named witnesses")
 
-    built = []
+    for name in ("parse_tree", "induced_minor", "find_embedding", "canonical_code"):
+        for module in (families, solvers, embeddings, quotient, trees):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    report = scan_pairs(6, checks=checks)
+    assert report.pairs_scanned == 703
+    assert report.prop21_summary["quotients_checked"] == (836 if "prop21" in checks else 0)
 
-    def counting(t, w):
-        built.append(w)
-        return real(t, w)
 
-    real = solvers.induced_minor
-    monkeypatch.setattr(families, "parse_tree", refuse)
-    monkeypatch.setattr(trees, "parse_tree", refuse)
-    monkeypatch.setattr(solvers, "induced_minor", counting)
-    report = scan_pairs(5, checks=checks)
-    assert report.pairs_scanned == 153
-    # one induced minor per optimal common-minor witness, and none without prop21
-    assert len(built) == report.prop21_summary["quotients_checked"]
-    assert (len(built) > report.pairs_scanned) == ("prop21" in checks)
+def test_scan_records_match_the_named_witness_oracle_up_to_6():
+    shapes = [seq for k in range(1, 7) for _, seq in _catalogue(k)]
+    pairs = [(shapes[i], shapes[j], True)
+             for i in range(len(shapes)) for j in range(i, len(shapes))]
+    assert len(pairs) == 703
+    for args in pairs:
+        assert families._scan_one_pair(args) == scan_pair_with_named_witnesses(args), args
+
+
+def test_scan_revalidates_the_searched_embedding(monkeypatch):
+    def invalid(parent, labels, t, limit):
+        return [[t.root] * len(parent)]  # every node onto the target's root
+
+    monkeypatch.setattr(families, "_search", invalid)
+    with pytest.raises(EmbeddingError, match="not injective"):
+        scan_pairs(3, checks=("eq4", "prop21"))

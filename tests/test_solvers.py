@@ -147,6 +147,20 @@ def test_lcs_core_returns_the_first_subset_of_each_hit_shape():
     assert (k, levels[-1].candidates, hits) == (3, 1, [("a", "b", "r")])
 
 
+@pytest.mark.parametrize("first", [False, True])
+def test_lcs_core_is_the_same_with_a_cold_and_a_warm_memo(monkeypatch, first):
+    # a level filled under one witness mode serves the other one unchanged
+    monkeypatch.setattr(solvers, "_MINOR_LEVELS", {})
+    trees = all_trees_up_to(5) + [parse_tree("r:a(b:a(c:b),d:b(e:a,f:a))")]
+    for all_witnesses in (first, not first, first):
+        for t1 in trees:
+            for t2 in trees:
+                want = lcs_by_subset_walk(t1, t2, all_witnesses)
+                got = largest_common_minor(t1, t2, all_witnesses=all_witnesses)
+                assert report(got) == report(want), (t1, t2, all_witnesses)
+    assert solvers._MINOR_LEVELS
+
+
 def test_lcs_of_inputs_sharing_no_label_is_empty():
     r = largest_common_minor(parse_tree("a:x(b:x)"), parse_tree("c:y"))
     assert (r.optimum_size, r.witnesses) == (0, [])

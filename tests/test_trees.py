@@ -413,6 +413,10 @@ def test_tree_accessors_and_paths():
     assert not t.reaches("c", "a") and not t.reaches("b", "e")
     assert t.path("a", "c") == ("a", "b", "c")
     assert t.strict_descendants("b") == ("c", "d")
+    u = parse_tree("z(b(y,a(x)),c)")  # name order differs from preorder
+    for v in u.nodes:
+        assert u.strict_descendants(v) == tuple(
+            sorted(w for w in u.nodes if w != v and u.reaches(v, w)))
     assert t.depth("c") == 2
     with pytest.raises(TreeError):
         t.path("c", "a")
