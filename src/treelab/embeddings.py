@@ -63,49 +63,57 @@ def check_embedding(f: Mapping[str, str], s: Tree, t: Tree) -> list[EmbeddingVio
     The empty list means f is valid.  Non-total or non-injective maps are
     reported as violations, not raised.
     """
-    return _violations(f, s.preorder, s.arcs, s.labels, t)
+    return _violations(f, s.preorder, s.arcs, s.labels, t.root, t._parent, t.labels)
 
 
-def _violations(f: Mapping[str, str], order: Sequence[str], arcs: Iterable[tuple[str, str]],
-                labels: Mapping[str, str], t: Tree) -> list[EmbeddingViolation]:
+def _violations(f: Mapping, order: Sequence[str], arcs: Iterable[tuple[str, str]],
+                labels: Mapping[str, str], root: str | int | None, up: Mapping,
+                target_labels: Mapping) -> list[EmbeddingViolation]:
     """`check_embedding` for a source given by its nodes in preorder, its arcs
-    and its labels (unlabeled nodes are treated as identically labeled), so
-    the pair scan checks its witnesses without building them as `Tree`s."""
+    and its labels, into a target given by its root, the parent of every other
+    node (`up`) and its labels (unlabeled nodes are treated as identically
+    labeled), so the pair scan checks its witnesses and its merged supertrees
+    without building them as `Tree`s.  An arc's path is walked up from the
+    image of its lower end, and the first image node on it is reported
+    counting from the top, as `Tree.path` lists the path."""
     out = []
-    nodes = t.nodes
+    placed = {}  # each source node whose image is a target node, in preorder
     for v in order:
         if v not in f:
             out.append(EmbeddingViolation(None, f"map is not total: {v} has no image"))
-        elif f[v] not in nodes:
+        elif f[v] in up or (root is not None and f[v] == root):
+            placed[v] = f[v]
+        else:
             out.append(EmbeddingViolation(
                 None, f"image of {v} is not a target node", witness_node=str(f[v])))
-    by_image: dict[str, list[str]] = {}
-    for v in order:
-        if v in f and f[v] in nodes:
-            by_image.setdefault(f[v], []).append(v)
+    by_image: dict = {}
+    for v, u in placed.items():
+        by_image.setdefault(u, []).append(v)
     for u, vs in sorted(by_image.items()):
         if len(vs) > 1:
             out.append(EmbeddingViolation(
                 None, f"map is not injective: {', '.join(vs)} share image {u}",
                 witness_node=u))
-    for v in order:
-        if v in f and f[v] in nodes and labels.get(v) != t.labels.get(f[v]):
+    for v, u in placed.items():
+        if labels.get(v) != target_labels.get(u):
             out.append(EmbeddingViolation(
-                None, f"label of {v} differs from label of its image {f[v]}",
-                witness_node=f[v]))
+                None, f"label of {v} differs from label of its image {u}", witness_node=u))
 
-    image = set(by_image)
     for a, b in sorted(arcs):
-        if not (a in f and b in f and f[a] in nodes and f[b] in nodes):
+        if a not in placed or b not in placed:
             continue
-        if f[a] == f[b] or not t.reaches(f[a], f[b]):
-            out.append(EmbeddingViolation(
-                (a, b), f"no path {f[a]} ~> {f[b]} in the target"))
+        top, low = placed[a], placed[b]
+        mids, m = [], up.get(low)
+        while m is not None and m != top:
+            mids.append(m)
+            m = up.get(m)
+        if m is None:  # top is low or not above it
+            out.append(EmbeddingViolation((a, b), f"no path {top} ~> {low} in the target"))
             continue
-        for mid in t.path(f[a], f[b])[1:-1]:
-            if mid in image:
+        for mid in reversed(mids):
+            if mid in by_image:
                 out.append(EmbeddingViolation(
-                    (a, b), f"path {f[a]} ~> {f[b]} passes through image node {mid}",
+                    (a, b), f"path {top} ~> {low} passes through image node {mid}",
                     witness_node=mid))
                 break
     return out

@@ -33,8 +33,8 @@ from .trees import (ENUM_CAP_DEFAULT, Digraph, Tree, _catalogue, _code, _literal
                     enumerate_trees, format_tree, is_rooted_tree, parse_tree,
                     star, tree_from_arcs)
 from .embeddings import (EmbeddingViolation, MinorEmbedding, _induced_preorder, _search,
-                         _violations, check_embedding, enumerate_embeddings)
-from .solvers import (NODE_BUDGET_DEFAULT, _lcs_core, _scs_core,
+                         _violations, check_embedding, enumerate_embeddings, is_minor)
+from .solvers import (NODE_BUDGET_DEFAULT, _lcs_core, _merge_core, _merge_refutation,
                       largest_common_minor, smallest_common_supertree)
 from .quotient import (QuotientGraph, Prop21Report, _glue, _identities,
                        _prop21_core, _reduce_core, _successors,
@@ -705,10 +705,27 @@ _scan_tree = functools.lru_cache(maxsize=None)(_tree_from_levels)
 
 
 def _scan_one_pair(args: tuple[tuple[int, ...], tuple[int, ...], bool]) -> dict:
+    """One pair's record: the common-minor optimum, the supertree optimum by
+    merging (`solvers._merge_core`), the gap and, with prop21, the witness
+    quotients.  The supertree optimum is the first success of: absorption
+    (t1 is a minor of t2, so t2 is the supertree); the first embedding of
+    each hit subset, which the quotients reuse; then `_merge_refutation`."""
     seq1, seq2, with_prop21 = args
     t1, t2 = _scan_tree(seq1), _scan_tree(seq2)  # |t1| <= |t2| by scan order
-    lcs_size, _, hits = _lcs_core(t1, t2, with_prop21)
-    scs_size = _scs_core(t1, t2, False, t1.size + t2.size - 1, ENUM_CAP_DEFAULT)[0]
+    lcs_size, _, hits = _lcs_core(t1, t2, True)
+    scs_size = t2.size if is_minor(t1, t2) else None
+    witnesses = []
+    for w in hits:
+        if scs_size is not None and not with_prop21:
+            break
+        order, parent, images = _witness_embedding(t1, t2, w)
+        witnesses.append((order, parent, images))
+        if scs_size is None:
+            merged = _merge_core(t1, t2, dict(zip(order, images)))
+            if merged is not None:
+                scs_size = len(merged)
+    if scs_size is None:
+        scs_size = _merge_refutation(t1, t2, lcs_size, hits)
     gap = scs_size - eq4_prediction(t1, t2, lcs_size)
     if gap < 0:
         raise SolverDisagreement(
@@ -716,28 +733,37 @@ def _scan_one_pair(args: tuple[tuple[int, ...], tuple[int, ...], bool]) -> dict:
             f"optimum {scs_size} below the prediction")
     rec = {"lcs": lcs_size, "scs": scs_size, "gap": gap}
     if with_prop21:
-        rec["quotients"] = [_witness_quotient(t1, t2, w) for w in hits]
+        rec["quotients"] = [_witness_quotient(t1, t2, *found) for found in witnesses]
     return rec
 
 
-def _witness_quotient(t1: Tree, t2: Tree, w: tuple[str, ...]) -> dict:
-    """The prop21 record of the optimal common minor that t1 induces on its
-    node subset w, as `largest_common_minor` reports it (t1 is the subset
-    side, since |t1| <= |t2|), without building it: g1 is the identity on w
-    and g2 the first embedding the search finds into t2.  Both maps are
-    re-validated before the quotient is glued on class ids."""
+def _witness_embedding(t1: Tree, t2: Tree,
+                       w: tuple[str, ...]) -> tuple[list[str], list[int], list[str]]:
+    """The optimal common minor that t1 induces on its node subset w, as
+    `largest_common_minor` reports it (t1 is the subset side, since
+    |t1| <= |t2|), without building it: its nodes in preorder, their parent
+    positions, and the images of the first embedding the search finds into
+    t2.  Both embeddings (the identity on w into t1, and that one into t2)
+    are re-validated."""
     order, parent = _induced_preorder(t1, w)
     images = _search(parent, [t1.labels.get(v) for v in order], t2, 1)
     if not images:
         raise SolverDisagreement(
             f"the witness search finds no embedding of the common minor on {w} of "
             f"{format_tree(t1)} into {format_tree(t2)}, which inclusion accepted")
-    g1, g2 = {v: v for v in order}, dict(zip(order, images[0]))
     mu_arcs = [(order[p], v) for v, p in zip(order, parent) if p >= 0]
-    for g, t in ((g1, t1), (g2, t2)):
-        bad = _violations(g, order, mu_arcs, t1.labels, t)
+    for g, t in (({v: v for v in order}, t1), (dict(zip(order, images[0])), t2)):
+        bad = _violations(g, order, mu_arcs, t1.labels, t.root, t._parent, t.labels)
         if bad:
             raise EmbeddingError(bad)
+    return order, parent, images[0]
+
+
+def _witness_quotient(t1: Tree, t2: Tree, order: list[str], parent: list[int],
+                      images: list[str]) -> dict:
+    """The prop21 record of a witness from `_witness_embedding`, its quotient
+    glued on class ids."""
+    g1, g2 = {v: v for v in order}, dict(zip(order, images))
     class_of1, class_of2, n, arcs, merged = _glue(t1, t2, order, g1, g2)
     identity_findings = _identities(range(n), class_of1, class_of2, order, g1, g2, merged)
     if n != t1.size + t2.size - len(order):
@@ -762,7 +788,11 @@ def scan_pairs(max_size: int, checks: Iterable[str] = ("eq4",),
     For every pair the exact common-minor and common-supertree optima are
     computed; the gap distribution is recorded and the first pair (in
     size-then-code order) with a positive gap is reported.  Workers receive
-    level sequences and ask the solver cores for sizes only.  With the
+    level sequences and ask the solver cores for sizes only.  The supertree
+    optimum comes from merging common-minor matchings
+    (`solvers._merge_core`), not from growing supertrees: by its lemma it is
+    |t1| + |t2| minus the largest matching that merges, and each merge is
+    built and re-validated (`_scan_one_pair`).  With the
     ``prop21`` check enabled, every optimal common-minor witness additionally
     has its quotient glued and checked on integer class ids, by the cores of
     `treelab.quotient`: path-uniqueness violations, the structural

@@ -2,16 +2,20 @@
 
 Both problems are solved by exhaustion, never by heuristics: optimality at
 size k is only claimed after the neighbouring level has been fully decided.
-The two directions use independent substrates (node subsets of one input for
-common minors; for supertrees, every supertree of the bigger input, grown
-one node at a time, which a deletion lemma shows are all the trees that can
-host both inputs) so they can cross-check each other.
+The supertree optimum has two independent deciders.  Growth walks every
+supertree of the bigger input, one node at a time, which a deletion lemma
+shows are all the trees that can host both inputs (`_scs_core`; `scs` and
+`verify` use it for their code-ordered witnesses and levels).  Merging
+looks for the largest common-minor matching that merges into one tree
+(`_merge_core`, `_merge_refutation`; the pair scan uses it).  The tests
+hold each to the other.
 
-Each search is a core that works on interned shapes only and returns the
-optimum and its hits (`_lcs_core` also its levels; the supertree levels are
-counts of trees in code order, which the public solver derives).  The public
-solvers wrap the cores and build named `Tree`s and embeddings for the hits
-alone.  The pair scan calls the cores directly when it needs sizes only.
+Each search is a core that works on interned shapes or node positions only
+and returns the optimum and its hits (`_lcs_core` also its levels; the
+supertree levels are counts of trees in code order, which the public solver
+derives).  The public solvers wrap the cores and build named `Tree`s and
+embeddings for the hits alone.  The pair scan calls the cores directly when
+it needs sizes only.
 """
 
 from __future__ import annotations
@@ -19,13 +23,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import combinations, product
+from typing import Mapping
 
 from .errors import BudgetError, SolverDisagreement, TreeError
 from .trees import (_KIDS, _LABEL, ENUM_CAP_DEFAULT, Tree, _code, _intern, _intern_node,
                     _level_sequences, _levels_of, _shape, _tree_count,
                     _tree_from_levels, format_tree)
-from .embeddings import (MinorEmbedding, _fits, check_embedding, find_embedding,
-                         induced_minor, is_minor, is_minor_by_subsets)
+from .embeddings import (MinorEmbedding, _fits, _induced_preorder, _search, _violations,
+                         check_embedding, find_embedding, induced_minor, is_minor,
+                         is_minor_by_subsets)
 
 #: Default per-input node cap for the brute-force common-minor search.
 NODE_BUDGET_DEFAULT = 12
@@ -297,6 +303,156 @@ def _scs_core(t1: Tree, t2: Tree, all_witnesses: bool, ceiling: int,
     raise BudgetError(
         f"no common supertree of size <= {ceiling}; search stopped at the "
         f"requested ceiling", lower_bound=ceiling + 1)
+
+
+def _merge_core(t1: Tree, t2: Tree, matching: Mapping[str, str]) -> list[int] | None:
+    """The common supertree of t1 and t2 in which exactly the pairs of
+    `matching` (t1 node -> t2 node, equal labels) share a node, as a parent
+    array (-1 at the root), or None when no common supertree does.
+
+    Positions: each t1 node, and the t2 node matched to it, sits at its t1
+    preorder index; the unmatched t2 nodes follow in t2 preorder.  A built
+    supertree is re-validated: both inputs' maps onto its positions must pass
+    `_violations`, else `SolverDisagreement`.
+
+    Why merging decides the supertree optimum.  Let C be a minimum common
+    supertree, with embeddings f1 and f2.
+      1. Every node of C is in an image; otherwise contract it away.
+      2. C restricted to each image is that input: embeddings keep ancestry,
+         and by Lemma 4 (`check_lemma4`) they keep incomparability too.
+      3. So |C| = |t1| + |t2| - |M|, where M pairs up the t1 and t2 nodes
+         that share an image, and M agrees on ancestry in both inputs.
+      4. Forest matchings are never needed.  If M's t1 side has two or more
+         roots, neither input root is matched.  Adding the pair of the two
+         roots keeps M consistent and mergeable: the two roots fuse at the
+         top of C.
+      5. So SCS = |t1| + |t2| - (the largest mergeable tree matching).  Tree
+         matchings are common-minor witnesses with one embedding per side,
+         so the gap is the common-minor optimum minus that size.
+
+    Mergeability is decided BUILD-style (Aho, Sagiv, Szymanski & Ullman,
+    SIAM J. Comput. 10(3), 1981), on bitmasks of positions and an explicit
+    stack of (set, parent) tasks.  The *tops* of a set S are its nodes that,
+    in each input they belong to, are ancestors of every other S-node of that
+    input.  Only one node per input can be that, so S has one shared top, or
+    at most one t1-only and one t2-only top.  The tops are chained (t1-only
+    above t2-only), which costs nothing: the two are unrelated in the
+    inputs.  The rest of S splits into the components of "comparable in t1
+    or in t2", each hung below the chain and decided in turn.  That relates
+    every pair of nodes as both inputs do.  A set with no top refutes the
+    matching.  If C were valid, its restriction to a connected set S would
+    be one tree (two roots would be incomparable in C, so in both inputs,
+    yet S's comparabilities connect them), and that tree's root is an
+    ancestor of all of S in C, so in each of its inputs: a top.  The same
+    restriction keeps each component of a mergeable set mergeable, so one
+    set without a top refutes the whole matching.
+    """
+    n1, tin1 = t1.size, t1._tin
+    back = {b: a for a, b in matching.items()}
+    pos2, size = [], n1
+    for v in t2._preorder:
+        if v in back:
+            pos2.append(tin1[back[v]])
+        else:
+            pos2.append(size)
+            size += 1
+    below = ([0] * size, [0] * size)  # per input: the positions under each node, itself included
+    related = [0] * size  # the positions comparable to each one in t1 or in t2
+    for t, pos, sub in ((t1, range(n1), below[0]), (t2, pos2, below[1])):
+        order, tin = t._preorder, t._tin
+        above_at = [tin[t._parent[v]] for v in order[1:]]  # parent index of preorder 1, 2, ...
+        under = [1 << p for p in pos]
+        for j in range(len(order) - 1, 0, -1):
+            under[above_at[j - 1]] |= under[j]
+        over = [0] * len(order)
+        for j in range(1, len(order)):
+            over[j] = over[above_at[j - 1]] | 1 << pos[above_at[j - 1]]
+        for j, p in enumerate(pos):
+            sub[p] = under[j]
+            related[p] |= under[j] | over[j]
+    in1, in2 = below[0][0], below[1][pos2[0]]
+
+    parent = [-1] * size
+    stack = [((1 << size) - 1, -1)]
+    while stack:
+        s, above = stack.pop()
+        s1, s2 = s & in1, s & in2
+        top1 = top2 = -1
+        if s1:
+            x = (s1 & -s1).bit_length() - 1  # first in t1 preorder
+            if not s1 & ~below[0][x]:
+                top1 = x
+        if s2:
+            for x in pos2:  # stop at the first in t2 preorder
+                if s2 >> x & 1:
+                    if not s2 & ~below[1][x]:
+                        top2 = x
+                    break
+        if top1 == top2:
+            tops = [top1] if top1 >= 0 else []
+        else:  # a shared node tops both of its inputs or neither
+            tops = [x for x, other in ((top1, in2), (top2, in1))
+                    if x >= 0 and not other >> x & 1]
+        if not tops:
+            return None
+        for x in tops:
+            parent[x] = above
+            above = x
+            s &= ~(1 << x)
+        while s:
+            component = grow = s & -s
+            while grow:
+                reach = 0
+                while grow:
+                    low = grow & -grow
+                    reach |= related[low.bit_length() - 1]
+                    grow ^= low
+                grow = reach & s & ~component
+                component |= grow
+            stack.append((component, above))
+            s &= ~component
+
+    root = parent.index(-1)
+    up = {x: p for x, p in enumerate(parent) if p >= 0}
+    labels = {tin1[v]: a for v, a in t1.labels.items()}
+    labels.update((pos2[t2._tin[v]], a) for v, a in t2.labels.items())
+    for t, f in ((t1, tin1), (t2, dict(zip(t2._preorder, pos2)))):
+        bad = _violations(f, t._preorder, t.arcs, t.labels, root, up, labels)
+        if bad:
+            raise SolverDisagreement(
+                f"the merged supertree of {format_tree(t1)} and {format_tree(t2)} "
+                f"does not host {format_tree(t)}: {bad[0]}")
+    return parent
+
+
+def _merge_refutation(t1: Tree, t2: Tree, k: int, hits: list[tuple[str, ...]]) -> int:
+    """The supertree optimum of t1 and t2 by merging, once the first
+    embedding of each of the common-minor hit subsets `hits` (of the optimum
+    k, subsets of t1) failed to merge: try their other embeddings, then
+    every embedding of every node subset of t1 that induces a tree, at k,
+    k - 1, and so on.  By the lemma of `_merge_core` the first merge found
+    is optimal; on unlabeled inputs the root pair alone always merges."""
+    def merged(w: tuple[str, ...], skip: int) -> int | None:
+        order, parent = _induced_preorder(t1, w)
+        for images in _search(parent, [t1.labels.get(v) for v in order], t2, None)[skip:]:
+            c = _merge_core(t1, t2, dict(zip(order, images)))
+            if c is not None:
+                return len(c)
+        return None
+
+    for w in hits:
+        got = merged(w, 1)
+        if got is not None:
+            return got
+    tin, tout = t1._tin, t1._tout
+    for j in range(k, 0, -1):
+        for w in combinations(t1._preorder, j):  # w[0] comes first in preorder
+            if tout[w[0]] > max(tin[v] for v in w):  # one root: w[0] is above the rest
+                got = merged(w, 0)
+                if got is not None:
+                    return got
+    raise SolverDisagreement(f"no matching of {format_tree(t1)} and {format_tree(t2)} "
+                             f"merges, not even the pair of their roots")
 
 
 def _code_rank(n: int, stop: tuple[int, ...]) -> int:

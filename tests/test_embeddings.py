@@ -68,6 +68,40 @@ def test_headline_instance_witness_and_path():
     assert map_path(inst.g1, ("a", "p1")) == ("a", "y", "p1")
 
 
+def test_violations_are_pinned_on_hand_made_maps():
+    # each violation, in order, as the checker reported it when it read the
+    # target through `Tree.reaches` and `Tree.path`; on a path with several
+    # image nodes the first one from the top is named
+    s, t = parse_tree("a(b,c,d)"), parse_tree("r(x(y(z)),w)")
+    sl, tl = parse_tree("a:L(b:M)"), parse_tree("u:L(v:M(w:N))")
+    cases = [
+        ({"a": "r", "b": "z", "c": "x", "d": "y"}, s, t, [
+            {"arc": ["a", "b"], "reason": "path r ~> z passes through image node x",
+             "witness_node": "x"},
+            {"arc": ["a", "d"], "reason": "path r ~> y passes through image node x",
+             "witness_node": "x"}]),
+        ({"a": "r", "b": "nope", "c": "r"}, s, t, [
+            {"arc": None, "reason": "image of b is not a target node", "witness_node": "nope"},
+            {"arc": None, "reason": "map is not total: d has no image"},
+            {"arc": None, "reason": "map is not injective: a, c share image r",
+             "witness_node": "r"},
+            {"arc": ["a", "c"], "reason": "no path r ~> r in the target"}]),
+        ({"a": "y", "b": "r", "c": "z", "d": "z"}, s, t, [
+            {"arc": None, "reason": "map is not injective: c, d share image z",
+             "witness_node": "z"},
+            {"arc": ["a", "b"], "reason": "no path y ~> r in the target"}]),
+        ({"a": "u", "b": "w"}, sl, tl, [
+            {"arc": None, "reason": "label of b differs from label of its image w",
+             "witness_node": "w"}]),
+        ({"a": "w", "b": "v"}, sl, tl, [
+            {"arc": None, "reason": "label of a differs from label of its image w",
+             "witness_node": "w"},
+            {"arc": ["a", "b"], "reason": "no path w ~> v in the target"}]),
+    ]
+    for f, source, target, expected in cases:
+        assert [v.to_json() for v in check_embedding(f, source, target)] == expected, f
+
+
 def test_violation_json_shape():
     v = check_embedding({"n1": "m1", "n2": "m2", "n3": "m3"},
                         star(3), chain(3, "m"))[0]

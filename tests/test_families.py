@@ -352,6 +352,20 @@ def test_scan_parses_nothing_and_builds_no_named_witness(monkeypatch, checks):
     assert report.prop21_summary["quotients_checked"] == (836 if "prop21" in checks else 0)
 
 
+@pytest.mark.parametrize("checks", [("eq4",), ("eq4", "prop21")])
+def test_scan_never_grows_supertrees(monkeypatch, checks):
+    def refuse(*args):
+        raise AssertionError("the scan grew supertrees instead of merging")
+
+    monkeypatch.setattr(solvers, "_scs_core", refuse)
+    assert not hasattr(families, "_scs_core")
+    report = scan_pairs(7, checks=checks)
+    assert report.gap_histogram == {0: 3652, 1: 3}
+    assert report.minimal_violating_pair == {
+        "t1": "v0(v1(v2(v3(v4)),v5),v6)", "t2": "v0(v1(v2(v3)),v4(v5,v6))",
+        "gap": 1, "lcs": 6, "scs": 9}
+
+
 def test_scan_records_match_the_named_witness_oracle_up_to_6():
     shapes = [seq for k in range(1, 7) for _, seq in _catalogue(k)]
     pairs = [(shapes[i], shapes[j], True)

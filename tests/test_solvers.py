@@ -13,7 +13,8 @@ from treelab import (BudgetError, TreeError, are_isomorphic, canonical_code,
 
 from treelab import solvers, trees
 from treelab.embeddings import _fits
-from treelab.trees import _catalogue, _intern
+from treelab.families import _scan_one_pair, _scan_tree
+from treelab.trees import ENUM_CAP_DEFAULT, _catalogue, _intern, _levels_of, _shape
 
 from conftest import (all_trees_up_to, labeled_trees, lcs_by_subset_walk,
                       scs_by_catalogue, unlabeled_trees)
@@ -382,6 +383,74 @@ def test_insertions_need_no_recursion():
         sys.setrecursionlimit(limit)
     # a new leaf under one of the depth - 1 inner nodes, or the longer chain
     assert longer in grown and len(grown) == depth
+
+
+# -- supertrees by merging a common-minor matching ------------------------------------
+# `_merge_core` positions: t1 nodes at their preorder index, then the unmatched
+# t2 nodes in t2 preorder; the parent array has -1 at the root.
+
+def growth_optimum(t1, t2):
+    return solvers._scs_core(t1, t2, False, t1.size + t2.size - 1, ENUM_CAP_DEFAULT)[0]
+
+
+def test_merge_of_the_root_pair_alone_is_the_root_merge():
+    t1, t2 = parse_tree("a(b(c),d)"), parse_tree("x(y,z(w))")
+    # a b c d at 0-3, then y z w at 4-6, all root children under the shared root
+    assert solvers._merge_core(t1, t2, {"a": "x"}) == [-1, 0, 1, 0, 0, 0, 5]
+
+
+def test_merge_of_a_forest_matching_and_of_it_with_the_roots():
+    t1, t2 = parse_tree("r(a,b)"), parse_tree("s(c,d)")
+    # r a b at 0-2, s at 3: the t1-only top r above the t2-only top s
+    assert solvers._merge_core(t1, t2, {"a": "c", "b": "d"}) == [-1, 3, 3, 0]
+    assert solvers._merge_core(t1, t2, {"r": "s", "a": "c", "b": "d"}) == [-1, 0, 0]
+
+
+def test_a_crossing_matching_merges_nowhere():
+    # a above b in t1, but b's partner x above a's partner y in t2
+    t1, t2 = parse_tree("a(b)"), parse_tree("x(y)")
+    assert solvers._merge_core(t1, t2, {"a": "y", "b": "x"}) is None
+    t1, t2 = parse_tree("r(a(b),c)"), parse_tree("s(x(y),z)")
+    assert solvers._merge_core(t1, t2, {"r": "s", "a": "y", "b": "x"}) is None
+    assert solvers._merge_core(t1, t2, {"r": "s", "a": "x", "b": "y"}) is not None
+
+
+def test_merge_stacks_a_t1_only_top_over_a_t2_only_top():
+    t1, t2 = parse_tree("p(q,r)"), parse_tree("u(v(w))")
+    # p q r at 0-2, u and w at 3-4: p over u, then q=v (over w) and r under u
+    parent = solvers._merge_core(t1, t2, {"q": "v"})
+    assert parent == [-1, 3, 3, 0, 1]
+    assert len(parent) == t1.size + t2.size - 1 == growth_optimum(t1, t2) + 1
+    # the lemma's fourth step: adding the root pair keeps it mergeable, one smaller
+    assert len(solvers._merge_core(t1, t2, {"p": "u", "q": "v"})) == growth_optimum(t1, t2)
+
+
+def test_merge_matches_growth_on_all_pairs_up_to_7():
+    shapes = [seq for k in range(1, 8) for _, seq in _catalogue(k)]
+    assert len(shapes) == 85
+    for i, seq1 in enumerate(shapes):
+        for seq2 in shapes[i:]:  # |t1| <= |t2|, as the scan orders them
+            t1, t2 = _scan_tree(seq1), _scan_tree(seq2)
+            assert _scan_one_pair((seq1, seq2, False))["scs"] == growth_optimum(t1, t2), (
+                format_tree(t1), format_tree(t2))
+
+
+def test_the_full_merge_refutation_matches_growth_on_all_pairs_up_to_6():
+    # no hit subsets given: every level from |t1| down is refuted or merged
+    trees6 = all_trees_up_to(6)
+    for i, t1 in enumerate(trees6):
+        for t2 in trees6[i:]:
+            got = solvers._merge_refutation(t1, t2, t1.size, [])
+            assert got == growth_optimum(t1, t2), (format_tree(t1), format_tree(t2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(unlabeled_trees(max_size=9), unlabeled_trees(max_size=9))
+def test_merge_matches_growth_on_random_pairs_up_to_9(t1, t2):
+    if t2.size < t1.size:
+        t1, t2 = t2, t1
+    seqs = (_levels_of(_shape(t1)), _levels_of(_shape(t2)), False)
+    assert _scan_one_pair(seqs)["scs"] == growth_optimum(t1, t2)
 
 
 # -- root merge -------------------------------------------------------------------------
