@@ -1,7 +1,15 @@
 #!/usr/bin/env bash
 # CLI-driven acceptance run: mirrors tests/test_acceptance.py through the
 # treelab command so every headline check is reproducible from a shell.
+# From a plain checkout (no treelab on PATH) it runs `python3 -m treelab`
+# against the checkout's sources.
 set -u
+
+repo=$(cd "$(dirname "$0")/.." && pwd)
+export PYTHONPATH="$repo/src${PYTHONPATH:+:$PYTHONPATH}"
+if ! command -v treelab > /dev/null; then
+  treelab() { python3 -m treelab "$@"; }
+fi
 
 T1='a(y(p1(p2(p3)),r),s1(s2,s3))'
 T2='a(p1(p2(p3)),z(r,s1(s2,s3)))'
@@ -141,7 +149,7 @@ check "embeddings --limit 0 is a usage error" 2 treelab embeddings 'a(b)' 'x(y,z
 check "scan --max-size 0 exits 2" 2 treelab scan --max-size 0 --jobs 1
 
 # criteria 3-6 exercise library sweeps; run them through pytest
-if python3 -m pytest -q "$(cd "$(dirname "$0")/.." && pwd)/tests/test_acceptance.py"; then
+if python3 -m pytest -q "$repo/tests/test_acceptance.py"; then
   echo "PASS  pytest acceptance module"
 else
   echo "FAIL  pytest acceptance module"

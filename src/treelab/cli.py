@@ -287,7 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--dot-dir", default=argparse.SUPPRESS,
                         help="write DOT renderings here")
     common.add_argument("--budget-nodes", type=_at_least_one, default=argparse.SUPPRESS,
-                        help="override the search/enumeration caps (at least 1)")
+                        help="override the search/enumeration cap of enum, lcs, scs, "
+                             "verify, quotient and prop21 (at least 1; other verbs "
+                             "ignore it)")
 
     parser = argparse.ArgumentParser(
         prog="treelab", parents=[common],

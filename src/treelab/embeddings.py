@@ -3,17 +3,17 @@
 An injective node map f: S -> T is a minor embedding when every source arc
 (a, b) maps to the (unique) target path f(a) ⇝ f(b) and no intermediate node
 of that path lies in the image of f.  This module validates candidate maps,
-enumerates all embeddings by backtracking on an explicit stack, decides
-containment by memoized tree inclusion over the shapes interned in `trees`,
-builds subset-induced minors (the canonical witness form), and checks
-preservation of incomparability.
+yields all embeddings lazily from one backtracking search on an explicit
+stack, decides containment by memoized tree inclusion over the shapes
+interned in `trees`, builds subset-induced minors (the canonical witness
+form), and checks preservation of incomparability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Iterable, Mapping, Sequence
+from itertools import combinations, islice, product
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import EmbeddingError, MultiRootError, TreeError
 from .trees import _KIDS, _LABEL, _SIZE, Tree, _shape, are_isomorphic
@@ -194,22 +194,30 @@ def enumerate_embeddings(s: Tree, t: Tree, limit: int | None = None) -> list[Min
     order (see `_search` for the pruning).  With `limit` (at least 1) the
     first `limit` maps in search order are returned.
     """
-    if s.root is None or t.root is None:
-        raise TreeError("embedding enumeration needs non-empty trees")
     if limit is not None and limit < 1:
         raise TreeError(f"embedding limit must be at least 1, got {limit}")
+    return list(islice(_embeddings(s, t), limit))
+
+
+def find_embedding(s: Tree, t: Tree) -> MinorEmbedding | None:
+    """First minor embedding of s into t in search order, or None."""
+    return next(_embeddings(s, t), None)
+
+
+def _embeddings(s: Tree, t: Tree) -> Iterator[MinorEmbedding]:
+    """The minor embeddings of s into t, as `_search` yields them."""
+    if s.root is None or t.root is None:
+        raise TreeError("embedding enumeration needs non-empty trees")
     order = s.preorder
     parent = [s._tin[s._parent[v]] if v in s._parent else -1 for v in order]
-    found = _search(parent, [s.labels.get(v) for v in order], t, limit)
-    return [MinorEmbedding(s, t, dict(zip(order, images))) for images in found]
+    return (MinorEmbedding(s, t, dict(zip(order, images)))
+            for images in _search(parent, [s.labels.get(v) for v in order], t))
 
 
-def _search(parent: list[int], labels: list[str | None], t: Tree,
-            limit: int | None) -> list[list[str]]:
+def _search(parent: list[int], labels: list[str | None], t: Tree) -> Iterator[list[str]]:
     """The minor embeddings into t of the source whose preorder position i
     has parent position `parent[i]` (-1 at the root) and label `labels[i]`,
-    each as the image of every position, in search order; the first `limit`
-    of them, or all.
+    each as the image of every position, yielded lazily in search order.
 
     Positions are placed in order on an explicit stack, so depth is never a
     limit.  The root may map anywhere; each later position is tried on the
@@ -221,10 +229,9 @@ def _search(parent: list[int], labels: list[str | None], t: Tree,
     """
     n = len(parent)
     if n > t.size:
-        return []
+        return
     up, target_labels = t._parent, t.labels
     roots = sorted(t.nodes)
-    results: list[list[str]] = []
     image: list[str | None] = [None] * n
     mids: list[list[str]] = [[] for _ in range(n)]
     candidates: list[tuple[str, ...] | list[str]] = [roots] * n
@@ -265,20 +272,12 @@ def _search(parent: list[int], labels: list[str | None], t: Tree,
         if image[i] is None:
             i -= 1
         elif i + 1 == n:
-            results.append(list(image))
-            if limit is not None and len(results) >= limit:
-                return results
+            yield list(image)
         else:
             i += 1
             candidates[i] = t.strict_descendants(image[parent[i]])
             tried[i] = 0
-    return results
 
-
-def find_embedding(s: Tree, t: Tree) -> MinorEmbedding | None:
-    """First minor embedding of s into t in search order, or None."""
-    found = enumerate_embeddings(s, t, limit=1)
-    return found[0] if found else None
 
 
 # -- inclusion decider -----------------------------------------------------------

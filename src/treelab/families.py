@@ -12,9 +12,11 @@ more than one node beyond |t1| + |t2| - |a(P,R,S)|.  This module generates
 the family, enumerates the candidate minimum supertrees, verifies the size
 gap exactly, checks the triple-merge impossibility over supertree
 embeddings, and scans all small tree pairs for gap and path-uniqueness
-behaviour.  Two further parameterized families (``fig4``, ``fig5``) embed an
-arbitrary subproblem pair (A, B) into the construction; ``fig5`` is a
-best-effort reconstruction and all its checks are report-grade.
+behaviour, on node positions: its witnesses come from the builder that
+`largest_common_minor` uses (`solvers._witness_embedding`).  Two further
+parameterized families (``fig4``, ``fig5``) embed an arbitrary subproblem
+pair (A, B) into the construction; ``fig5`` is a best-effort
+reconstruction and all its checks are report-grade.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from .trees import (ENUM_CAP_DEFAULT, Digraph, Tree, _catalogue, _code, _literal
                     _literal_from_levels, _tree_from_levels, are_isomorphic, chain,
                     enumerate_trees, format_tree, is_rooted_tree, parse_tree,
                     star, tree_from_arcs)
-from .embeddings import (EmbeddingViolation, MinorEmbedding, _induced_preorder, _search,
-                         _violations, check_embedding, enumerate_embeddings, is_minor)
-from .solvers import (NODE_BUDGET_DEFAULT, _lcs_core, _merge_core, _merge_refutation,
+from .embeddings import (EmbeddingViolation, MinorEmbedding, check_embedding,
+                         enumerate_embeddings, is_minor)
+from .solvers import (_lcs_core, _merge_core, _merge_refutation, _witness_embedding,
                       largest_common_minor, smallest_common_supertree)
 from .quotient import (QuotientGraph, Prop21Report, _glue, _identities,
                        _prop21_core, _reduce_core, _successors,
@@ -368,8 +370,7 @@ class VerificationReport:
 def verify_counterexample(p: Tree, r: Tree, s: Tree, *,
                           theorem5_exhaustive: bool = False,
                           max_size: int | None = None,
-                          enum_cap: int = ENUM_CAP_DEFAULT,
-                          budget: int = NODE_BUDGET_DEFAULT) -> VerificationReport:
+                          enum_cap: int = ENUM_CAP_DEFAULT) -> VerificationReport:
     """Run the full pipeline on one family instance.
 
     Computes the exact largest common minor and smallest common supertree,
@@ -388,7 +389,7 @@ def verify_counterexample(p: Tree, r: Tree, s: Tree, *,
         inst = fig1_family(p, r, s)
     notes.extend(str(w.message) for w in caught)
 
-    lcs = largest_common_minor(inst.t1, inst.t2, budget=budget)
+    lcs = largest_common_minor(inst.t1, inst.t2)
     timing["lcs_ms"] = round((time.perf_counter() - started) * 1e3, 3)
     if lcs.optimum_size < inst.claimed_mu.size:
         raise SolverDisagreement(
@@ -560,8 +561,7 @@ def fig5_family(a: Tree, b: Tree) -> tuple[Tree, Tree, dict]:
     return t1, t2, meta
 
 
-def check_fig5_claims(a: Tree, b: Tree, *, enum_cap: int = ENUM_CAP_DEFAULT,
-                      budget: int = NODE_BUDGET_DEFAULT) -> dict:
+def check_fig5_claims(a: Tree, b: Tree) -> dict:
     """Evaluate the reconstruction's quoted size facts; never asserts.
 
     Checks, for the generated instance: the P/S supertree size and merged
@@ -573,7 +573,7 @@ def check_fig5_claims(a: Tree, b: Tree, *, enum_cap: int = ENUM_CAP_DEFAULT,
     n, m = meta["n"], meta["m"]
     pp, ss = parse_tree(meta["p_literal"]), parse_tree(meta["s_literal"])
 
-    ps = smallest_common_supertree(pp, ss, enum_cap=enum_cap)
+    ps = smallest_common_supertree(pp, ss)
     merged_pairs = pp.size + ss.size - ps.optimum_size
 
     out = {"family": "fig5", "n": n, "m": m,
@@ -585,7 +585,7 @@ def check_fig5_claims(a: Tree, b: Tree, *, enum_cap: int = ENUM_CAP_DEFAULT,
            "ps_merged_pairs_matches": merged_pairs == 2}
 
     try:
-        scs = smallest_common_supertree(t1, t2, enum_cap=enum_cap)
+        scs = smallest_common_supertree(t1, t2)
         out["scs_size"] = scs.optimum_size
         out["scs_exact"] = True
         out["adding_b_claim"] = t1.size + m
@@ -595,14 +595,12 @@ def check_fig5_claims(a: Tree, b: Tree, *, enum_cap: int = ENUM_CAP_DEFAULT,
         out["scs_exact"] = False
         out["scs_lower_bound"] = err.lower_bound
 
-    lcs = largest_common_minor(t1, t2, budget=max(budget, t1.size, t2.size))
+    lcs = largest_common_minor(t1, t2, budget=max(t1.size, t2.size))
     out["lcs_size"] = lcs.optimum_size
     return out
 
 
-def subproblem_transfer_check(family: str, a: Tree, b: Tree, *,
-                              enum_cap: int = ENUM_CAP_DEFAULT,
-                              budget: int = NODE_BUDGET_DEFAULT) -> dict:
+def subproblem_transfer_check(family: str, a: Tree, b: Tree) -> dict:
     """Probe the family constant linking the big instance to its subproblem.
 
     Sweeps every (A, B) pair with |A| = |a| and |B| = |b|; for ``fig4`` the
@@ -624,9 +622,9 @@ def subproblem_transfer_check(family: str, a: Tree, b: Tree, *,
         rec = {"a": format_tree(aa), "b": format_tree(bb)}
         if family == "fig4":
             t1, t2, meta = fig4_family(aa, bb)
-            sub = smallest_common_supertree(aa, bb, enum_cap=enum_cap).optimum_size
+            sub = smallest_common_supertree(aa, bb).optimum_size
             try:
-                big = smallest_common_supertree(t1, t2, enum_cap=enum_cap).optimum_size
+                big = smallest_common_supertree(t1, t2).optimum_size
                 rec["mode"] = "exact"
             except BudgetError:
                 with warnings.catch_warnings():
@@ -634,14 +632,12 @@ def subproblem_transfer_check(family: str, a: Tree, b: Tree, *,
                     inst = fig1_family(parse_tree(meta["p_literal"]),
                                        parse_tree(meta["r_literal"]),
                                        parse_tree(meta["s_literal"]))
-                big = min(c.tree.size for c in
-                          fig2_candidates(inst, enum_cap=enum_cap))
+                big = min(c.tree.size for c in fig2_candidates(inst))
                 rec["mode"] = "candidate_upper_bound"
         else:
             t1, t2, _ = fig5_family(aa, bb)
-            sub = largest_common_minor(aa, bb, budget=budget).optimum_size
-            big = largest_common_minor(
-                t1, t2, budget=max(budget, t1.size, t2.size)).optimum_size
+            sub = largest_common_minor(aa, bb).optimum_size
+            big = largest_common_minor(t1, t2, budget=max(t1.size, t2.size)).optimum_size
             rec["mode"] = "exact"
         rec["big_optimum"] = big
         rec["sub_optimum"] = sub
@@ -651,9 +647,7 @@ def subproblem_transfer_check(family: str, a: Tree, b: Tree, *,
         rec["delta_double"] = big - 2 * sub
         return rec
 
-    records = [one(aa, bb)
-               for aa in enumerate_trees(n, enum_cap)
-               for bb in enumerate_trees(m, enum_cap)]
+    records = [one(aa, bb) for aa in enumerate_trees(n) for bb in enumerate_trees(m)]
     deltas = sorted({r["delta"] for r in records})
     doubles = sorted({r["delta_double"] for r in records})
     smallest = one(chain(1), chain(1, "m")) if (n, m) != (1, 1) else records[0]
@@ -709,7 +703,8 @@ def _scan_one_pair(args: tuple[tuple[int, ...], tuple[int, ...], bool]) -> dict:
     merging (`solvers._merge_core`), the gap and, with prop21, the witness
     quotients.  The supertree optimum is the first success of: absorption
     (t1 is a minor of t2, so t2 is the supertree); the first embedding of
-    each hit subset, which the quotients reuse; then `_merge_refutation`."""
+    each hit subset (`solvers._witness_embedding`), which the quotients
+    reuse; then `_merge_refutation`."""
     seq1, seq2, with_prop21 = args
     t1, t2 = _scan_tree(seq1), _scan_tree(seq2)  # |t1| <= |t2| by scan order
     lcs_size, _, hits = _lcs_core(t1, t2, True)
@@ -737,32 +732,10 @@ def _scan_one_pair(args: tuple[tuple[int, ...], tuple[int, ...], bool]) -> dict:
     return rec
 
 
-def _witness_embedding(t1: Tree, t2: Tree,
-                       w: tuple[str, ...]) -> tuple[list[str], list[int], list[str]]:
-    """The optimal common minor that t1 induces on its node subset w, as
-    `largest_common_minor` reports it (t1 is the subset side, since
-    |t1| <= |t2|), without building it: its nodes in preorder, their parent
-    positions, and the images of the first embedding the search finds into
-    t2.  Both embeddings (the identity on w into t1, and that one into t2)
-    are re-validated."""
-    order, parent = _induced_preorder(t1, w)
-    images = _search(parent, [t1.labels.get(v) for v in order], t2, 1)
-    if not images:
-        raise SolverDisagreement(
-            f"the witness search finds no embedding of the common minor on {w} of "
-            f"{format_tree(t1)} into {format_tree(t2)}, which inclusion accepted")
-    mu_arcs = [(order[p], v) for v, p in zip(order, parent) if p >= 0]
-    for g, t in (({v: v for v in order}, t1), (dict(zip(order, images[0])), t2)):
-        bad = _violations(g, order, mu_arcs, t1.labels, t.root, t._parent, t.labels)
-        if bad:
-            raise EmbeddingError(bad)
-    return order, parent, images[0]
-
-
 def _witness_quotient(t1: Tree, t2: Tree, order: list[str], parent: list[int],
                       images: list[str]) -> dict:
-    """The prop21 record of a witness from `_witness_embedding`, its quotient
-    glued on class ids."""
+    """The prop21 record of a witness from `solvers._witness_embedding`, its
+    quotient glued on class ids."""
     g1, g2 = {v: v for v in order}, dict(zip(order, images))
     class_of1, class_of2, n, arcs, merged = _glue(t1, t2, order, g1, g2)
     identity_findings = _identities(range(n), class_of1, class_of2, order, g1, g2, merged)
@@ -797,9 +770,9 @@ def scan_pairs(max_size: int, checks: Iterable[str] = ("eq4",),
     has its quotient glued and checked on integer class ids, by the cores of
     `treelab.quotient`: path-uniqueness violations, the structural
     identities, and whether reduction yields a tree.  The witnesses are those
-    `largest_common_minor` reports, but none is built as a named `Tree`:
-    each is glued straight from its node subset of the smaller tree, with
-    both embeddings re-validated first (`_witness_quotient`).
+    `largest_common_minor` reports (`solvers._witness_embedding`), but none
+    is built as a named `Tree`: each is glued straight from its node subset
+    of the smaller tree (`_witness_quotient`).
     """
     checks = tuple(checks)
     unknown = set(checks) - {"eq4", "prop21"}

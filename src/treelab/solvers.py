@@ -14,24 +14,23 @@ Each search is a core that works on interned shapes or node positions only
 and returns the optimum and its hits (`_lcs_core` also its levels; the
 supertree levels are counts of trees in code order, which the public solver
 derives).  The public solvers wrap the cores and build named `Tree`s and
-embeddings for the hits alone.  The pair scan calls the cores directly when
-it needs sizes only.
+embeddings for the hits alone.  A common-minor hit subset becomes a witness
+only through `_witness_embedding`, for `largest_common_minor` and the scan.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Mapping
 
-from .errors import BudgetError, SolverDisagreement, TreeError
+from .errors import BudgetError, EmbeddingError, SolverDisagreement, TreeError
 from .trees import (_KIDS, _LABEL, ENUM_CAP_DEFAULT, Tree, _code, _intern, _intern_node,
                     _level_sequences, _levels_of, _shape, _tree_count,
                     _tree_from_levels, format_tree)
 from .embeddings import (MinorEmbedding, _fits, _induced_preorder, _search, _violations,
-                         check_embedding, find_embedding, induced_minor, is_minor,
-                         is_minor_by_subsets)
+                         check_embedding, find_embedding, is_minor, is_minor_by_subsets)
 
 #: Default per-input node cap for the brute-force common-minor search.
 NODE_BUDGET_DEFAULT = 12
@@ -184,10 +183,11 @@ def largest_common_minor(t1: Tree, t2: Tree, all_witnesses: bool = False,
     """Maximum-size tree that is a minor of both inputs, with witnesses.
 
     `_lcs_core` finds the optimum on shapes, walking the induced shapes of
-    the smaller input; only its hits become named `Tree`s (`induced_minor` on
-    the first subset of each hit shape), in canonical-code order.  Each
-    witness carries the identity embedding on the subset side and the first
-    embedding `find_embedding` finds on the other.
+    the smaller input; only its hits become named `Tree`s, in canonical-code
+    order: the minor the smaller input induces on the first subset of each
+    hit shape, with its labels and region tags.  Each witness carries the
+    identity embedding on the subset side and the first embedding the search
+    finds on the other, both re-validated by `_witness_embedding`.
     """
     started = time.perf_counter()
     _require_solvable(t1, t2)
@@ -201,13 +201,36 @@ def largest_common_minor(t1: Tree, t2: Tree, all_witnesses: bool = False,
     k, levels, hits = _lcs_core(small, other, all_witnesses)
     witnesses = []
     for w in hits:
-        m = induced_minor(small, w)
+        order, parent, images = _witness_embedding(small, other, w)
+        m = Tree(order, [(order[p], v) for v, p in zip(order, parent) if p >= 0], order[0],
+                 {v: a for v, a in small.labels.items() if v in w},
+                 {v: a for v, a in small.region_tags.items() if v in w})
         into_small = _identity_embedding(m, small)
-        into_other = find_embedding(m, other)
-        assert into_other is not None
+        into_other = MinorEmbedding(m, other, dict(zip(order, images)))
         g1, g2 = (into_other, into_small) if flipped else (into_small, into_other)
         witnesses.append(CommonTreeWitness(m, g1, g2))
     return LcsResult(k, witnesses, levels, (time.perf_counter() - started) * 1e3)
+
+
+def _witness_embedding(small: Tree, other: Tree,
+                       w: tuple[str, ...]) -> tuple[list[str], list[int], list[str]]:
+    """The common minor that `small` induces on its node subset w, unbuilt:
+    its nodes in preorder, their parent positions (-1 at the root), and the
+    images of the first embedding the search yields into `other`.  Both
+    embeddings (the identity on w into `small`, and that one) are
+    re-validated through `_violations`."""
+    order, parent = _induced_preorder(small, w)
+    images = next(_search(parent, [small.labels.get(v) for v in order], other), None)
+    if images is None:
+        raise SolverDisagreement(
+            f"the witness search finds no embedding of the common minor on {w} of "
+            f"{format_tree(small)} into {format_tree(other)}, which inclusion accepted")
+    arcs = [(order[p], v) for v, p in zip(order, parent) if p >= 0]
+    for g, t in (({v: v for v in order}, small), (dict(zip(order, images)), other)):
+        bad = _violations(g, order, arcs, small.labels, t.root, t._parent, t.labels)
+        if bad:
+            raise EmbeddingError(bad)
+    return order, parent, images
 
 
 #: One-node insertions strictly below the root of each shape (the moves of
@@ -255,12 +278,10 @@ def _insertions(s: int) -> frozenset[int]:
 
 
 def _scs_core(t1: Tree, t2: Tree, all_witnesses: bool, ceiling: int,
-              enum_cap: int) -> tuple[int, Tree | list[int]]:
-    """The supertree search on shapes: (optimum, hits).
+              enum_cap: int) -> tuple[int, list[int]]:
+    """The supertree search on shapes: (optimum, hit shapes).
 
-    Without `all_witnesses`, an input that contains the other is itself an
-    optimal witness (absorption); the hits are then that input.  Otherwise
-    walk n upward from max(|t1|, |t2|) to `ceiling` through the size-n
+    Walk n upward from max(|t1|, |t2|) to `ceiling` through the size-n
     supertrees of the bigger input, starting from that input itself, and
     test each, in canonical-code order, with `_fits` for the other input;
     the hits are the hit shapes of the first level with one (only the first
@@ -276,11 +297,6 @@ def _scs_core(t1: Tree, t2: Tree, all_witnesses: bool, ceiling: int,
     refutes every tree of its size.
     """
     start = max(t1.size, t2.size)
-    if not all_witnesses and start <= ceiling:
-        for big, little in ((t1, t2), (t2, t1)):
-            if big.size >= little.size and is_minor(little, big):
-                return big.size, big
-
     big, little = ((t1, t2) if (t1.size, len(t1.leaves)) >= (t2.size, len(t2.leaves))
                    else (t2, t1))
     target = _shape(little)
@@ -431,10 +447,11 @@ def _merge_refutation(t1: Tree, t2: Tree, k: int, hits: list[tuple[str, ...]]) -
     k, subsets of t1) failed to merge: try their other embeddings, then
     every embedding of every node subset of t1 that induces a tree, at k,
     k - 1, and so on.  By the lemma of `_merge_core` the first merge found
-    is optimal; on unlabeled inputs the root pair alone always merges."""
+    is optimal; on unlabeled inputs the root pair alone always merges.  Each
+    matching is tried as the search yields it."""
     def merged(w: tuple[str, ...], skip: int) -> int | None:
         order, parent = _induced_preorder(t1, w)
-        for images in _search(parent, [t1.labels.get(v) for v in order], t2, None)[skip:]:
+        for images in islice(_search(parent, [t1.labels.get(v) for v in order], t2), skip, None):
             c = _merge_core(t1, t2, dict(zip(order, images)))
             if c is not None:
                 return len(c)
@@ -469,6 +486,8 @@ def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
                               enum_cap: int = ENUM_CAP_DEFAULT) -> ScsResult:
     """Minimum-size tree containing both inputs as minors, with witnesses.
 
+    Without `all_witnesses`, an input that contains the other is itself an
+    optimal witness (absorption), reported as a one-tree level.  Otherwise
     `_scs_core` finds the optimum on shapes, growing the supertrees of the
     bigger input upward from max(|t1|, |t2|) (the root merge guarantees a
     hit by n = |t1| + |t2| - 1, or `max_size` if smaller).  The levels are
@@ -488,26 +507,27 @@ def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
 
     natural = t1.size + t2.size - 1
     ceiling = natural if max_size is None else min(max_size, natural)
+    if not all_witnesses and max(t1.size, t2.size) <= ceiling:
+        for big, little in ((t1, t2), (t2, t1)):
+            if big.size >= little.size and is_minor(little, big):
+                f_little = find_embedding(little, big)
+                assert f_little is not None
+                ident = _identity_embedding(big, big)
+                emb1, emb2 = (ident, f_little) if big is t1 else (f_little, ident)
+                return ScsResult(big.size, [CommonTreeWitness(big, emb1, emb2)],
+                                 [LevelStats(big.size, 1, 1)],
+                                 (time.perf_counter() - started) * 1e3)
     n, hits = _scs_core(t1, t2, all_witnesses, ceiling, enum_cap)
-    if isinstance(hits, Tree):  # absorption: the bigger input is the witness
-        levels = [LevelStats(n, 1, 1)]
-        little = t2 if hits is t1 else t1
-        f_little = find_embedding(little, hits)
-        assert f_little is not None
-        ident = _identity_embedding(hits, hits)
-        emb1, emb2 = (ident, f_little) if hits is t1 else (f_little, ident)
-        witnesses = [CommonTreeWitness(hits, emb1, emb2)]
-    else:
-        sequences = [_levels_of(c) for c in hits]
-        levels = [LevelStats(k, _tree_count(k), 0) for k in range(max(t1.size, t2.size), n)]
-        levels.append(LevelStats(n, _tree_count(n) if all_witnesses
-                                 else _code_rank(n, sequences[0]), len(hits)))
-        witnesses = []
-        for c in map(_tree_from_levels, sequences):
-            f1 = find_embedding(t1, c)
-            f2 = find_embedding(t2, c)
-            assert f1 is not None and f2 is not None
-            witnesses.append(CommonTreeWitness(c, f1, f2))
+    sequences = [_levels_of(c) for c in hits]
+    levels = [LevelStats(k, _tree_count(k), 0) for k in range(max(t1.size, t2.size), n)]
+    levels.append(LevelStats(n, _tree_count(n) if all_witnesses
+                             else _code_rank(n, sequences[0]), len(hits)))
+    witnesses = []
+    for c in map(_tree_from_levels, sequences):
+        f1 = find_embedding(t1, c)
+        f2 = find_embedding(t2, c)
+        assert f1 is not None and f2 is not None
+        witnesses.append(CommonTreeWitness(c, f1, f2))
     return ScsResult(n, witnesses, levels, (time.perf_counter() - started) * 1e3)
 
 
@@ -549,17 +569,16 @@ def root_merge_supertree(t1: Tree, t2: Tree) -> Tree:
     return merged
 
 
-def unit_edit_distance(t1: Tree, t2: Tree, budget: int = NODE_BUDGET_DEFAULT) -> int:
+def unit_edit_distance(t1: Tree, t2: Tree) -> int:
     """Insert/delete edit distance at unit cost: |t1| + |t2| - 2 |common minor|.
 
     Deleting t1 down to a largest common minor and inserting up to t2 is an
     optimal edit script under unit-cost insertions and deletions.
     """
-    lcs = largest_common_minor(t1, t2, budget=budget)
-    return t1.size + t2.size - 2 * lcs.optimum_size
+    return t1.size + t2.size - 2 * largest_common_minor(t1, t2).optimum_size
 
 
-def cross_check_minor(s: Tree, t: Tree, budget: int = NODE_BUDGET_DEFAULT) -> bool:
+def cross_check_minor(s: Tree, t: Tree) -> bool:
     """Run the inclusion, backtracking and subset strategies; they must agree.
 
     Disagreement raises `SolverDisagreement` - it would mean a bug, never a
@@ -568,8 +587,8 @@ def cross_check_minor(s: Tree, t: Tree, budget: int = NODE_BUDGET_DEFAULT) -> bo
     through shape ids, so a wrong table would make them agree.  The tests'
     `reference_code` and `brute_force_isomorphic` check the table itself.
     """
-    if s.size > budget or t.size > budget:
-        raise BudgetError(f"cross-check limited to inputs of {budget} nodes")
+    if s.size > NODE_BUDGET_DEFAULT or t.size > NODE_BUDGET_DEFAULT:
+        raise BudgetError(f"cross-check limited to inputs of {NODE_BUDGET_DEFAULT} nodes")
     if s.root is None or t.root is None:
         raise TreeError("cross-check requires non-empty trees")
     verdicts = (is_minor(s, t), find_embedding(s, t) is not None,

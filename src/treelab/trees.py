@@ -338,15 +338,14 @@ class Digraph:
 
 
 def tree_from_arcs(root: str, arcs: Iterable[tuple[str, str]],
-                   labels: Mapping[str, str] | None = None,
-                   region_tags: Mapping[str, str] | None = None) -> Tree:
+                   labels: Mapping[str, str] | None = None) -> Tree:
     """Build a tree from its root and arc list (nodes inferred)."""
     arcs = list(arcs)
     nodes = {root}
     for a, b in arcs:
         nodes.add(a)
         nodes.add(b)
-    return Tree(nodes, arcs, root, labels, region_tags)
+    return Tree(nodes, arcs, root, labels)
 
 
 def validate(g) -> list[StructureViolation]:

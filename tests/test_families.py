@@ -376,9 +376,9 @@ def test_scan_records_match_the_named_witness_oracle_up_to_6():
 
 
 def test_scan_revalidates_the_searched_embedding(monkeypatch):
-    def invalid(parent, labels, t, limit):
-        return [[t.root] * len(parent)]  # every node onto the target's root
+    def invalid(parent, labels, t):
+        yield [t.root] * len(parent)  # every node onto the target's root
 
-    monkeypatch.setattr(families, "_search", invalid)
+    monkeypatch.setattr(solvers, "_search", invalid)
     with pytest.raises(EmbeddingError, match="not injective"):
         scan_pairs(3, checks=("eq4", "prop21"))

@@ -5,11 +5,12 @@ import sys
 import pytest
 from hypothesis import given, settings
 
-from treelab import (BudgetError, TreeError, are_isomorphic, canonical_code,
-                     chain, check_embedding, cross_check_minor,
-                     enumerate_trees, find_embedding, format_tree, is_minor,
-                     largest_common_minor, parse_tree, root_merge_supertree,
-                     smallest_common_supertree, star, unit_edit_distance)
+from treelab import (BudgetError, EmbeddingError, TreeError, are_isomorphic,
+                     canonical_code, chain, check_embedding, cross_check_minor,
+                     enumerate_trees, fig1_family, find_embedding, format_tree,
+                     induced_minor, is_minor, largest_common_minor, parse_tree,
+                     root_merge_supertree, smallest_common_supertree, star,
+                     unit_edit_distance)
 
 from treelab import solvers, trees
 from treelab.embeddings import _fits
@@ -172,17 +173,38 @@ def test_lcs_of_inputs_sharing_no_label_is_empty():
 def test_lcs_builds_one_induced_minor_per_witness(monkeypatch):
     built = []
 
-    def counting(t, w):
+    def counting(small, other, w):
         built.append(frozenset(w))
-        return real(t, w)
+        return real(small, other, w)
 
-    real = solvers.induced_minor
-    monkeypatch.setattr(solvers, "induced_minor", counting)
+    real = solvers._witness_embedding
+    monkeypatch.setattr(solvers, "_witness_embedding", counting)
     t1, t2 = parse_tree("a(y(p1(p2(p3)),r),s1(s2,s3))"), parse_tree("a(p1(p2(p3)),z(r,s1(s2,s3)))")
     r = largest_common_minor(t1, t2, all_witnesses=True)
     assert len(built) == len(r.witnesses) == r.levels[-1].hits
     assert [w.tree.nodes for w in r.witnesses] == sorted(
-        built, key=lambda w: canonical_code(real(t1, w)))
+        built, key=lambda w: canonical_code(induced_minor(t1, w)))
+
+
+def test_lcs_witnesses_keep_the_induced_region_tags():
+    inst = fig1_family(parse_tree("p1(p2(p3))"), parse_tree("r"), parse_tree("s1(s2,s3)"))
+    r = largest_common_minor(inst.t1, inst.t2, all_witnesses=True)
+    assert r.witnesses
+    for w in r.witnesses:
+        induced = induced_minor(inst.t1, w.tree.nodes)
+        assert w.tree == induced
+        assert w.tree.labels == induced.labels
+        assert w.tree.region_tags == induced.region_tags
+        assert set(w.tree.region_tags.values()) <= {"spine", "P", "R", "S"}
+
+
+def test_lcs_revalidates_the_searched_embedding(monkeypatch):
+    def invalid(parent, labels, t):
+        yield [t.root] * len(parent)  # every node onto the target's root
+
+    monkeypatch.setattr(solvers, "_search", invalid)
+    with pytest.raises(EmbeddingError, match="not injective"):
+        largest_common_minor(parse_tree("a(b,c)"), parse_tree("x(y,z)"))
 
 
 # -- smallest common supertree -------------------------------------------------------
@@ -442,6 +464,22 @@ def test_the_full_merge_refutation_matches_growth_on_all_pairs_up_to_6():
         for t2 in trees6[i:]:
             got = solvers._merge_refutation(t1, t2, t1.size, [])
             assert got == growth_optimum(t1, t2), (format_tree(t1), format_tree(t2))
+
+
+def test_merge_refutation_stops_at_the_first_matching_that_merges(monkeypatch):
+    yielded = []
+
+    def recording(parent, labels, t):
+        for images in real(parent, labels, t):
+            yielded.append(images)
+            yield images
+
+    real = solvers._search
+    monkeypatch.setattr(solvers, "_search", recording)
+    t1, t2 = parse_tree("a(b,c)"), parse_tree("x(y,z)")
+    # the first subset at level 3 is all of t1, and its first matching merges
+    assert solvers._merge_refutation(t1, t2, 3, []) == 3
+    assert yielded == [["x", "y", "z"]]
 
 
 @settings(max_examples=40, deadline=None)
