@@ -52,9 +52,11 @@ check "quotient report builds" 0 treelab quotient "$T1" "$T2"
 
 # the largest quotient workload: every optimal common-minor witness of every
 # pair up to size 7 (4,796 quotients), pinned by the SHA-256 of its report
-# without `timing`, serialized compactly in the program's key order
+# without `timing`, serialized compactly in the program's key order; the
+# process pool must give the same report as one process
 want=607c6c1512f55dc4204704ca46c23b8956d1112ecdda87cefdfbaf7dc2c34e23
-got=$(treelab scan --max-size 7 --check eq4,prop21 --jobs 1 | python3 -c '
+for jobs in 1 2; do
+  got=$(treelab scan --max-size 7 --check eq4,prop21 --jobs "$jobs" | python3 -c '
 import hashlib, json, sys
 def strip(v):
     if isinstance(v, dict):
@@ -62,12 +64,13 @@ def strip(v):
     return [strip(x) for x in v] if isinstance(v, list) else v
 text = json.dumps(strip(json.load(sys.stdin)), separators=(",", ":"), ensure_ascii=False)
 print(hashlib.sha256(text.encode()).hexdigest())')
-if [ "$got" = "$want" ]; then
-  echo "PASS  scan --max-size 7 --check eq4,prop21 report digest"
-else
-  echo "FAIL  scan --max-size 7 --check eq4,prop21 report digest is $got, expected $want"
-  failures=$((failures + 1))
-fi
+  if [ "$got" = "$want" ]; then
+    echo "PASS  scan --max-size 7 --check eq4,prop21 --jobs $jobs report digest"
+  else
+    echo "FAIL  scan --max-size 7 --check eq4,prop21 --jobs $jobs report digest is $got, expected $want"
+    failures=$((failures + 1))
+  fi
+done
 
 # the scan decides each supertree optimum by merging common-minor matchings;
 # growing the bigger input's supertrees must give the same optimum on every
@@ -75,8 +78,8 @@ fi
 got=$(python3 -c '
 from treelab.families import _scan_one_pair, _scan_tree
 from treelab.solvers import _scs_core
-from treelab.trees import ENUM_CAP_DEFAULT, _catalogue
-shapes = [seq for k in range(1, 9) for _, seq in _catalogue(k)]
+from treelab.trees import ENUM_CAP_DEFAULT, _level_sequences
+shapes = [seq for k in range(1, 9) for seq in _level_sequences(k)]
 pairs = disagreements = gaps = 0
 for i, seq1 in enumerate(shapes):
     for seq2 in shapes[i:]:

@@ -18,12 +18,10 @@ from .embeddings import (EmbeddingViolation, Lemma4Witness, MinorEmbedding,
                          is_minor_by_subsets, map_path)
 from .solvers import (CommonTreeWitness, LcsResult, ScsResult,
                       cross_check_minor, largest_common_minor,
-                      root_merge_supertree, smallest_common_supertree,
-                      unit_edit_distance)
+                      root_merge_supertree, smallest_common_supertree)
 from .quotient import (Prop21Report, Prop21Violation, QuotientGraph,
-                       ThetaClass, ThetaRelation, build_quotient, build_theta,
-                       check_eq2_eq3, check_prop21, eq4_prediction,
-                       quotient_to_dot, reduce_quotient)
+                       ThetaClass, build_quotient, check_eq2_eq3, check_prop21,
+                       eq4_prediction, quotient_to_dot, reduce_quotient)
 from .families import (DegenerateFamilyWarning, Fig1Instance, ScanReport,
                        SupertreeCandidate, TripleMergeWitness,
                        VerificationReport, check_fig5_claims, check_theorem5,

@@ -30,7 +30,7 @@ from typing import Iterable
 
 from ._parallel import parallel_map
 from .errors import BudgetError, EmbeddingError, SolverDisagreement, TreeError
-from .trees import (ENUM_CAP_DEFAULT, Digraph, Tree, _catalogue, _code, _literal,
+from .trees import (ENUM_CAP_DEFAULT, Digraph, Tree, _literal, _level_sequences,
                     _literal_from_levels, _tree_from_levels, are_isomorphic, chain,
                     enumerate_trees, format_tree, is_rooted_tree, parse_tree,
                     star, tree_from_arcs)
@@ -272,22 +272,20 @@ def region_images(tree: Tree, f: MinorEmbedding) -> dict[str, frozenset[str]]:
 
 
 def check_theorem5(inst: Fig1Instance, t_sigma: Tree, f1: MinorEmbedding,
-                   f2: MinorEmbedding, validate_embeddings: bool = True
-                   ) -> TripleMergeWitness | None:
+                   f2: MinorEmbedding) -> TripleMergeWitness | None:
     """Detect a simultaneous merge of all three part regions.
 
     A slot merges when some node of t1's copy and some node of t2's copy
     share an image in the supertree.  Merging all of P, R and S at once is
     impossible for valid embeddings; `None` means no triple merge.
     """
-    if validate_embeddings:
-        for f, source in ((f1, inst.t1), (f2, inst.t2)):
-            if f.source != source or f.target != t_sigma:
-                raise EmbeddingError([EmbeddingViolation(
-                    None, "embedding does not relate the instance to the supertree")])
-            bad = check_embedding(f.mapping, f.source, f.target)
-            if bad:
-                raise EmbeddingError(bad)
+    for f, source in ((f1, inst.t1), (f2, inst.t2)):
+        if f.source != source or f.target != t_sigma:
+            raise EmbeddingError([EmbeddingViolation(
+                None, "embedding does not relate the instance to the supertree")])
+        bad = check_embedding(f.mapping, f.source, f.target)
+        if bad:
+            raise EmbeddingError(bad)
 
     img1 = region_images(inst.t1, f1)
     img2 = region_images(inst.t2, f2)
@@ -449,8 +447,7 @@ def verify_counterexample(p: Tree, r: Tree, s: Tree, *,
             pairs = [(witness.emb1, witness.emb2)]
         for f1, f2 in pairs:
             pairs_checked += 1
-            merge_found |= check_theorem5(inst, witness.tree, f1, f2,
-                                          validate_embeddings=False) is not None
+            merge_found |= check_theorem5(inst, witness.tree, f1, f2) is not None
     timing["theorem5_ms"] = round((time.perf_counter() - t0) * 1e3, 3)
     timing["total_ms"] = round((time.perf_counter() - started) * 1e3, 3)
 
@@ -760,19 +757,22 @@ def scan_pairs(max_size: int, checks: Iterable[str] = ("eq4",),
 
     For every pair the exact common-minor and common-supertree optima are
     computed; the gap distribution is recorded and the first pair (in
-    size-then-code order) with a positive gap is reported.  Workers receive
-    level sequences and ask the solver cores for sizes only.  The supertree
-    optimum comes from merging common-minor matchings
-    (`solvers._merge_core`), not from growing supertrees: by its lemma it is
-    |t1| + |t2| minus the largest matching that merges, and each merge is
-    built and re-validated (`_scan_one_pair`).  With the
-    ``prop21`` check enabled, every optimal common-minor witness additionally
-    has its quotient glued and checked on integer class ids, by the cores of
-    `treelab.quotient`: path-uniqueness violations, the structural
-    identities, and whether reduction yields a tree.  The witnesses are those
-    `largest_common_minor` reports (`solvers._witness_embedding`), but none
-    is built as a named `Tree`: each is glued straight from its node subset
-    of the smaller tree (`_witness_quotient`).
+    size-then-code order) with a positive gap is reported.  That order is
+    read off the level sequences, whose decreasing order is code order
+    (`trees._level_sequences`), so ordering the pairs interns no shape and
+    builds no code.  Workers receive level sequences and ask the solver
+    cores for sizes only.  The supertree optimum comes from merging
+    common-minor matchings (`solvers._merge_core`), not from growing
+    supertrees: by its lemma it is |t1| + |t2| minus the largest matching
+    that merges, and each merge is built and re-validated (`_scan_one_pair`).
+    With the ``prop21`` check enabled, every optimal common-minor witness
+    additionally has its quotient glued and checked on integer class ids, by
+    the cores of `treelab.quotient`: path-uniqueness violations, the
+    structural identities, and whether reduction yields a tree.  The
+    witnesses are those `largest_common_minor` reports
+    (`solvers._witness_embedding`), but none is built as a named `Tree`: each
+    is glued straight from its node subset of the smaller tree
+    (`_witness_quotient`).
     """
     checks = tuple(checks)
     unknown = set(checks) - {"eq4", "prop21"}
@@ -784,15 +784,15 @@ def scan_pairs(max_size: int, checks: Iterable[str] = ("eq4",),
         raise BudgetError(f"scan limited to sizes <= {cap} (got {max_size})")
     started = time.perf_counter()
 
-    shapes = [sc for k in range(1, max_size + 1) for sc in _catalogue(k)]
-    order = sorted(
-        ((i, j) for i in range(len(shapes)) for j in range(i, len(shapes))),
-        key=lambda ij: (len(shapes[ij[0]][1]) + len(shapes[ij[1]][1]),
-                        _code(shapes[ij[0]][0]), _code(shapes[ij[1]][0])))
+    seqs = [seq for k in range(1, max_size + 1) for seq in _level_sequences(k)]
+    rank = {seq: r for r, seq in enumerate(sorted(seqs, reverse=True))}
+    order = sorted(((i, j) for i in range(len(seqs)) for j in range(i, len(seqs))),
+                   key=lambda ij: (len(seqs[ij[0]]) + len(seqs[ij[1]]),
+                                   rank[seqs[ij[0]]], rank[seqs[ij[1]]]))
     with_prop21 = "prop21" in checks
-    work = [(shapes[i][1], shapes[j][1], with_prop21) for i, j in order]
+    work = [(seqs[i], seqs[j], with_prop21) for i, j in order]
     records = parallel_map(_scan_one_pair, work, jobs)
-    literals = [_literal_from_levels(seq) for _, seq in shapes]
+    literals = [_literal_from_levels(seq) for seq in seqs]
     for (i, j), rec in zip(order, records):
         rec["t1"], rec["t2"] = literals[i], literals[j]
 

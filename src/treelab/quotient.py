@@ -47,23 +47,6 @@ class ThetaClass:
         return {"members": [node_str(m) for m in self.members]}
 
 
-@dataclass
-class ThetaRelation:
-    """The gluing equivalence on the tagged node union of t1 and t2."""
-
-    classes: tuple[ThetaClass, ...]
-    class_of: dict[TaggedNode, ThetaClass]
-
-    def pairs(self) -> frozenset[tuple[TaggedNode, TaggedNode]]:
-        """All related ordered pairs (reflexive and symmetric by construction)."""
-        out = set()
-        for cls in self.classes:
-            for a in cls.members:
-                for b in cls.members:
-                    out.add((a, b))
-        return frozenset(out)
-
-
 def _require_witness(t_mu: Tree, g1: MinorEmbedding, g2: MinorEmbedding) -> None:
     if g1.source != t_mu or g2.source != t_mu:
         raise EmbeddingError([EmbeddingViolation(
@@ -328,14 +311,6 @@ def build_quotient(t1: Tree, t2: Tree, t_mu: Tree,
                          {v: classes[i] for v, i in class_of1.items()},
                          {v: classes[i] for v, i in class_of2.items()},
                          frozenset(classes[i] for i in mu_ids), t_mu, g1, g2)
-
-
-def build_theta(t_mu: Tree, g1: MinorEmbedding, g2: MinorEmbedding) -> ThetaRelation:
-    """Relation merging (1, g1(c)) with (2, g2(c)) for every mu-node c."""
-    q = build_quotient(g1.target, g2.target, t_mu, g1, g2)
-    class_of = {(1, v): c for v, c in q.ell1.items()}
-    class_of.update(((2, v), c) for v, c in q.ell2.items())
-    return ThetaRelation(q.classes, class_of)
 
 
 def check_eq2_eq3(q: QuotientGraph) -> list[str]:

@@ -481,6 +481,15 @@ def _code_rank(n: int, stop: tuple[int, ...]) -> int:
     raise AssertionError(f"{stop} is not a canonical size-{n} level sequence")
 
 
+def _found(f: MinorEmbedding | None, s: Tree, t: Tree) -> MinorEmbedding:
+    """The witness search's embedding of s into t, which inclusion accepted."""
+    if f is None:
+        raise SolverDisagreement(f"the witness search finds no embedding of "
+                                 f"{format_tree(s)} into {format_tree(t)}, which "
+                                 f"inclusion accepted")
+    return f
+
+
 def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
                               max_size: int | None = None,
                               enum_cap: int = ENUM_CAP_DEFAULT) -> ScsResult:
@@ -510,8 +519,7 @@ def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
     if not all_witnesses and max(t1.size, t2.size) <= ceiling:
         for big, little in ((t1, t2), (t2, t1)):
             if big.size >= little.size and is_minor(little, big):
-                f_little = find_embedding(little, big)
-                assert f_little is not None
+                f_little = _found(find_embedding(little, big), little, big)
                 ident = _identity_embedding(big, big)
                 emb1, emb2 = (ident, f_little) if big is t1 else (f_little, ident)
                 return ScsResult(big.size, [CommonTreeWitness(big, emb1, emb2)],
@@ -524,10 +532,8 @@ def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
                              else _code_rank(n, sequences[0]), len(hits)))
     witnesses = []
     for c in map(_tree_from_levels, sequences):
-        f1 = find_embedding(t1, c)
-        f2 = find_embedding(t2, c)
-        assert f1 is not None and f2 is not None
-        witnesses.append(CommonTreeWitness(c, f1, f2))
+        witnesses.append(CommonTreeWitness(c, _found(find_embedding(t1, c), t1, c),
+                                           _found(find_embedding(t2, c), t2, c)))
     return ScsResult(n, witnesses, levels, (time.perf_counter() - started) * 1e3)
 
 
@@ -567,15 +573,6 @@ def root_merge_supertree(t1: Tree, t2: Tree) -> Tree:
         if bad:
             raise AssertionError(f"root merge produced a non-supertree: {bad[0]}")
     return merged
-
-
-def unit_edit_distance(t1: Tree, t2: Tree) -> int:
-    """Insert/delete edit distance at unit cost: |t1| + |t2| - 2 |common minor|.
-
-    Deleting t1 down to a largest common minor and inserting up to t2 is an
-    optimal edit script under unit-cost insertions and deletions.
-    """
-    return t1.size + t2.size - 2 * largest_common_minor(t1, t2).optimum_size
 
 
 def cross_check_minor(s: Tree, t: Tree) -> bool:

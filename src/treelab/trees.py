@@ -3,10 +3,9 @@
 Parsing and printing of tree literals, structural validation (a report of
 every violation, or the boolean `is_rooted_tree`), the interned shape table
 (the single isomorphism authority: canonical codes, isomorphism, common-minor
-deduplication and the inclusion decider all read it), the cached catalogue
-of shapes of every rooted unordered tree size (in generation order,
-which is canonical-code order), enumeration of every size straight from its
-level sequences (the iterator `enumerate_trees` names tree by tree and
+deduplication and the inclusion decider all read it), enumeration of every
+size straight from its level sequences, whose generation order is
+canonical-code order (the iterator `enumerate_trees` names tree by tree and
 `_literal_from_levels` writes literals; neither interns anything), disjoint
 unions, and DOT export.
 
@@ -25,7 +24,7 @@ from .errors import BudgetError, InvalidTreeError, ParseError, TreeError
 
 NAME_PATTERN = re.compile(r"[A-Za-z0-9_]+")
 
-#: Largest size `enumerate_trees` accepts unless the caller raises the cap.
+#: Largest size `enumerate_trees` accepts (`treelab enum` too, by default).
 ENUM_CAP_DEFAULT = 14
 
 
@@ -480,16 +479,15 @@ def _literal(order: Iterable[str], depths: Iterable[int], labels: Mapping[str, s
 # authority and `_intern_node` its only writer (`_intern` enters a whole tree
 # through it, the supertree growth in `solvers` one new node at a time);
 # `embeddings` reads the per-shape label, children and size.  It lives as long
-# as the process, as do the code strings `_code` caches per shape and the
-# catalogue of shapes that the pair scan walks.  Enumeration (`enumerate_trees`,
-# `treelab enum`) reads the level sequences directly and writes nothing here.
+# as the process, as do the code strings `_code` caches per shape.  Enumeration
+# (`enumerate_trees`, `treelab enum`) and the pair scan's ordering read the
+# level sequences directly and write nothing here.
 
 _SHAPE_IDS: dict[tuple[str | None, tuple[int, ...]], int] = {}
 _LABEL: list[str | None] = []
 _KIDS: list[tuple[int, ...]] = []
 _SIZE: list[int] = []
 _CODE: dict[int, str] = {-1: ""}
-_CATALOGUE: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
 
 
 def _intern_node(label: str | None, kids: tuple[int, ...]) -> int:
@@ -547,8 +545,9 @@ def _code(s: int) -> str:
 
 def _levels_of(s: int) -> tuple[int, ...]:
     """The canonical level sequence of shape s (root at level 1): the depth at
-    each ``(`` of its code.  For an unlabeled shape this is the sequence the
-    catalogue holds for it, so `_tree_from_levels` names it as enumeration does."""
+    each ``(`` of its code.  For an unlabeled shape this is the sequence
+    `_level_sequences` yields for it, so `_tree_from_levels` names it as
+    enumeration does."""
     out, depth = [], 0
     for ch in _code(s):
         if ch == "(":
@@ -583,6 +582,16 @@ def _level_sequences(n: int) -> Iterator[tuple[int, ...]]:
     start from the path ``1,2,...,n`` and repeatedly rewind the rightmost
     entry above 2, copying the segment from its parent onward.  Each
     isomorphism class appears exactly once.
+
+    Decreasing level-sequence order is canonical-code order, across sizes as
+    well as within one.  The sequences come out in decreasing lexicographic
+    order.  The parenthesis string of a canonical level sequence is its
+    shape's canonical code, and a larger sequence has the smaller string,
+    since ``(`` < ``)``: at the first entry where two sequences differ, the
+    larger one closes fewer nodes before it writes that entry's ``(``; and
+    where one is a proper prefix of the other, the longer one (the larger
+    tuple) writes a ``(`` while the shorter still closes.  So trees are
+    ordered without computing a code.
     """
     seq = list(range(1, n + 1))
     while True:
@@ -651,21 +660,6 @@ def _literal_from_levels(levels: tuple[int, ...]) -> str:
     return "".join(parts)
 
 
-def _catalogue(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(shape id, level sequence) of every unlabeled rooted tree on n >= 1
-    nodes, in generation order; cached per size.
-
-    That order is sorted canonical-code order.  `_level_sequences` yields
-    canonical level sequences in decreasing lexicographic order; a larger
-    level sequence has the smaller parenthesis string, since ``(`` < ``)``;
-    and the parenthesis string of a canonical level sequence is the shape's
-    canonical code.  So no code is computed here.
-    """
-    if n not in _CATALOGUE:
-        _CATALOGUE[n] = tuple((_intern(ls, (None,) * n), ls) for ls in _level_sequences(n))
-    return _CATALOGUE[n]
-
-
 def _sized_sequences(n: int, cap: int) -> Iterator[tuple[int, ...]]:
     """The level sequences of every tree on n nodes, in canonical-code order;
     the size and cap are checked when this is called, not when iterated."""
@@ -676,15 +670,15 @@ def _sized_sequences(n: int, cap: int) -> Iterator[tuple[int, ...]]:
     return _level_sequences(n)
 
 
-def enumerate_trees(n: int, cap: int = ENUM_CAP_DEFAULT) -> Iterator[Tree]:
+def enumerate_trees(n: int) -> Iterator[Tree]:
     """All non-isomorphic rooted unordered unlabeled trees with n nodes.
 
     Exactly one representative per isomorphism class, in sorted canonical
     code order, which is the order the level sequences are generated in
-    (see `_catalogue`).  Nodes are named ``v0..v{n-1}`` in preorder.  Nothing
+    (see `_level_sequences`).  Nodes are named ``v0..v{n-1}`` in preorder.  Nothing
     is cached or interned: the iterator builds each `Tree` as it is consumed.
     """
-    return map(_tree_from_levels, _sized_sequences(n, cap))
+    return map(_tree_from_levels, _sized_sequences(n, ENUM_CAP_DEFAULT))
 
 
 # -- small constructions -----------------------------------------------------

@@ -13,6 +13,7 @@ quotients glued from node subsets); differential tests hold the fast forms
 to them.
 """
 
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
@@ -29,7 +30,8 @@ from treelab.quotient import (_glue, _identities, _prop21_core, _reduce_core,
                               _require_witness, _successors, eq4_prediction)
 from treelab.solvers import (CommonTreeWitness, LcsResult, LevelStats, ScsResult,
                              _scs_core)
-from treelab.trees import ENUM_CAP_DEFAULT, _catalogue, _shape, _tree_from_levels
+from treelab.trees import (ENUM_CAP_DEFAULT, _intern, _level_sequences, _shape,
+                           _tree_from_levels)
 
 
 def brute_force_isomorphic(t1, t2):
@@ -239,7 +241,7 @@ def scs_by_catalogue(t1, t2, all_witnesses=False):
     levels = []
     for n in range(max(t1.size, t2.size), t1.size + t2.size):
         hits, candidates = [], 0
-        for c, sequence in _catalogue(n):
+        for c, sequence in catalogue(n):
             candidates += 1
             if _fits(s1, c) and _fits(s2, c):
                 hits.append(_tree_from_levels(sequence))
@@ -389,6 +391,13 @@ def glued_pairs(draw, max_size=8):
 
 def all_trees_up_to(n):
     return [t for k in range(1, n + 1) for t in enumerate_trees(k)]
+
+
+@lru_cache(maxsize=None)
+def catalogue(n):
+    """(shape id, level sequence) of every unlabeled tree on n nodes, in
+    generation order, which is code order."""
+    return tuple((_intern(seq, (None,) * n), seq) for seq in _level_sequences(n))
 
 
 @pytest.fixture(scope="session")

@@ -91,7 +91,6 @@ def test_enum_builds_no_tree_and_interns_no_shape(capsys, monkeypatch):
 
     monkeypatch.setattr(trees, "_tree_from_levels", refuse)
     monkeypatch.setattr(trees, "_intern", refuse)
-    monkeypatch.setattr(trees, "_CATALOGUE", {})
     code, out, err = run(capsys, "enum", "--size", "9")
     assert code == 0 and err == "" and len(out.splitlines()) == 286
 

@@ -12,7 +12,7 @@ from treelab import (BudgetError, DegenerateFamilyWarning, EmbeddingError,
                      subproblem_transfer_check, validate, verify_counterexample)
 
 from treelab import embeddings, families, quotient, solvers, trees
-from treelab.trees import _catalogue
+from treelab.trees import _level_sequences
 
 from conftest import all_trees_up_to, scan_pair_with_named_witnesses
 
@@ -367,7 +367,7 @@ def test_scan_never_grows_supertrees(monkeypatch, checks):
 
 
 def test_scan_records_match_the_named_witness_oracle_up_to_6():
-    shapes = [seq for k in range(1, 7) for _, seq in _catalogue(k)]
+    shapes = [seq for k in range(1, 7) for seq in _level_sequences(k)]
     pairs = [(shapes[i], shapes[j], True)
              for i in range(len(shapes)) for j in range(i, len(shapes))]
     assert len(pairs) == 703

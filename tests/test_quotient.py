@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from treelab import (Digraph, EmbeddingError, MinorEmbedding, TreeError, build_quotient,
-                     build_theta, chain, check_eq2_eq3, check_prop21,
+                     chain, check_eq2_eq3, check_prop21,
                      eq4_prediction, fig1_family, is_rooted_tree, largest_common_minor,
                      parse_tree, quotient_to_dot, reduce_quotient, scan_pairs, star,
                      validate)
@@ -38,44 +38,41 @@ def headline():
     return inst, q
 
 
-# -- theta ---------------------------------------------------------------------
+# -- theta: the classes of the gluing relation ---------------------------------
 
 def test_theta_single_shared_node():
     mu = parse_tree("c")
     t1, t2 = parse_tree("a(b)"), parse_tree("x")
-    theta = build_theta(mu, MinorEmbedding(mu, t1, {"c": "a"}),
-                        MinorEmbedding(mu, t2, {"c": "x"}))
-    merged = [c for c in theta.classes if len(c.members) == 2]
+    q = build_quotient(t1, t2, mu, MinorEmbedding(mu, t1, {"c": "a"}),
+                       MinorEmbedding(mu, t2, {"c": "x"}))
+    merged = [c for c in q.classes if len(c.members) == 2]
     assert len(merged) == 1 and merged[0].members == ((1, "a"), (2, "x"))
 
 
 def test_theta_identity_merges_everything():
     t = parse_tree("a(b,c)")
-    theta = build_theta(t, identity_embedding(t, t), identity_embedding(t, t))
-    assert all(len(c.members) == 2 for c in theta.classes)
+    q = build_quotient(t, t, t, identity_embedding(t, t), identity_embedding(t, t))
+    assert all(len(c.members) == 2 for c in q.classes)
 
 
 def test_theta_headline_counts(headline):
-    inst, _ = headline
-    theta = build_theta(inst.claimed_mu, inst.g1, inst.g2)
-    merged = [c for c in theta.classes if len(c.members) == 2]
-    singles = [c for c in theta.classes if len(c.members) == 1]
+    _, q = headline
+    merged = [c for c in q.classes if len(c.members) == 2]
+    singles = [c for c in q.classes if len(c.members) == 1]
     assert len(merged) == 8
     assert sorted(c.members[0] for c in singles) == [(1, "y"), (2, "z")]
 
 
 def test_theta_is_an_equivalence():
+    # the classes partition the tagged nodes, and each node's class holds it
     t = parse_tree("a(b,c)")
     s = parse_tree("x(y)")
     mu = parse_tree("m(n)")
-    theta = build_theta(mu, MinorEmbedding(mu, t, {"m": "a", "n": "b"}),
-                        MinorEmbedding(mu, s, {"m": "x", "n": "y"}))
-    pairs = theta.pairs()
-    universe = {m for c in theta.classes for m in c.members}
-    assert all((a, a) in pairs for a in universe)
-    assert all((b, a) in pairs for a, b in pairs)
-    assert all((a, c) in pairs
-               for a, b in pairs for b2, c in pairs if b == b2)
+    q = build_quotient(t, s, mu, MinorEmbedding(mu, t, {"m": "a", "n": "b"}),
+                       MinorEmbedding(mu, s, {"m": "x", "n": "y"}))
+    members = [m for c in q.classes for m in c.members]
+    assert sorted(members) == sorted([(1, v) for v in t.nodes] + [(2, v) for v in s.nodes])
+    assert all(m in q.class_of_member(*m).members for m in members)
 
 
 def test_theta_rejects_invalid_witness():
@@ -83,7 +80,7 @@ def test_theta_rejects_invalid_witness():
     t = chain(3, "m")
     bad = MinorEmbedding(mu, t, {"n1": "m1", "n2": "m2", "n3": "m3"})
     with pytest.raises(EmbeddingError):
-        build_theta(mu, bad, identity_embedding(mu, mu))
+        build_quotient(t, mu, mu, bad, identity_embedding(mu, mu))
 
 
 # -- quotient construction --------------------------------------------------------

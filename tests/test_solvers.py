@@ -1,23 +1,24 @@
+import ast
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings
 
-from treelab import (BudgetError, EmbeddingError, TreeError, are_isomorphic,
-                     canonical_code, chain, check_embedding, cross_check_minor,
-                     enumerate_trees, fig1_family, find_embedding, format_tree,
-                     induced_minor, is_minor, largest_common_minor, parse_tree,
-                     root_merge_supertree, smallest_common_supertree, star,
-                     unit_edit_distance)
+from treelab import (BudgetError, EmbeddingError, SolverDisagreement, TreeError,
+                     are_isomorphic, canonical_code, chain, check_embedding, cli,
+                     cross_check_minor, enumerate_trees, fig1_family, find_embedding,
+                     format_tree, induced_minor, is_minor, largest_common_minor,
+                     parse_tree, root_merge_supertree, smallest_common_supertree, star)
 
 from treelab import solvers, trees
 from treelab.embeddings import _fits
 from treelab.families import _scan_one_pair, _scan_tree
-from treelab.trees import ENUM_CAP_DEFAULT, _catalogue, _intern, _levels_of, _shape
+from treelab.trees import ENUM_CAP_DEFAULT, _intern, _level_sequences, _levels_of, _shape
 
-from conftest import (all_trees_up_to, labeled_trees, lcs_by_subset_walk,
+from conftest import (all_trees_up_to, catalogue, labeled_trees, lcs_by_subset_walk,
                       scs_by_catalogue, unlabeled_trees)
 
 
@@ -368,21 +369,45 @@ def test_scs_witness_order_is_code_order_in_a_fresh_process():
 
 
 def test_scs_reads_no_catalogue(monkeypatch):
-    def refuse(n):
-        raise AssertionError("the supertree search read the catalogue")
+    # growth walks no size's trees; only the first hit's rank in code order
+    # walks the level sequences of its one size
+    walked = []
 
-    monkeypatch.setattr(trees, "_catalogue", refuse)
-    assert not hasattr(solvers, "_catalogue")
+    def walk(n):
+        walked.append(n)
+        return trees._level_sequences(n)
+
+    monkeypatch.setattr(solvers, "_level_sequences", walk)
     t1, t2 = parse_tree("a(y(p1(p2(p3)),r),s1(s2,s3))"), parse_tree("a(p1(p2(p3)),z(r,s1(s2,s3)))")
-    assert smallest_common_supertree(t1, t2).optimum_size == 11
     assert smallest_common_supertree(t1, t2, all_witnesses=True).optimum_size == 11
+    assert walked == []
+    assert smallest_common_supertree(t1, t2).optimum_size == 11
+    assert walked == [11]
+
+
+@pytest.mark.parametrize("t1, t2", [("a(b)", "x(y,z)"), ("a(b,c)", "x(y(z))")])
+def test_scs_without_a_witness_embedding_is_a_disagreement(monkeypatch, t1, t2):
+    # the first pair is absorbed, the second is grown; either way a missing
+    # embedding must raise, never end up in a witness
+    monkeypatch.setattr(solvers, "find_embedding", lambda s, t: None)
+    with pytest.raises(SolverDisagreement, match="finds no embedding"):
+        smallest_common_supertree(parse_tree(t1), parse_tree(t2))
+
+
+def test_the_library_has_no_assert_statement():
+    # python -O strips assert statements, so no check of the library is one
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(pathlib.Path(solvers.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_insertions_are_the_supertrees_one_size_up():
     # the deletion lemma: exactly the size-(n + 1) trees containing s
     for n in range(1, 9):
-        bigger = [c for c, _ in _catalogue(n + 1)]
-        for s, _ in _catalogue(n):
+        bigger = [c for c, _ in catalogue(n + 1)]
+        for s, _ in catalogue(n):
             assert solvers._insertions(s) == {c for c in bigger if _fits(s, c)}
 
 
@@ -448,7 +473,7 @@ def test_merge_stacks_a_t1_only_top_over_a_t2_only_top():
 
 
 def test_merge_matches_growth_on_all_pairs_up_to_7():
-    shapes = [seq for k in range(1, 8) for _, seq in _catalogue(k)]
+    shapes = [seq for k in range(1, 8) for seq in _level_sequences(k)]
     assert len(shapes) == 85
     for i, seq1 in enumerate(shapes):
         for seq2 in shapes[i:]:  # |t1| <= |t2|, as the scan orders them
@@ -516,13 +541,14 @@ def test_root_merge_labels():
 
 # -- edit distance and cross-check ------------------------------------------------------
 
-def test_unit_edit_distance_examples():
-    t = parse_tree("a(b(c,d),e)")
-    assert unit_edit_distance(t, t) == 0
-    assert unit_edit_distance(chain(2), star(3, "m")) == 1
-    t1 = parse_tree("a(y(p1(p2(p3)),r),s1(s2,s3))")
-    t2 = parse_tree("a(p1(p2(p3)),z(r,s1(s2,s3)))")
-    assert unit_edit_distance(t1, t2) == 2
+def test_unit_edit_distance_examples(capsys):
+    def distance(t1, t2):
+        assert cli.main(["lcs", t1, t2]) == 0
+        return json.loads(capsys.readouterr().out)["unit_edit_distance"]
+
+    assert distance("a(b(c,d),e)", "a(b(c,d),e)") == 0
+    assert distance("n1(n2)", "m1(m2,m3)") == 1
+    assert distance("a(y(p1(p2(p3)),r),s1(s2,s3))", "a(p1(p2(p3)),z(r,s1(s2,s3)))") == 2
 
 
 def test_cross_check_examples():

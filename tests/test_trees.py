@@ -8,11 +8,11 @@ from treelab import (BudgetError, Digraph, InvalidTreeError, ParseError, Tree,
                      disjoint_union, enumerate_trees, format_tree, is_rooted_tree,
                      parse_tree, star, to_dot, tree_from_arcs, validate)
 
-from treelab.trees import (_catalogue, _code, _level_sequences, _levels_of,
-                           _literal_from_levels, _shape, _tree_count, _tree_from_levels)
+from treelab.trees import (_code, _level_sequences, _levels_of, _literal_from_levels,
+                           _shape, _sized_sequences, _tree_count, _tree_from_levels)
 
-from conftest import (all_trees_up_to, brute_force_isomorphic, enumerate_by_leaf_growth,
-                      reference_code)
+from conftest import (all_trees_up_to, brute_force_isomorphic, catalogue,
+                      enumerate_by_leaf_growth, reference_code)
 
 COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
 
@@ -304,7 +304,7 @@ def test_enumeration_is_sorted_and_duplicate_free():
 
 def test_catalogue_entries_are_the_shapes_of_their_sequences():
     for n in range(1, 11):
-        entries = _catalogue(n)
+        entries = catalogue(n)
         assert len(entries) == COUNTS[n - 1]
         for shape, sequence in entries:
             assert _shape(_tree_from_levels(sequence)) == shape
@@ -321,16 +321,22 @@ def parenthesis_string(levels):
 
 def test_catalogue_is_in_generation_order_which_is_code_order():
     for n in range(1, 13):
-        entries = _catalogue(n)
-        assert [sequence for _, sequence in entries] == list(_level_sequences(n))
+        entries = catalogue(n)
         codes = [_code(shape) for shape, _ in entries]
         assert all(a < b for a, b in zip(codes, codes[1:]))
         assert codes == [parenthesis_string(sequence) for _, sequence in entries]
+    # across sizes too (the pair scan relies on it): decreasing level-sequence
+    # order is code order
+    entries = sorted((e for n in range(1, 10) for e in catalogue(n)),
+                     key=lambda e: e[1], reverse=True)
+    assert len(entries) == 486
+    codes = [_code(shape) for shape, _ in entries]
+    assert all(a < b for a, b in zip(codes, codes[1:]))
 
 
 def test_levels_of_a_shape_are_its_catalogue_sequence():
     for n in range(1, 13):
-        for shape, sequence in _catalogue(n):
+        for shape, sequence in catalogue(n):
             assert _levels_of(shape) == sequence
     assert _levels_of(_shape(parse_tree("a:x(b:y,c)"))) == (1, 2, 2)
 
@@ -338,7 +344,7 @@ def test_levels_of_a_shape_are_its_catalogue_sequence():
 def test_literals_from_levels_are_the_named_trees_literals():
     # size 11 is the first with a node v10, printed before v2 among siblings
     for n in range(1, 12):
-        for shape, sequence in _catalogue(n):
+        for shape, sequence in catalogue(n):
             literal = _literal_from_levels(sequence)
             assert literal == format_tree(_tree_from_levels(sequence))
             assert _shape(parse_tree(literal)) == shape
@@ -360,7 +366,7 @@ def test_enumeration_bounds():
     with pytest.raises(BudgetError):
         enumerate_trees(15)
     with pytest.raises(BudgetError):
-        enumerate_trees(7, cap=6)
+        _sized_sequences(7, 6)
 
 
 # -- unions, helpers, export -----------------------------------------------------------
