@@ -10,13 +10,10 @@ when a pool starts, so the other verbs do not pay for loading it.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
+from collections.abc import Callable, Iterable
 
 
-def parallel_map(fn: Callable[[T], R], items: Iterable[T], jobs: int | None) -> list[R]:
+def parallel_map(fn: Callable, items: Iterable, jobs: int | None) -> list:
     items = list(items)
     if jobs is None or jobs <= 1 or len(items) < 4:
         return [fn(x) for x in items]

@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from .errors import BudgetError, TreeError
 from .trees import (ENUM_CAP_DEFAULT, Tree, _literal_from_levels, _sized_sequences,
@@ -34,7 +33,8 @@ from .families import (SCAN_CAP_DEFAULT, check_fig5_claims, fig1_family,
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except UnicodeDecodeError as err:
         raise TreeError(f"{path} is not text: {err}") from None
 
@@ -66,9 +66,9 @@ def _emit(args, data: dict, text: str | None = None) -> None:
 
 def _dot_out(args, name: str, content: str) -> None:
     if args.dot_dir:
-        directory = Path(args.dot_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / f"{name}.dot").write_text(content)
+        os.makedirs(args.dot_dir, exist_ok=True)
+        with open(os.path.join(args.dot_dir, f"{name}.dot"), "w", encoding="utf-8") as f:
+            f.write(content)
 
 
 def _solver_dots(args, prefix: str, result) -> None:

@@ -11,21 +11,22 @@ form), and checks preservation of incomparability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import combinations, islice, product
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import EmbeddingError, MultiRootError, TreeError
-from .trees import _KIDS, _LABEL, _SIZE, Tree, _shape, are_isomorphic
+from .trees import _KIDS, _LABEL, _SIZE, Tree, _FrozenRecord, _Record, _shape, are_isomorphic
 
 
-@dataclass
-class MinorEmbedding:
+class MinorEmbedding(_Record):
     """A validated-or-candidate node map from `source` into `target`."""
 
-    source: Tree
-    target: Tree
-    mapping: dict[str, str]
+    __slots__ = ("source", "target", "mapping")
+
+    def __init__(self, source: Tree, target: Tree, mapping: dict[str, str]):
+        self.source = source
+        self.target = target
+        self.mapping = mapping
 
     def __getitem__(self, v: str) -> str:
         return self.mapping[v]
@@ -38,13 +39,16 @@ class MinorEmbedding:
         return {v: self.mapping[v] for v in sorted(self.mapping)}
 
 
-@dataclass(frozen=True)
-class EmbeddingViolation:
+class EmbeddingViolation(_FrozenRecord):
     """Why a candidate map fails; `witness_node` is the offending image node."""
 
-    arc: tuple[str, str] | None
-    reason: str
-    witness_node: str | None = None
+    __slots__ = ("arc", "reason", "witness_node")
+
+    def __init__(self, arc: tuple[str, str] | None, reason: str,
+                 witness_node: str | None = None):
+        object.__setattr__(self, "arc", arc)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "witness_node", witness_node)
 
     def __str__(self) -> str:
         where = f" on arc {self.arc[0]}->{self.arc[1]}" if self.arc else ""
@@ -369,14 +373,16 @@ def incomparable(t: Tree, a: str, b: str) -> bool:
     return not (t.reaches(a, b) or t.reaches(b, a))
 
 
-@dataclass(frozen=True)
-class Lemma4Witness:
+class Lemma4Witness(_FrozenRecord):
     """An incomparable source pair whose images are comparable (never expected)."""
 
-    a: str
-    b: str
-    fa: str
-    fb: str
+    __slots__ = ("a", "b", "fa", "fb")
+
+    def __init__(self, a: str, b: str, fa: str, fb: str):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "fa", fa)
+        object.__setattr__(self, "fb", fb)
 
     def to_json(self) -> dict:
         return {"a": self.a, "b": self.b, "fa": self.fa, "fb": self.fb}

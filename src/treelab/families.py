@@ -24,16 +24,15 @@ from __future__ import annotations
 import functools
 import time
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from itertools import product
-from typing import Iterable
 
 from ._parallel import parallel_map
 from .errors import BudgetError, EmbeddingError, SolverDisagreement, TreeError
-from .trees import (ENUM_CAP_DEFAULT, Digraph, Tree, _literal, _level_sequences,
-                    _literal_from_levels, _tree_from_levels, are_isomorphic, chain,
-                    enumerate_trees, format_tree, is_rooted_tree, parse_tree,
-                    star, tree_from_arcs)
+from .trees import (ENUM_CAP_DEFAULT, Digraph, Tree, _FrozenRecord, _Record, _literal,
+                    _level_sequences, _literal_from_levels, _tree_from_levels,
+                    are_isomorphic, chain, enumerate_trees, format_tree,
+                    is_rooted_tree, parse_tree, star, tree_from_arcs)
 from .embeddings import (EmbeddingViolation, MinorEmbedding, check_embedding,
                          enumerate_embeddings, is_minor)
 from .solvers import (_lcs_core, _merge_core, _merge_refutation, _witness_embedding,
@@ -54,8 +53,7 @@ class DegenerateFamilyWarning(UserWarning):
     """The P part is isomorphic to the S part, so the strict-gap claim lapses."""
 
 
-@dataclass
-class Fig1Instance:
+class Fig1Instance(_Record):
     """One instantiation of the three-part branching family.
 
     `parts` holds the renamed copies of P, R, S whose node names are shared
@@ -63,16 +61,22 @@ class Fig1Instance:
     identity maps.  Every node carries a region tag (P/R/S or spine).
     """
 
-    p: Tree
-    r: Tree
-    s: Tree
-    parts: dict[str, Tree]
-    t1: Tree
-    t2: Tree
-    claimed_mu: Tree
-    g1: MinorEmbedding
-    g2: MinorEmbedding
-    p_isomorphic_s: bool
+    __slots__ = ("p", "r", "s", "parts", "t1", "t2", "claimed_mu", "g1", "g2",
+                 "p_isomorphic_s")
+
+    def __init__(self, p: Tree, r: Tree, s: Tree, parts: dict[str, Tree], t1: Tree,
+                 t2: Tree, claimed_mu: Tree, g1: MinorEmbedding, g2: MinorEmbedding,
+                 p_isomorphic_s: bool):
+        self.p = p
+        self.r = r
+        self.s = s
+        self.parts = parts
+        self.t1 = t1
+        self.t2 = t2
+        self.claimed_mu = claimed_mu
+        self.g1 = g1
+        self.g2 = g2
+        self.p_isomorphic_s = p_isomorphic_s
 
 
 def _fresh_name(base: str, used: set[str]) -> str:
@@ -153,14 +157,16 @@ def fig1_family(p: Tree, r: Tree, s: Tree) -> Fig1Instance:
 
 # -- candidate minimum supertrees ---------------------------------------------
 
-@dataclass
-class SupertreeCandidate:
+class SupertreeCandidate(_Record):
     """A verified common supertree of one family instance."""
 
-    case: str
-    tree: Tree
-    f1: MinorEmbedding
-    f2: MinorEmbedding
+    __slots__ = ("case", "tree", "f1", "f2")
+
+    def __init__(self, case: str, tree: Tree, f1: MinorEmbedding, f2: MinorEmbedding):
+        self.case = case
+        self.tree = tree
+        self.f1 = f1
+        self.f2 = f2
 
     def to_json(self) -> dict:
         return {"case": self.case, "size": self.tree.size,
@@ -252,11 +258,14 @@ def fig2_candidates(inst: Fig1Instance,
 
 # -- triple-merge impossibility ------------------------------------------------
 
-@dataclass(frozen=True)
-class TripleMergeWitness:
+class TripleMergeWitness(_FrozenRecord):
     """Simultaneous P-, R- and S-region merges under one embedding pair."""
 
-    merges: dict[str, tuple[str, str, str]]  # slot -> (t1 node, t2 node, image)
+    __slots__ = ("merges",)
+
+    def __init__(self, merges: dict[str, tuple[str, str, str]]):
+        # slot -> (t1 node, t2 node, image)
+        object.__setattr__(self, "merges", merges)
 
     def to_json(self) -> dict:
         return {slot: {"t1_node": u, "t2_node": v, "image": w}
@@ -303,29 +312,40 @@ def check_theorem5(inst: Fig1Instance, t_sigma: Tree, f1: MinorEmbedding,
 
 # -- the verification harness ---------------------------------------------------
 
-@dataclass
-class VerificationReport:
+class VerificationReport(_Record):
     """Everything the harness established about one family instance."""
 
-    family: str
-    params: dict
-    sizes: dict
-    lcs_size: int
-    claimed_mu_optimal: bool
-    eq4_prediction: int
-    scs_size: int | None
-    scs_exact: bool
-    scs_lower_bound: int | None
-    scs_levels: list
-    scs_witness_literals: list[str]
-    gap: int | None
-    candidates: list[SupertreeCandidate]
-    prop21: Prop21Report
-    reduced_is_tree: bool
-    quotient: QuotientGraph
-    theorem5: dict
-    warnings: list[str] = field(default_factory=list)
-    timing: dict = field(default_factory=dict)
+    __slots__ = ("family", "params", "sizes", "lcs_size", "claimed_mu_optimal",
+                 "eq4_prediction", "scs_size", "scs_exact", "scs_lower_bound",
+                 "scs_levels", "scs_witness_literals", "gap", "candidates", "prop21",
+                 "reduced_is_tree", "quotient", "theorem5", "warnings", "timing")
+
+    def __init__(self, family: str, params: dict, sizes: dict, lcs_size: int,
+                 claimed_mu_optimal: bool, eq4_prediction: int, scs_size: int | None,
+                 scs_exact: bool, scs_lower_bound: int | None, scs_levels: list,
+                 scs_witness_literals: list[str], gap: int | None,
+                 candidates: list[SupertreeCandidate], prop21: Prop21Report,
+                 reduced_is_tree: bool, quotient: QuotientGraph, theorem5: dict,
+                 warnings: list[str] | None = None, timing: dict | None = None):
+        self.family = family
+        self.params = params
+        self.sizes = sizes
+        self.lcs_size = lcs_size
+        self.claimed_mu_optimal = claimed_mu_optimal
+        self.eq4_prediction = eq4_prediction
+        self.scs_size = scs_size
+        self.scs_exact = scs_exact
+        self.scs_lower_bound = scs_lower_bound
+        self.scs_levels = scs_levels
+        self.scs_witness_literals = scs_witness_literals
+        self.gap = gap
+        self.candidates = candidates
+        self.prop21 = prop21
+        self.reduced_is_tree = reduced_is_tree
+        self.quotient = quotient
+        self.theorem5 = theorem5
+        self.warnings = [] if warnings is None else warnings
+        self.timing = {} if timing is None else timing
 
     def to_json(self) -> dict:
         return {
@@ -662,15 +682,20 @@ def subproblem_transfer_check(family: str, a: Tree, b: Tree) -> dict:
 
 # -- the exhaustive small-pair scan ----------------------------------------------
 
-@dataclass
-class ScanReport:
-    max_size: int
-    checks: tuple[str, ...]
-    pairs_scanned: int
-    gap_histogram: dict[int, int]
-    minimal_violating_pair: dict | None
-    prop21_summary: dict
-    wall_ms: float = 0.0
+class ScanReport(_Record):
+    __slots__ = ("max_size", "checks", "pairs_scanned", "gap_histogram",
+                 "minimal_violating_pair", "prop21_summary", "wall_ms")
+
+    def __init__(self, max_size: int, checks: tuple[str, ...], pairs_scanned: int,
+                 gap_histogram: dict[int, int], minimal_violating_pair: dict | None,
+                 prop21_summary: dict, wall_ms: float = 0.0):
+        self.max_size = max_size
+        self.checks = checks
+        self.pairs_scanned = pairs_scanned
+        self.gap_histogram = gap_histogram
+        self.minimal_violating_pair = minimal_violating_pair
+        self.prop21_summary = prop21_summary
+        self.wall_ms = wall_ms
 
     @property
     def violation_found(self) -> bool:

@@ -19,22 +19,31 @@ both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
+from functools import total_ordering
 from itertools import combinations
-from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from .errors import EmbeddingError, TreeError
-from .trees import Digraph, Tree, node_str
+from .trees import Digraph, Tree, _FrozenRecord, _Record, node_str
 from .embeddings import EmbeddingViolation, MinorEmbedding, check_embedding
 
 TaggedNode = tuple  # (origin 1|2, node name)
 
 
-@dataclass(frozen=True, order=True)
-class ThetaClass:
-    """One equivalence class of origin-tagged nodes (size 1 or 2)."""
+@total_ordering
+class ThetaClass(_FrozenRecord):
+    """One equivalence class of origin-tagged nodes (size 1 or 2), ordered
+    by its members."""
 
-    members: tuple[TaggedNode, ...]
+    __slots__ = ("members",)
+
+    def __init__(self, members: tuple[TaggedNode, ...]):
+        object.__setattr__(self, "members", members)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.members < other.members
 
     @property
     def label(self) -> str:
@@ -241,8 +250,7 @@ def _prop21_core(succ: list[list[int]], merged: Collection[int],
 
 # -- the boundary types ---------------------------------------------------------
 
-@dataclass
-class QuotientGraph:
+class QuotientGraph(_Record):
     """The quotient of t1 + t2 by the gluing relation, with projections.
 
     `ell1`/`ell2` send original node names to their classes; `mu_image` is
@@ -251,14 +259,21 @@ class QuotientGraph:
     identities can be re-verified extensionally.
     """
 
-    classes: tuple[ThetaClass, ...]
-    arcs: frozenset[tuple[ThetaClass, ThetaClass]]
-    ell1: dict[str, ThetaClass]
-    ell2: dict[str, ThetaClass]
-    mu_image: frozenset[ThetaClass]
-    t_mu: Tree
-    g1: MinorEmbedding
-    g2: MinorEmbedding
+    __slots__ = ("classes", "arcs", "ell1", "ell2", "mu_image", "t_mu", "g1", "g2")
+
+    def __init__(self, classes: tuple[ThetaClass, ...],
+                 arcs: frozenset[tuple[ThetaClass, ThetaClass]],
+                 ell1: dict[str, ThetaClass], ell2: dict[str, ThetaClass],
+                 mu_image: frozenset[ThetaClass], t_mu: Tree,
+                 g1: MinorEmbedding, g2: MinorEmbedding):
+        self.classes = classes
+        self.arcs = arcs
+        self.ell1 = ell1
+        self.ell2 = ell2
+        self.mu_image = mu_image
+        self.t_mu = t_mu
+        self.g1 = g1
+        self.g2 = g2
 
     @property
     def t1(self) -> Tree:
@@ -339,13 +354,16 @@ def reduce_quotient(q: QuotientGraph) -> Digraph:
                    frozenset((classes[v], classes[w]) for v, w in _reduce_core(succ)))
 
 
-@dataclass(frozen=True)
-class Prop21Violation:
-    kind: str  # "i" or "ii"
-    v: ThetaClass
-    w: ThetaClass
-    paths: tuple[tuple[ThetaClass, ...], ...]
-    reason: str
+class Prop21Violation(_FrozenRecord):
+    __slots__ = ("kind", "v", "w", "paths", "reason")
+
+    def __init__(self, kind: str, v: ThetaClass, w: ThetaClass,
+                 paths: tuple[tuple[ThetaClass, ...], ...], reason: str):
+        object.__setattr__(self, "kind", kind)  # "i" or "ii"
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "paths", paths)
+        object.__setattr__(self, "reason", reason)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "v": self.v.label, "w": self.w.label,
@@ -353,10 +371,12 @@ class Prop21Violation:
                 "reason": self.reason}
 
 
-@dataclass
-class Prop21Report:
-    holds: bool
-    violations: list[Prop21Violation]
+class Prop21Report(_Record):
+    __slots__ = ("holds", "violations")
+
+    def __init__(self, holds: bool, violations: list[Prop21Violation]):
+        self.holds = holds
+        self.violations = violations
 
     def to_json(self) -> dict:
         return {"holds": self.holds, "violations": [v.to_json() for v in self.violations]}

@@ -21,13 +21,12 @@ only through `_witness_embedding`, for `largest_common_minor` and the scan.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from itertools import combinations, islice, product
-from typing import Mapping
 
 from .errors import BudgetError, EmbeddingError, SolverDisagreement, TreeError
-from .trees import (_KIDS, _LABEL, ENUM_CAP_DEFAULT, Tree, _code, _intern, _intern_node,
-                    _level_sequences, _levels_of, _shape, _tree_count,
+from .trees import (_KIDS, _LABEL, ENUM_CAP_DEFAULT, Tree, _Record, _code, _intern,
+                    _intern_node, _level_sequences, _levels_of, _shape, _tree_count,
                     _tree_from_levels, format_tree)
 from .embeddings import (MinorEmbedding, _fits, _induced_preorder, _search, _violations,
                          check_embedding, find_embedding, is_minor, is_minor_by_subsets)
@@ -36,8 +35,7 @@ from .embeddings import (MinorEmbedding, _fits, _induced_preorder, _search, _vio
 NODE_BUDGET_DEFAULT = 12
 
 
-@dataclass
-class LevelStats:
+class LevelStats(_Record):
     """One fully decided size level of an exhaustive search.
 
     For supertrees, `candidates` counts the size-n trees this level decides,
@@ -46,25 +44,30 @@ class LevelStats:
     distinct size-k induced minors tested.
     """
 
-    size: int
-    candidates: int
-    hits: int
+    __slots__ = ("size", "candidates", "hits")
+
+    def __init__(self, size: int, candidates: int, hits: int):
+        self.size = size
+        self.candidates = candidates
+        self.hits = hits
 
     def to_json(self) -> dict:
         return {"size": self.size, "candidates": self.candidates, "hits": self.hits}
 
 
-@dataclass
-class CommonTreeWitness:
+class CommonTreeWitness(_Record):
     """An optimal tree together with embeddings relating it to both inputs.
 
     For common minors the embeddings go witness -> input; for common
     supertrees they go input -> witness.
     """
 
-    tree: Tree
-    emb1: MinorEmbedding
-    emb2: MinorEmbedding
+    __slots__ = ("tree", "emb1", "emb2")
+
+    def __init__(self, tree: Tree, emb1: MinorEmbedding, emb2: MinorEmbedding):
+        self.tree = tree
+        self.emb1 = emb1
+        self.emb2 = emb2
 
     def to_json(self) -> dict:
         return {"tree_literal": format_tree(self.tree),
@@ -72,12 +75,15 @@ class CommonTreeWitness:
                 "embedding2": self.emb2.to_json()}
 
 
-@dataclass
-class SolverResult:
-    optimum_size: int
-    witnesses: list[CommonTreeWitness]
-    levels: list[LevelStats] = field(default_factory=list)
-    wall_ms: float = 0.0
+class SolverResult(_Record):
+    __slots__ = ("optimum_size", "witnesses", "levels", "wall_ms")
+
+    def __init__(self, optimum_size: int, witnesses: list[CommonTreeWitness],
+                 levels: list[LevelStats] | None = None, wall_ms: float = 0.0):
+        self.optimum_size = optimum_size
+        self.witnesses = witnesses
+        self.levels = [] if levels is None else levels
+        self.wall_ms = wall_ms
 
     def to_json(self) -> dict:
         return {

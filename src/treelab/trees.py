@@ -17,8 +17,7 @@ or on node display names, only on structure (and labels, when present).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from .errors import BudgetError, InvalidTreeError, ParseError, TreeError
 
@@ -35,13 +34,63 @@ def node_str(v) -> str:
     return str(v)
 
 
-@dataclass(frozen=True)
-class StructureViolation:
+class _Record:
+    """Base of the library's plain value records.
+
+    A record's fields are the `__slots__` of its class, in order (a
+    subclass that declares none adds none), and its own `__init__` takes
+    them in that order.  The base gives field-wise `==` (only between
+    records of the same class; a mutable record is unhashable), a
+    ``Name(field=value, ...)`` repr, and pickling and copying through the
+    constructor, since restoring slot state by assignment would fail on a
+    frozen record.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class _FrozenRecord(_Record):
+    """A record that refuses assignment after `__init__` (which sets its
+    fields through `object.__setattr__`) and hashes by its fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen record")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class StructureViolation(_FrozenRecord):
     """One violated tree invariant, as reported by `validate`."""
 
-    kind: str
-    subject: tuple[str, ...]
-    message: str
+    __slots__ = ("kind", "subject", "message")
+
+    def __init__(self, kind: str, subject: tuple[str, ...], message: str):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "message", message)
 
     def __str__(self) -> str:
         return self.message
@@ -314,22 +363,22 @@ class Tree:
         return f"Tree({format_tree(self)!r})" if self._nodes else "Tree(<empty>)"
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(_FrozenRecord):
     """Plain directed graph with set semantics and no tree constraints.
 
     Used for disjoint sums, quotients, and reduction outputs.  Node ids may
     be any hashable values (origin-tagged tuples, quotient classes, ...).
     """
 
-    nodes: frozenset
-    arcs: frozenset
+    __slots__ = ("nodes", "arcs")
 
-    def __post_init__(self):
-        for a, b in self.arcs:
-            if a not in self.nodes or b not in self.nodes:
+    def __init__(self, nodes: frozenset, arcs: frozenset):
+        for a, b in arcs:
+            if a not in nodes or b not in nodes:
                 raise TreeError(
                     f"arc {node_str(a)}->{node_str(b)} has an endpoint outside the node set")
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "arcs", arcs)
 
     @property
     def size(self) -> int:

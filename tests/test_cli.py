@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -411,3 +412,19 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("flags, absent", [
+    ((), ("dataclasses", "inspect")),
+    # without `site`, whose .pth files may import them, typing and pathlib too
+    (("-S",), ("dataclasses", "inspect", "pathlib", "typing")),
+])
+def test_importing_the_cli_leaves_heavy_stdlib_modules_unloaded(flags, absent):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c",
+         f"import sys, treelab.cli; print([m for m in {absent!r} if m in sys.modules])"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
