@@ -275,7 +275,32 @@ def _at_least_one(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: Every verb, in the order the usage line lists them.
+VERBS = ("parse", "canon", "iso", "enum", "minor", "embeddings", "lcs", "scs", "quotient",
+         "prop21", "family", "verify", "transfer", "scan")
+#: The shared flags that take a value.
+_VALUED = ("--jobs", "--format", "--dot-dir", "--budget-nodes")
+
+
+def _verb_of(argv: list[str]) -> str | None:
+    """The verb argv runs, when a plain read can tell: the first token that is
+    not a shared flag spelt out in full or its value, if it names a verb.
+    None on anything else (no verb, an unknown verb, help, an abbreviated
+    flag), where the parser needs every verb to answer as it always has."""
+    i = 0
+    while i < len(argv):
+        if argv[i] in _VALUED:
+            i += 2
+        elif argv[i].partition("=")[0] in _VALUED:
+            i += 1
+        else:
+            return argv[i] if argv[i] in VERBS else None
+    return None
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The `treelab` parser with the subparser of every verb, or of `verb`
+    alone; the usage line lists every verb either way."""
     # The shared flags are accepted both before and after the verb; SUPPRESS
     # keeps the subparser from clobbering values parsed at the top level.
     common = argparse.ArgumentParser(add_help=False)
@@ -296,90 +321,97 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact laboratory for rooted unordered trees: minors, "
                     "common subtrees and supertrees, quotient graphs, and "
                     "counterexample families.")
-    sub = parser.add_subparsers(dest="verb", required=True)
+    # argparse lists the choices it has; one verb's parser lists all of them
+    # itself (and, the verb being known, never reports a bad or missing verb)
+    sub = parser.add_subparsers(dest="verb", required=True,
+                                metavar=None if verb is None else "{" + ",".join(VERBS) + "}")
 
     def add(name, fn, text_default=False, **kw):
+        """The subparser of verb `name`, or None when only another is built."""
+        if verb not in (None, name):
+            return None
         p = sub.add_parser(name, parents=[common], **kw)
         p.set_defaults(fn=fn, text_default=text_default)
         return p
 
-    p = add("parse", cmd_parse, text_default=True, help="validate and echo a tree literal")
-    p.add_argument("tree")
-    p = add("canon", cmd_canon, text_default=True, help="canonical code of a tree")
-    p.add_argument("tree")
-    p = add("iso", cmd_iso, text_default=True, help="isomorphism of two trees")
-    p.add_argument("t1")
-    p.add_argument("t2")
-    p = add("enum", cmd_enum, text_default=True, help="enumerate all trees of a size")
-    p.add_argument("--size", type=int, required=True)
-    p = add("minor", cmd_minor, help="is S a minor of T (witness embedding)")
-    p.add_argument("s")
-    p.add_argument("t")
-    p = add("embeddings", cmd_embeddings, help="enumerate minor embeddings of S into T")
-    p.add_argument("s")
-    p.add_argument("t")
-    p.add_argument("--limit", type=_at_least_one, default=None,
-                   help="stop after this many embeddings (at least 1)")
-    p = add("lcs", cmd_lcs, help="largest common minor")
-    p.add_argument("t1")
-    p.add_argument("t2")
-    p.add_argument("--all", action="store_true", help="all optimal witnesses")
-    p = add("scs", cmd_scs, help="smallest common supertree")
-    p.add_argument("t1")
-    p.add_argument("t2")
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--max-size", type=int, default=None)
-    for name, fn in (("quotient", cmd_quotient), ("prop21", cmd_prop21)):
-        p = add(name, fn, help=f"{name} of two trees glued along a common minor")
+    for name, fn, what in (("parse", cmd_parse, "validate and echo a tree literal"),
+                           ("canon", cmd_canon, "canonical code of a tree")):
+        if p := add(name, fn, text_default=True, help=what):
+            p.add_argument("tree")
+    if p := add("iso", cmd_iso, text_default=True, help="isomorphism of two trees"):
         p.add_argument("t1")
         p.add_argument("t2")
-        p.add_argument("--mu", default=None, help="common minor (default: computed)")
-        p.add_argument("--g1", default=None, help="JSON embedding file mu -> t1")
-        p.add_argument("--g2", default=None, help="JSON embedding file mu -> t2")
-    p = add("family", cmd_family, help="generate a counterexample family instance")
-    fam = p.add_subparsers(dest="which", required=True)
-    f1 = fam.add_parser("fig1", parents=[common])
-    f1.add_argument("--p", required=True)
-    f1.add_argument("--r", required=True)
-    f1.add_argument("--s", required=True)
-    f1.set_defaults(fn=cmd_family, text_default=False)
-    for which in ("fig4", "fig5"):
-        fx = fam.add_parser(which, parents=[common])
-        fx.add_argument("--a", required=True)
-        fx.add_argument("--b", required=True)
-        if which == "fig4":
-            fx.add_argument("--r", default=None, help="override the 2n-node R part")
-        else:
-            fx.add_argument("--check-claims", action="store_true",
-                            help="evaluate the reconstruction's size claims")
-        fx.set_defaults(fn=cmd_family, text_default=False)
-    p = add("verify", cmd_verify, help="full verification pipeline on a family instance")
-    ver = p.add_subparsers(dest="which", required=True)
-    v1 = ver.add_parser("fig1", parents=[common])
-    v1.add_argument("--p", required=True)
-    v1.add_argument("--r", required=True)
-    v1.add_argument("--s", required=True)
-    v1.add_argument("--max-size", type=int, default=None)
-    v1.add_argument("--theorem5-exhaustive", action="store_true")
-    v1.set_defaults(fn=cmd_verify, text_default=False)
-    p = add("transfer", cmd_transfer, help="subproblem-transfer constant check")
-    tr = p.add_subparsers(dest="which", required=True)
-    for which in ("fig4", "fig5"):
-        tx = tr.add_parser(which, parents=[common])
-        tx.add_argument("--a", required=True)
-        tx.add_argument("--b", required=True)
-        tx.set_defaults(fn=cmd_transfer, text_default=False)
-    p = add("scan", cmd_scan, help="exhaustive scan of all small tree pairs")
-    p.add_argument("--max-size", type=int, required=True)
-    p.add_argument("--check", default="eq4", help="comma list: eq4,prop21")
-    p.add_argument("--force", action="store_true",
-                   help="allow sizes above the default scan cap")
+    if p := add("enum", cmd_enum, text_default=True, help="enumerate all trees of a size"):
+        p.add_argument("--size", type=int, required=True)
+    if p := add("minor", cmd_minor, help="is S a minor of T (witness embedding)"):
+        p.add_argument("s")
+        p.add_argument("t")
+    if p := add("embeddings", cmd_embeddings, help="enumerate minor embeddings of S into T"):
+        p.add_argument("s")
+        p.add_argument("t")
+        p.add_argument("--limit", type=_at_least_one, default=None,
+                       help="stop after this many embeddings (at least 1)")
+    if p := add("lcs", cmd_lcs, help="largest common minor"):
+        p.add_argument("t1")
+        p.add_argument("t2")
+        p.add_argument("--all", action="store_true", help="all optimal witnesses")
+    if p := add("scs", cmd_scs, help="smallest common supertree"):
+        p.add_argument("t1")
+        p.add_argument("t2")
+        p.add_argument("--all", action="store_true")
+        p.add_argument("--max-size", type=int, default=None)
+    for name, fn in (("quotient", cmd_quotient), ("prop21", cmd_prop21)):
+        if p := add(name, fn, help=f"{name} of two trees glued along a common minor"):
+            p.add_argument("t1")
+            p.add_argument("t2")
+            p.add_argument("--mu", default=None, help="common minor (default: computed)")
+            p.add_argument("--g1", default=None, help="JSON embedding file mu -> t1")
+            p.add_argument("--g2", default=None, help="JSON embedding file mu -> t2")
+    if p := add("family", cmd_family, help="generate a counterexample family instance"):
+        fam = p.add_subparsers(dest="which", required=True)
+        f1 = fam.add_parser("fig1", parents=[common])
+        f1.add_argument("--p", required=True)
+        f1.add_argument("--r", required=True)
+        f1.add_argument("--s", required=True)
+        f1.set_defaults(fn=cmd_family, text_default=False)
+        for which in ("fig4", "fig5"):
+            fx = fam.add_parser(which, parents=[common])
+            fx.add_argument("--a", required=True)
+            fx.add_argument("--b", required=True)
+            if which == "fig4":
+                fx.add_argument("--r", default=None, help="override the 2n-node R part")
+            else:
+                fx.add_argument("--check-claims", action="store_true",
+                                help="evaluate the reconstruction's size claims")
+            fx.set_defaults(fn=cmd_family, text_default=False)
+    if p := add("verify", cmd_verify, help="full verification pipeline on a family instance"):
+        ver = p.add_subparsers(dest="which", required=True)
+        v1 = ver.add_parser("fig1", parents=[common])
+        v1.add_argument("--p", required=True)
+        v1.add_argument("--r", required=True)
+        v1.add_argument("--s", required=True)
+        v1.add_argument("--max-size", type=int, default=None)
+        v1.add_argument("--theorem5-exhaustive", action="store_true")
+        v1.set_defaults(fn=cmd_verify, text_default=False)
+    if p := add("transfer", cmd_transfer, help="subproblem-transfer constant check"):
+        tr = p.add_subparsers(dest="which", required=True)
+        for which in ("fig4", "fig5"):
+            tx = tr.add_parser(which, parents=[common])
+            tx.add_argument("--a", required=True)
+            tx.add_argument("--b", required=True)
+            tx.set_defaults(fn=cmd_transfer, text_default=False)
+    if p := add("scan", cmd_scan, help="exhaustive scan of all small tree pairs"):
+        p.add_argument("--max-size", type=int, required=True)
+        p.add_argument("--check", default="eq4", help="comma list: eq4,prop21")
+        p.add_argument("--force", action="store_true",
+                       help="allow sizes above the default scan cap")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(_verb_of(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -5,8 +5,10 @@ An injective node map f: S -> T is a minor embedding when every source arc
 of that path lies in the image of f.  This module validates candidate maps,
 yields all embeddings lazily from one backtracking search on an explicit
 stack, decides containment by memoized tree inclusion over the shapes
-interned in `trees`, builds subset-induced minors (the canonical witness
-form), and checks preservation of incomparability.
+interned in `trees` (a shape pair is refused at once by the size, height
+and leaf count the shape table holds), builds subset-induced minors (the
+canonical witness form), and checks preservation of incomparability.  The
+checker groups and sorts its report only for a map that fails.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import combinations, islice, product
 
 from .errors import EmbeddingError, MultiRootError, TreeError
-from .trees import _KIDS, _LABEL, _SIZE, Tree, _FrozenRecord, _Record, _shape, are_isomorphic
+from .trees import (_HEIGHT, _KIDS, _LABEL, _LEAVES, _SIZE, Tree, _FrozenRecord, _Record,
+                    _shape, are_isomorphic)
 
 
 class MinorEmbedding(_Record):
@@ -79,7 +82,9 @@ def _violations(f: Mapping, order: Sequence[str], arcs: Iterable[tuple[str, str]
     labeled), so the pair scan checks its witnesses and its merged supertrees
     without building them as `Tree`s.  An arc's path is walked up from the
     image of its lower end, and the first image node on it is reported
-    counting from the top, as `Tree.path` lists the path."""
+    counting from the top, as `Tree.path` lists the path.  The reports are
+    grouped by image and the arcs ordered only when a map fails, so checking
+    a valid map sorts nothing."""
     out = []
     placed = {}  # each source node whose image is a target node, in preorder
     for v in order:
@@ -90,20 +95,23 @@ def _violations(f: Mapping, order: Sequence[str], arcs: Iterable[tuple[str, str]
         else:
             out.append(EmbeddingViolation(
                 None, f"image of {v} is not a target node", witness_node=str(f[v])))
-    by_image: dict = {}
-    for v, u in placed.items():
-        by_image.setdefault(u, []).append(v)
-    for u, vs in sorted(by_image.items()):
-        if len(vs) > 1:
-            out.append(EmbeddingViolation(
-                None, f"map is not injective: {', '.join(vs)} share image {u}",
-                witness_node=u))
+    images = set(placed.values())
+    if len(images) < len(placed):
+        by_image: dict = {}
+        for v, u in placed.items():
+            by_image.setdefault(u, []).append(v)
+        for u, vs in sorted(by_image.items()):
+            if len(vs) > 1:
+                out.append(EmbeddingViolation(
+                    None, f"map is not injective: {', '.join(vs)} share image {u}",
+                    witness_node=u))
     for v, u in placed.items():
         if labels.get(v) != target_labels.get(u):
             out.append(EmbeddingViolation(
                 None, f"label of {v} differs from label of its image {u}", witness_node=u))
 
-    for a, b in sorted(arcs):
+    bad_arcs = []
+    for a, b in arcs:
         if a not in placed or b not in placed:
             continue
         top, low = placed[a], placed[b]
@@ -112,14 +120,15 @@ def _violations(f: Mapping, order: Sequence[str], arcs: Iterable[tuple[str, str]
             mids.append(m)
             m = up.get(m)
         if m is None:  # top is low or not above it
-            out.append(EmbeddingViolation((a, b), f"no path {top} ~> {low} in the target"))
+            bad_arcs.append(EmbeddingViolation((a, b), f"no path {top} ~> {low} in the target"))
             continue
         for mid in reversed(mids):
-            if mid in by_image:
-                out.append(EmbeddingViolation(
+            if mid in images:
+                bad_arcs.append(EmbeddingViolation(
                     (a, b), f"path {top} ~> {low} passes through image node {mid}",
                     witness_node=mid))
                 break
+    out.extend(sorted(bad_arcs, key=lambda bad: bad.arc))
     return out
 
 
@@ -295,9 +304,12 @@ _PACKS: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
 
 def _fits(s: int, t: int) -> bool:
     """Shape s embeds into shape t: its root maps to t's root (equal labels,
-    children packed into t's children) or s fits inside a child of t."""
+    children packed into t's children) or s fits inside a child of t.  A
+    source that is larger, taller or has more leaves is refused at once."""
     if _SIZE[s] >= _SIZE[t]:
         return s == t
+    if _HEIGHT[s] > _HEIGHT[t] or _LEAVES[s] > _LEAVES[t]:
+        return False  # a chain maps to a chain, and leaves to incomparable nodes
     got = _FITS.get((s, t))
     if got is None:
         got = _FITS[s, t] = ((_LABEL[s] == _LABEL[t] and _packs(_KIDS[s], _KIDS[t]))
@@ -333,18 +345,16 @@ def _packs(forest: tuple[int, ...], into: tuple[int, ...]) -> bool:
 def is_minor(s: Tree, t: Tree) -> bool:
     """Whether s embeds into t as a minor.
 
-    Sound shortcuts come first: a size-k source only fits a target of size
-    >= k, and the longest source chain and the source leaf antichain must
-    both fit.  The inclusion recursion over the shapes interned by `trees`
-    decides the rest (at equal sizes it compares shape ids: every target
-    node is then an image, so the embedding is an isomorphism);
-    `find_embedding` builds witnesses.
+    The inclusion recursion `_fits` over the shapes interned by `trees`
+    decides it, with sound shortcuts first at every shape pair: a size-k
+    source only fits a target of size >= k, and the longest source chain and
+    the source leaf antichain must both fit (at equal sizes it compares
+    shape ids: every target node is then an image, so the embedding is an
+    isomorphism); `find_embedding` builds witnesses.
     """
-    if s.size > t.size or s.height > t.height or len(s.leaves) > len(t.leaves):
-        return False
     if s.root is None:
         raise TreeError("minor containment needs non-empty trees")
-    return _fits(_shape(s), _shape(t))
+    return t.root is not None and _fits(_shape(s), _shape(t))
 
 
 def is_minor_by_subsets(s: Tree, t: Tree) -> bool:

@@ -13,7 +13,10 @@ the family, enumerates the candidate minimum supertrees, verifies the size
 gap exactly, checks the triple-merge impossibility over supertree
 embeddings, and scans all small tree pairs for gap and path-uniqueness
 behaviour, on node positions: its witnesses come from the builder that
-`largest_common_minor` uses (`solvers._witness_embedding`).  Two further
+`largest_common_minor` uses (`solvers._witness_embedding`).  Each scan tree
+is built once per process and keeps, across every pair it takes part in,
+what depends on it alone: the minors it induces on its hit subsets, with
+their literals, its merge bitmasks and its quotient ids.  Two further
 parameterized families (``fig4``, ``fig5``) embed an arbitrary subproblem
 pair (A, B) into the construction; ``fig5`` is a best-effort
 reconstruction and all its checks are report-grade.
@@ -29,14 +32,14 @@ from itertools import product
 
 from ._parallel import parallel_map
 from .errors import BudgetError, EmbeddingError, SolverDisagreement, TreeError
-from .trees import (ENUM_CAP_DEFAULT, Digraph, Tree, _FrozenRecord, _Record, _literal,
+from .trees import (ENUM_CAP_DEFAULT, Digraph, Tree, _FrozenRecord, _Record,
                     _level_sequences, _literal_from_levels, _tree_from_levels,
                     are_isomorphic, chain, enumerate_trees, format_tree,
                     is_rooted_tree, parse_tree, star, tree_from_arcs)
 from .embeddings import (EmbeddingViolation, MinorEmbedding, check_embedding,
                          enumerate_embeddings, is_minor)
-from .solvers import (_lcs_core, _merge_core, _merge_refutation, _witness_embedding,
-                      largest_common_minor, smallest_common_supertree)
+from .solvers import (_InducedMinor, _lcs_core, _merge_core, _merge_refutation,
+                      _witness_embedding, largest_common_minor, smallest_common_supertree)
 from .quotient import (QuotientGraph, Prop21Report, _glue, _identities,
                        _prop21_core, _reduce_core, _successors,
                        build_quotient, check_eq2_eq3, check_prop21, eq4_prediction,
@@ -266,6 +269,9 @@ class TripleMergeWitness(_FrozenRecord):
     def __init__(self, merges: dict[str, tuple[str, str, str]]):
         # slot -> (t1 node, t2 node, image)
         object.__setattr__(self, "merges", merges)
+
+    def __hash__(self) -> int:  # the field is a dict, so hash its items
+        return hash(tuple(sorted(self.merges.items())))
 
     def to_json(self) -> dict:
         return {slot: {"t1_node": u, "t2_node": v, "image": w}
@@ -735,10 +741,10 @@ def _scan_one_pair(args: tuple[tuple[int, ...], tuple[int, ...], bool]) -> dict:
     for w in hits:
         if scs_size is not None and not with_prop21:
             break
-        order, parent, images = _witness_embedding(t1, t2, w)
-        witnesses.append((order, parent, images))
+        minor, images = _witness_embedding(t1, t2, w)
+        witnesses.append((minor, images))
         if scs_size is None:
-            merged = _merge_core(t1, t2, dict(zip(order, images)))
+            merged = _merge_core(t1, t2, dict(zip(minor.order, images)))
             if merged is not None:
                 scs_size = len(merged)
     if scs_size is None:
@@ -754,10 +760,10 @@ def _scan_one_pair(args: tuple[tuple[int, ...], tuple[int, ...], bool]) -> dict:
     return rec
 
 
-def _witness_quotient(t1: Tree, t2: Tree, order: list[str], parent: list[int],
-                      images: list[str]) -> dict:
+def _witness_quotient(t1: Tree, t2: Tree, minor: _InducedMinor, images: list[str]) -> dict:
     """The prop21 record of a witness from `solvers._witness_embedding`, its
     quotient glued on class ids."""
+    order = minor.order
     g1, g2 = {v: v for v in order}, dict(zip(order, images))
     class_of1, class_of2, n, arcs, merged = _glue(t1, t2, order, g1, g2)
     identity_findings = _identities(range(n), class_of1, class_of2, order, g1, g2, merged)
@@ -766,10 +772,7 @@ def _witness_quotient(t1: Tree, t2: Tree, order: list[str], parent: list[int],
     succ = _successors(n, arcs)
     kinds = sorted({found[0] for found in _prop21_core(succ, merged)})
     reduced = Digraph(frozenset(range(n)), frozenset(_reduce_core(succ)))
-    depths: list[int] = []
-    for p in parent:
-        depths.append(depths[p] + 1 if p >= 0 else 0)
-    return {"mu": _literal(order, depths, t1.labels),
+    return {"mu": minor.literal,
             "holds": not kinds,
             "violation_kinds": kinds,
             "reduced_is_tree": is_rooted_tree(reduced),

@@ -9,7 +9,8 @@ uniqueness conditions whose failure the counterexample families exhibit.
 
 The work runs on integers.  `_glue` numbers the classes 0..n-1 in the order
 of their sorted members (t1's nodes by name, then t2's unmerged nodes by
-name) and projects the arcs onto those ids; `_prop21_core` and
+name) and projects the arcs onto those ids, from each tree's name order and
+arcs on it, made once and kept on the tree (`_name_ids`); `_prop21_core` and
 `_reduce_core` walk sorted int successor lists.  `ThetaClass` and
 `QuotientGraph` are the boundary types: `build_quotient`, `check_prop21`
 and `reduce_quotient` map ids to and from classes around the same cores
@@ -68,31 +69,44 @@ def _require_witness(t_mu: Tree, g1: MinorEmbedding, g2: MinorEmbedding) -> None
 
 # -- the integer core ---------------------------------------------------------
 
+def _name_ids(t: Tree) -> tuple[list[str], dict[str, int], list[tuple[int, int]]]:
+    """t's nodes in name order, the index of each in that order, and t's
+    arcs on those indices; made once per tree and kept on it."""
+    ids = t._tables.get("glue")
+    if ids is None:
+        names = sorted(t.nodes)
+        index = {v: i for i, v in enumerate(names)}
+        ids = t._tables["glue"] = (names, index, [(index[a], index[b]) for a, b in t.arcs])
+    return ids
+
+
 def _glue(t1: Tree, t2: Tree, mu_nodes: Iterable[str], g1: Mapping[str, str],
           g2: Mapping[str, str]) -> tuple[dict[str, int], dict[str, int], int,
                                           set[tuple[int, int]], frozenset[int]]:
     """The quotient of t1 + t2 merging g1(c) with g2(c), on class ids.
 
-    Returns the class of every t1 node, the class of every t2 node, the
-    class count, the arcs and the merged classes.  t1's nodes take the ids
-    0..|t1|-1 in name order and t2's unmerged nodes the next ids in name
-    order, so the ids follow the sorted order of the classes' members.  The
-    arcs are every arc of t1 and t2 projected onto the ids, with parallel
-    copies collapsed.
+    Returns the class of every t1 node (a table kept on t1: read it, do not
+    change it), the class of every t2 node, the class count, the arcs and
+    the merged classes.  t1's nodes take the ids 0..|t1|-1 in name order and
+    t2's unmerged nodes the next ids in name order, so the ids follow the
+    sorted order of the classes' members.  The arcs are every arc of t1 and
+    t2 projected onto the ids, with parallel copies collapsed; each tree's
+    name order and arcs on it come from `_name_ids`.
     """
-    class_of1 = {v: i for i, v in enumerate(sorted(t1.nodes))}
-    merged = {g2[c]: class_of1[g1[c]] for c in mu_nodes}
-    n = len(class_of1)
-    class_of2 = {}
-    for v in sorted(t2.nodes):
-        if v in merged:
-            class_of2[v] = merged[v]
+    _, class_of1, arcs1 = _name_ids(t1)
+    names2, index2, arcs2 = _name_ids(t2)
+    merged = {index2[g2[c]]: class_of1[g1[c]] for c in mu_nodes}
+    n = t1.size
+    ids2 = []
+    for i in range(len(names2)):
+        if i in merged:
+            ids2.append(merged[i])
         else:
-            class_of2[v] = n
+            ids2.append(n)
             n += 1
-    arcs = {(class_of1[a], class_of1[b]) for a, b in t1.arcs}
-    arcs.update((class_of2[a], class_of2[b]) for a, b in t2.arcs)
-    return class_of1, class_of2, n, arcs, frozenset(merged.values())
+    arcs = set(arcs1)
+    arcs.update((ids2[a], ids2[b]) for a, b in arcs2)
+    return class_of1, dict(zip(names2, ids2)), n, arcs, frozenset(merged.values())
 
 
 def _identities(classes: Iterable, ell1: Mapping, ell2: Mapping,

@@ -16,6 +16,12 @@ supertree levels are counts of trees in code order, which the public solver
 derives).  The public solvers wrap the cores and build named `Tree`s and
 embeddings for the hits alone.  A common-minor hit subset becomes a witness
 only through `_witness_embedding`, for `largest_common_minor` and the scan.
+
+What depends on one input alone is made once and kept on its `Tree`: the
+minor it induces on each hit subset, whose identity map is validated when
+it is made (`_induced_minor`), and the preorder bitmasks `_merge_core`
+reads (`_merge_masks`).  Each pair then only searches and validates the
+embedding into the other input, and merges.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ from itertools import combinations, islice, product
 
 from .errors import BudgetError, EmbeddingError, SolverDisagreement, TreeError
 from .trees import (_KIDS, _LABEL, ENUM_CAP_DEFAULT, Tree, _Record, _code, _intern,
-                    _intern_node, _level_sequences, _levels_of, _shape, _tree_count,
-                    _tree_from_levels, format_tree)
+                    _intern_node, _level_sequences, _levels_of, _literal, _shape,
+                    _tree_count, _tree_from_levels, format_tree)
 from .embeddings import (MinorEmbedding, _fits, _induced_preorder, _search, _violations,
                          check_embedding, find_embedding, is_minor, is_minor_by_subsets)
 
@@ -207,8 +213,9 @@ def largest_common_minor(t1: Tree, t2: Tree, all_witnesses: bool = False,
     k, levels, hits = _lcs_core(small, other, all_witnesses)
     witnesses = []
     for w in hits:
-        order, parent, images = _witness_embedding(small, other, w)
-        m = Tree(order, [(order[p], v) for v, p in zip(order, parent) if p >= 0], order[0],
+        minor, images = _witness_embedding(small, other, w)
+        order = minor.order
+        m = Tree(order, minor.arcs, order[0],
                  {v: a for v, a in small.labels.items() if v in w},
                  {v: a for v, a in small.region_tags.items() if v in w})
         into_small = _identity_embedding(m, small)
@@ -218,25 +225,55 @@ def largest_common_minor(t1: Tree, t2: Tree, all_witnesses: bool = False,
     return LcsResult(k, witnesses, levels, (time.perf_counter() - started) * 1e3)
 
 
+class _InducedMinor:
+    """The common minor a tree induces on one of its node subsets, unbuilt:
+    its nodes in preorder (children in name order), the preorder position of
+    each one's parent (-1 at the root), their labels, its arcs and its
+    literal."""
+
+    __slots__ = ("order", "parent", "labels", "arcs", "literal")
+
+    def __init__(self, t: Tree, w: tuple[str, ...]):
+        self.order, self.parent = _induced_preorder(t, w)
+        self.labels = [t.labels.get(v) for v in self.order]
+        self.arcs = [(self.order[p], v) for v, p in zip(self.order, self.parent) if p >= 0]
+        depths: list[int] = []
+        for p in self.parent:
+            depths.append(depths[p] + 1 if p >= 0 else 0)
+        self.literal = _literal(self.order, depths, t.labels)
+
+
+def _induced_minor(small: Tree, w: tuple[str, ...]) -> _InducedMinor:
+    """The minor `small` induces on its node subset w, made once per subset
+    and kept on `small`; the identity map on w into `small` is re-validated
+    through `_violations` when it is made."""
+    minor = small._induced.get(w)
+    if minor is None:
+        minor = _InducedMinor(small, w)
+        bad = _violations({v: v for v in minor.order}, minor.order, minor.arcs, small.labels,
+                          small.root, small._parent, small.labels)
+        if bad:
+            raise EmbeddingError(bad)
+        small._induced[w] = minor
+    return minor
+
+
 def _witness_embedding(small: Tree, other: Tree,
-                       w: tuple[str, ...]) -> tuple[list[str], list[int], list[str]]:
-    """The common minor that `small` induces on its node subset w, unbuilt:
-    its nodes in preorder, their parent positions (-1 at the root), and the
-    images of the first embedding the search yields into `other`.  Both
-    embeddings (the identity on w into `small`, and that one) are
-    re-validated through `_violations`."""
-    order, parent = _induced_preorder(small, w)
-    images = next(_search(parent, [small.labels.get(v) for v in order], other), None)
+                       w: tuple[str, ...]) -> tuple[_InducedMinor, list[str]]:
+    """The common minor that `small` induces on its node subset w
+    (`_induced_minor`), with the images of the first embedding the search
+    yields into `other`, which is re-validated through `_violations`."""
+    minor = _induced_minor(small, w)
+    images = next(_search(minor.parent, minor.labels, other), None)
     if images is None:
         raise SolverDisagreement(
             f"the witness search finds no embedding of the common minor on {w} of "
             f"{format_tree(small)} into {format_tree(other)}, which inclusion accepted")
-    arcs = [(order[p], v) for v, p in zip(order, parent) if p >= 0]
-    for g, t in (({v: v for v in order}, small), (dict(zip(order, images)), other)):
-        bad = _violations(g, order, arcs, small.labels, t.root, t._parent, t.labels)
-        if bad:
-            raise EmbeddingError(bad)
-    return order, parent, images
+    bad = _violations(dict(zip(minor.order, images)), minor.order, minor.arcs, small.labels,
+                      other.root, other._parent, other.labels)
+    if bad:
+        raise EmbeddingError(bad)
+    return minor, images
 
 
 #: One-node insertions strictly below the root of each shape (the moves of
@@ -378,21 +415,16 @@ def _merge_core(t1: Tree, t2: Tree, matching: Mapping[str, str]) -> list[int] | 
         else:
             pos2.append(size)
             size += 1
-    below = ([0] * size, [0] * size)  # per input: the positions under each node, itself included
-    related = [0] * size  # the positions comparable to each one in t1 or in t2
-    for t, pos, sub in ((t1, range(n1), below[0]), (t2, pos2, below[1])):
-        order, tin = t._preorder, t._tin
-        above_at = [tin[t._parent[v]] for v in order[1:]]  # parent index of preorder 1, 2, ...
-        under = [1 << p for p in pos]
-        for j in range(len(order) - 1, 0, -1):
-            under[above_at[j - 1]] |= under[j]
-        over = [0] * len(order)
-        for j in range(1, len(order)):
-            over[j] = over[above_at[j - 1]] | 1 << pos[above_at[j - 1]]
-        for j, p in enumerate(pos):
-            sub[p] = under[j]
-            related[p] |= under[j] | over[j]
-    in1, in2 = below[0][0], below[1][pos2[0]]
+    # per input: the positions under each node, itself included; and the
+    # positions comparable to each one in t1 or in t2
+    _, below1, related1 = _merge_masks(t1)
+    under2, related2 = _position_masks(_merge_masks(t2)[0], pos2)
+    below2 = [0] * size
+    related = related1 + [0] * (size - n1)
+    for j, p in enumerate(pos2):
+        below2[p] = under2[j]
+        related[p] |= related2[j]
+    in1, in2 = below1[0], below2[pos2[0]]
 
     parent = [-1] * size
     stack = [((1 << size) - 1, -1)]
@@ -402,12 +434,12 @@ def _merge_core(t1: Tree, t2: Tree, matching: Mapping[str, str]) -> list[int] | 
         top1 = top2 = -1
         if s1:
             x = (s1 & -s1).bit_length() - 1  # first in t1 preorder
-            if not s1 & ~below[0][x]:
+            if not s1 & ~below1[x]:
                 top1 = x
         if s2:
             for x in pos2:  # stop at the first in t2 preorder
                 if s2 >> x & 1:
-                    if not s2 & ~below[1][x]:
+                    if not s2 & ~below2[x]:
                         top2 = x
                     break
         if top1 == top2:
@@ -445,6 +477,30 @@ def _merge_core(t1: Tree, t2: Tree, matching: Mapping[str, str]) -> list[int] | 
                 f"the merged supertree of {format_tree(t1)} and {format_tree(t2)} "
                 f"does not host {format_tree(t)}: {bad[0]}")
     return parent
+
+
+def _position_masks(above: list[int], pos) -> tuple[list[int], list[int]]:
+    """For a tree whose preorder index j has parent index `above[j]` (-1 at
+    the root) and sits at position `pos[j]`: per preorder index, the bitmask
+    of the positions in its subtree and of the positions comparable to it."""
+    under = [1 << p for p in pos]
+    for j in range(len(above) - 1, 0, -1):
+        under[above[j]] |= under[j]
+    over = [0] * len(above)
+    for j in range(1, len(above)):
+        over[j] = over[above[j]] | 1 << pos[above[j]]
+    return under, [u | o for u, o in zip(under, over)]
+
+
+def _merge_masks(t: Tree) -> tuple[list[int], list[int], list[int]]:
+    """t's parent index of each preorder index and, on preorder positions,
+    its `_position_masks`; made once per tree and kept on it, since
+    `_merge_core` places t1 at its preorder positions."""
+    masks = t._tables.get("merge")
+    if masks is None:
+        above = [-1] + [t._tin[t._parent[v]] for v in t._preorder[1:]]
+        masks = t._tables["merge"] = (above, *_position_masks(above, range(t.size)))
+    return masks
 
 
 def _merge_refutation(t1: Tree, t2: Tree, k: int, hits: list[tuple[str, ...]]) -> int:

@@ -198,7 +198,7 @@ class Tree:
 
     __slots__ = ("root", "labels", "region_tags", "_nodes", "_arcs", "_children",
                  "_parent", "_preorder", "_tin", "_tout", "_depth", "_shape",
-                 "_desc_cache")
+                 "_desc_cache", "_tables", "_induced")
 
     def __init__(self, nodes: Iterable[str], arcs: Iterable[tuple[str, str]],
                  root: str | None = None, labels: Mapping[str, str] | None = None,
@@ -226,6 +226,11 @@ class Tree:
         self._arcs = arc_set
         self._shape: int | None = None
         self._desc_cache: dict[str, tuple[str, ...]] = {}
+        # kept as long as the tree, each built when first read: the tables of
+        # `solvers._merge_masks` and `quotient._name_ids`, and the minor it
+        # induces on a node subset (`solvers._induced_minor`)
+        self._tables: dict[str, tuple] = {}
+        self._induced: dict[tuple[str, ...], object] = {}
 
         kids: dict[str, list[str]] = {v: [] for v in node_set}
         parent: dict[str, str] = {}
@@ -527,15 +532,17 @@ def _literal(order: Iterable[str], depths: Iterable[int], labels: Mapping[str, s
 # Aho, Hopcroft & Ullman, 1974).  This table is the single isomorphism
 # authority and `_intern_node` its only writer (`_intern` enters a whole tree
 # through it, the supertree growth in `solvers` one new node at a time);
-# `embeddings` reads the per-shape label, children and size.  It lives as long
-# as the process, as do the code strings `_code` caches per shape.  Enumeration
-# (`enumerate_trees`, `treelab enum`) and the pair scan's ordering read the
-# level sequences directly and write nothing here.
+# `embeddings` reads the per-shape label, children, size, height and leaf
+# count.  It lives as long as the process, as do the code strings `_code`
+# caches per shape.  Enumeration (`enumerate_trees`, `treelab enum`) and the
+# pair scan's ordering read the level sequences directly and write nothing here.
 
 _SHAPE_IDS: dict[tuple[str | None, tuple[int, ...]], int] = {}
 _LABEL: list[str | None] = []
 _KIDS: list[tuple[int, ...]] = []
 _SIZE: list[int] = []
+_HEIGHT: list[int] = []  # arcs on the longest root-to-leaf path
+_LEAVES: list[int] = []
 _CODE: dict[int, str] = {-1: ""}
 
 
@@ -549,6 +556,8 @@ def _intern_node(label: str | None, kids: tuple[int, ...]) -> int:
         _LABEL.append(label)
         _KIDS.append(kids)
         _SIZE.append(1 + sum(_SIZE[k] for k in kids))
+        _HEIGHT.append(1 + max(_HEIGHT[k] for k in kids) if kids else 0)
+        _LEAVES.append(sum(_LEAVES[k] for k in kids) if kids else 1)
     return s
 
 

@@ -63,6 +63,27 @@ def test_usage_error_exits_2(capsys):
     assert main(["no-such-verb"]) == 2
 
 
+PARSER_ARGVS = [["--help"], [], ["no-such-verb"], ["--jobs", "0", "scan", "--max-size", "3"],
+                ["scan", "--max-size", "3", "--jobs", "0"], ["verify", "--help"],
+                ["verify", "fig1", "--help"], ["family"]]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_the_one_verb_parser_answers_as_the_full_parser(capsys, monkeypatch, argv):
+    one_verb = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_verb_of", lambda argv: None)  # every verb's subparser
+    assert run(capsys, *argv) == one_verb
+
+
+def test_the_verb_is_read_past_the_shared_flags_only(capsys):
+    assert [cli._verb_of(argv) for argv in PARSER_ARGVS] == [
+        None, None, None, "scan", "scan", "verify", "verify", "family"]
+    assert cli._verb_of(["--format=text", "--dot-dir", "scan", "lcs", "a", "b"]) == "lcs"
+    assert cli._verb_of(["--jo", "2", "scan"]) is None  # abbreviated: every verb
+    code, _, err = run(capsys, "--jobs", "0", "scan", "--max-size", "3")
+    assert code == 2 and "{" + ",".join(cli.VERBS) + "}" in err and len(cli.VERBS) == 14
+
+
 # -- enumeration -------------------------------------------------------------------
 
 def test_enum_lists_trees(capsys):

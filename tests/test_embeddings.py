@@ -12,6 +12,7 @@ from treelab import (EmbeddingError, MinorEmbedding, MultiRootError, TreeError,
                      is_minor, is_minor_by_subsets, map_path, parse_tree, star)
 
 from treelab.cli import main
+from treelab.embeddings import _violations
 
 from conftest import (all_trees_up_to, brute_force_embeddings,
                       enumerate_embeddings_recursive, labeled_trees)
@@ -100,6 +101,31 @@ def test_violations_are_pinned_on_hand_made_maps():
     ]
     for f, source, target, expected in cases:
         assert [v.to_json() for v in check_embedding(f, source, target)] == expected, f
+
+
+def test_a_failing_map_reports_in_a_fixed_order():
+    # grouped by image and arcs ordered only once a map fails; the report is
+    # the one the checker gave when it sorted on every call
+    s = parse_tree("a(b,c,d,e,g,h(i),j,l)")
+    t = parse_tree("r(x(y(z)),w,q,k:K)")
+    f = {"a": "r", "b": "w", "c": "w", "e": "q", "g": "q", "h": "x", "i": "z", "j": "y",
+         "l": "k"}
+    expected = [
+        {"arc": None, "reason": "map is not total: d has no image"},
+        {"arc": None, "reason": "map is not injective: e, g share image q",
+         "witness_node": "q"},
+        {"arc": None, "reason": "map is not injective: b, c share image w",
+         "witness_node": "w"},
+        {"arc": None, "reason": "label of l differs from label of its image k",
+         "witness_node": "k"},
+        {"arc": ["a", "j"], "reason": "path r ~> y passes through image node x",
+         "witness_node": "x"},
+        {"arc": ["h", "i"], "reason": "path x ~> z passes through image node y",
+         "witness_node": "y"}]
+    assert [v.to_json() for v in check_embedding(f, s, t)] == expected
+    for arcs in (sorted(s.arcs), sorted(s.arcs, reverse=True)):
+        got = _violations(f, s.preorder, arcs, s.labels, t.root, t._parent, t.labels)
+        assert [v.to_json() for v in got] == expected
 
 
 def test_violation_json_shape():

@@ -46,9 +46,12 @@ FROZEN = {StructureViolation, Digraph, EmbeddingViolation, Lemma4Witness, ThetaC
 
 
 def sample(cls, fields, tag=""):
-    """Hashable field values; records other than `Digraph` do not check types."""
+    """Field values of the types the record is hashed by; records other than
+    `Digraph` do not check types."""
     if cls is Digraph:
         return frozenset("xy"), frozenset({("x", "y")} if not tag else ())
+    if cls is TripleMergeWitness:  # a dict field, hashed by its items
+        return ({"S": ("s1", "s2", "x"), "P": (f"p1{tag}", "p2", "y")},)
     return tuple(f"{f}{tag}" for f in fields)
 
 
@@ -104,3 +107,10 @@ def test_theta_classes_sort_by_their_members():
 def test_digraph_rejects_a_dangling_arc():
     with pytest.raises(TreeError, match="endpoint outside the node set"):
         Digraph(frozenset("ab"), frozenset({("a", "c")}))
+
+
+def test_triple_merge_witness_hashes_by_its_merges():
+    merges = {"P": ("u", "v", "w"), "R": ("a", "b", "c")}
+    w = TripleMergeWitness(merges)
+    assert hash(w) == hash(TripleMergeWitness(dict(reversed(merges.items()))))
+    assert len({w, TripleMergeWitness(dict(merges)), TripleMergeWitness({})}) == 2

@@ -482,6 +482,25 @@ def test_merge_matches_growth_on_all_pairs_up_to_7():
                 format_tree(t1), format_tree(t2))
 
 
+def test_scan_records_are_the_same_from_cold_and_warm_tables():
+    # the tables each tree keeps (`Tree._tables`, `Tree._induced`) give a pair
+    # the record it gets on freshly built trees, once they are filled by the
+    # common-minor solver and a first scan
+    seqs = [seq for k in range(1, 6) for seq in _level_sequences(k)]
+    pairs = [(seq1, seq2, True) for i, seq1 in enumerate(seqs) for seq2 in seqs[i:]]
+    cold = []
+    for args in pairs:
+        _scan_tree.cache_clear()
+        cold.append(_scan_one_pair(args))
+    for seq1, seq2, _ in pairs:
+        largest_common_minor(_scan_tree(seq1), _scan_tree(seq2), all_witnesses=True)
+    first = [_scan_one_pair(args) for args in pairs]
+    assert [_scan_one_pair(args) for args in pairs] == first == cold
+    assert all("glue" in _scan_tree(seq)._tables for seq in seqs)
+    assert all(_scan_tree(seq)._induced for seq in seqs)
+    assert sum("merge" in _scan_tree(seq)._tables for seq in seqs) > 1
+
+
 def test_the_full_merge_refutation_matches_growth_on_all_pairs_up_to_6():
     # no hit subsets given: every level from |t1| down is refuted or merged
     trees6 = all_trees_up_to(6)
