@@ -27,9 +27,7 @@ class MinorEmbedding(_Record):
     __slots__ = ("source", "target", "mapping")
 
     def __init__(self, source: Tree, target: Tree, mapping: dict[str, str]):
-        self.source = source
-        self.target = target
-        self.mapping = mapping
+        super().__init__(source, target, mapping)
 
     def __getitem__(self, v: str) -> str:
         return self.mapping[v]
@@ -49,9 +47,7 @@ class EmbeddingViolation(_FrozenRecord):
 
     def __init__(self, arc: tuple[str, str] | None, reason: str,
                  witness_node: str | None = None):
-        object.__setattr__(self, "arc", arc)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "witness_node", witness_node)
+        super().__init__(arc, reason, witness_node)
 
     def __str__(self) -> str:
         where = f" on arc {self.arc[0]}->{self.arc[1]}" if self.arc else ""
@@ -389,10 +385,7 @@ class Lemma4Witness(_FrozenRecord):
     __slots__ = ("a", "b", "fa", "fb")
 
     def __init__(self, a: str, b: str, fa: str, fb: str):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "fa", fa)
-        object.__setattr__(self, "fb", fb)
+        super().__init__(a, b, fa, fb)
 
     def to_json(self) -> dict:
         return {"a": self.a, "b": self.b, "fa": self.fa, "fb": self.fb}

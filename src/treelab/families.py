@@ -14,9 +14,10 @@ gap exactly, checks the triple-merge impossibility over supertree
 embeddings, and scans all small tree pairs for gap and path-uniqueness
 behaviour, on node positions: its witnesses come from the builder that
 `largest_common_minor` uses (`solvers._witness_embedding`).  Each scan tree
-is built once per process and keeps, across every pair it takes part in,
-what depends on it alone: the minors it induces on its hit subsets, with
-their literals, its merge bitmasks and its quotient ids.  Two further
+is built once per process and keeps in its `_tables`, across every pair
+it takes part in, what depends on it alone: its induced shapes of each
+size, the minors it induces on its hit subsets, with their literals, its
+merge bitmasks and its quotient ids.  Two further
 parameterized families (``fig4``, ``fig5``) embed an arbitrary subproblem
 pair (A, B) into the construction; ``fig5`` is a best-effort
 reconstruction and all its checks are report-grade.
@@ -70,16 +71,7 @@ class Fig1Instance(_Record):
     def __init__(self, p: Tree, r: Tree, s: Tree, parts: dict[str, Tree], t1: Tree,
                  t2: Tree, claimed_mu: Tree, g1: MinorEmbedding, g2: MinorEmbedding,
                  p_isomorphic_s: bool):
-        self.p = p
-        self.r = r
-        self.s = s
-        self.parts = parts
-        self.t1 = t1
-        self.t2 = t2
-        self.claimed_mu = claimed_mu
-        self.g1 = g1
-        self.g2 = g2
-        self.p_isomorphic_s = p_isomorphic_s
+        super().__init__(p, r, s, parts, t1, t2, claimed_mu, g1, g2, p_isomorphic_s)
 
 
 def _fresh_name(base: str, used: set[str]) -> str:
@@ -148,7 +140,7 @@ def fig1_family(p: Tree, r: Tree, s: Tree) -> Fig1Instance:
     for g in (g1, g2):
         bad = check_embedding(g.mapping, g.source, g.target)
         if bad:
-            raise AssertionError(f"family construction broke its own witness: {bad[0]}")
+            raise SolverDisagreement(f"family construction broke its own witness: {bad[0]}")
 
     degenerate = are_isomorphic(p, s)
     if degenerate:
@@ -166,10 +158,7 @@ class SupertreeCandidate(_Record):
     __slots__ = ("case", "tree", "f1", "f2")
 
     def __init__(self, case: str, tree: Tree, f1: MinorEmbedding, f2: MinorEmbedding):
-        self.case = case
-        self.tree = tree
-        self.f1 = f1
-        self.f2 = f2
+        super().__init__(case, tree, f1, f2)
 
     def to_json(self) -> dict:
         return {"case": self.case, "size": self.tree.size,
@@ -206,7 +195,7 @@ def fig2_candidates(inst: Fig1Instance,
         for f in (f1, f2):
             bad = check_embedding(f.mapping, f.source, f.target)
             if bad:
-                raise AssertionError(f"candidate case {case} is not a supertree: {bad[0]}")
+                raise SolverDisagreement(f"candidate case {case} is not a supertree: {bad[0]}")
         out.append(SupertreeCandidate(case, tree, f1, f2))
 
     # case a, duplicating P:  a( z( y(P, R), S ), P' )
@@ -268,7 +257,7 @@ class TripleMergeWitness(_FrozenRecord):
 
     def __init__(self, merges: dict[str, tuple[str, str, str]]):
         # slot -> (t1 node, t2 node, image)
-        object.__setattr__(self, "merges", merges)
+        super().__init__(merges)
 
     def __hash__(self) -> int:  # the field is a dict, so hash its items
         return hash(tuple(sorted(self.merges.items())))
@@ -333,25 +322,11 @@ class VerificationReport(_Record):
                  candidates: list[SupertreeCandidate], prop21: Prop21Report,
                  reduced_is_tree: bool, quotient: QuotientGraph, theorem5: dict,
                  warnings: list[str] | None = None, timing: dict | None = None):
-        self.family = family
-        self.params = params
-        self.sizes = sizes
-        self.lcs_size = lcs_size
-        self.claimed_mu_optimal = claimed_mu_optimal
-        self.eq4_prediction = eq4_prediction
-        self.scs_size = scs_size
-        self.scs_exact = scs_exact
-        self.scs_lower_bound = scs_lower_bound
-        self.scs_levels = scs_levels
-        self.scs_witness_literals = scs_witness_literals
-        self.gap = gap
-        self.candidates = candidates
-        self.prop21 = prop21
-        self.reduced_is_tree = reduced_is_tree
-        self.quotient = quotient
-        self.theorem5 = theorem5
-        self.warnings = [] if warnings is None else warnings
-        self.timing = {} if timing is None else timing
+        super().__init__(family, params, sizes, lcs_size, claimed_mu_optimal, eq4_prediction,
+                         scs_size, scs_exact, scs_lower_bound, scs_levels,
+                         scs_witness_literals, gap, candidates, prop21, reduced_is_tree,
+                         quotient, theorem5, [] if warnings is None else warnings,
+                         {} if timing is None else timing)
 
     def to_json(self) -> dict:
         return {
@@ -695,13 +670,8 @@ class ScanReport(_Record):
     def __init__(self, max_size: int, checks: tuple[str, ...], pairs_scanned: int,
                  gap_histogram: dict[int, int], minimal_violating_pair: dict | None,
                  prop21_summary: dict, wall_ms: float = 0.0):
-        self.max_size = max_size
-        self.checks = checks
-        self.pairs_scanned = pairs_scanned
-        self.gap_histogram = gap_histogram
-        self.minimal_violating_pair = minimal_violating_pair
-        self.prop21_summary = prop21_summary
-        self.wall_ms = wall_ms
+        super().__init__(max_size, checks, pairs_scanned, gap_histogram,
+                         minimal_violating_pair, prop21_summary, wall_ms)
 
     @property
     def violation_found(self) -> bool:

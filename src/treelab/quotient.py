@@ -39,7 +39,7 @@ class ThetaClass(_FrozenRecord):
     __slots__ = ("members",)
 
     def __init__(self, members: tuple[TaggedNode, ...]):
-        object.__setattr__(self, "members", members)
+        super().__init__(members)
 
     def __lt__(self, other):
         if other.__class__ is not self.__class__:
@@ -72,11 +72,11 @@ def _require_witness(t_mu: Tree, g1: MinorEmbedding, g2: MinorEmbedding) -> None
 def _name_ids(t: Tree) -> tuple[list[str], dict[str, int], list[tuple[int, int]]]:
     """t's nodes in name order, the index of each in that order, and t's
     arcs on those indices; made once per tree and kept on it."""
-    ids = t._tables.get("glue")
+    ids = t._tables.get(_name_ids)
     if ids is None:
         names = sorted(t.nodes)
         index = {v: i for i, v in enumerate(names)}
-        ids = t._tables["glue"] = (names, index, [(index[a], index[b]) for a, b in t.arcs])
+        ids = t._tables[_name_ids] = (names, index, [(index[a], index[b]) for a, b in t.arcs])
     return ids
 
 
@@ -280,14 +280,7 @@ class QuotientGraph(_Record):
                  ell1: dict[str, ThetaClass], ell2: dict[str, ThetaClass],
                  mu_image: frozenset[ThetaClass], t_mu: Tree,
                  g1: MinorEmbedding, g2: MinorEmbedding):
-        self.classes = classes
-        self.arcs = arcs
-        self.ell1 = ell1
-        self.ell2 = ell2
-        self.mu_image = mu_image
-        self.t_mu = t_mu
-        self.g1 = g1
-        self.g2 = g2
+        super().__init__(classes, arcs, ell1, ell2, mu_image, t_mu, g1, g2)
 
     @property
     def t1(self) -> Tree:
@@ -373,11 +366,7 @@ class Prop21Violation(_FrozenRecord):
 
     def __init__(self, kind: str, v: ThetaClass, w: ThetaClass,
                  paths: tuple[tuple[ThetaClass, ...], ...], reason: str):
-        object.__setattr__(self, "kind", kind)  # "i" or "ii"
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "paths", paths)
-        object.__setattr__(self, "reason", reason)
+        super().__init__(kind, v, w, paths, reason)  # kind is "i" or "ii"
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "v": self.v.label, "w": self.w.label,
@@ -389,8 +378,7 @@ class Prop21Report(_Record):
     __slots__ = ("holds", "violations")
 
     def __init__(self, holds: bool, violations: list[Prop21Violation]):
-        self.holds = holds
-        self.violations = violations
+        super().__init__(holds, violations)
 
     def to_json(self) -> dict:
         return {"holds": self.holds, "violations": [v.to_json() for v in self.violations]}

@@ -11,16 +11,19 @@ looks for the largest common-minor matching that merges into one tree
 hold each to the other.
 
 Each search is a core that works on interned shapes or node positions only
-and returns the optimum and its hits (`_lcs_core` also its levels; the
-supertree levels are counts of trees in code order, which the public solver
-derives).  The public solvers wrap the cores and build named `Tree`s and
-embeddings for the hits alone.  A common-minor hit subset becomes a witness
-only through `_witness_embedding`, for `largest_common_minor` and the scan.
+and returns the optimum and its hits (`_lcs_core` also its levels, as plain
+tuples; the supertree levels are counts of trees in code order, which the
+public solver derives).  The public solvers wrap the cores and build named
+`Tree`s, embeddings and `LevelStats` for the result alone.  A common-minor
+hit subset becomes a witness only through `_witness_embedding`, for
+`largest_common_minor` and the scan.
 
-What depends on one input alone is made once and kept on its `Tree`: the
-minor it induces on each hit subset, whose identity map is validated when
-it is made (`_induced_minor`), and the preorder bitmasks `_merge_core`
-reads (`_merge_masks`).  Each pair then only searches and validates the
+What depends on one input alone is made once and kept in the one
+`Tree._tables` of that input, never in a module table keyed by trees: its
+distinct induced shapes of each size (`_minor_level`), the minor it induces
+on each hit subset, whose identity map is validated when it is made
+(`_induced_minor`), and the preorder bitmasks `_merge_core` reads
+(`_merge_masks`).  Each pair then only searches and validates the
 embedding into the other input, and merges.
 """
 
@@ -53,9 +56,7 @@ class LevelStats(_Record):
     __slots__ = ("size", "candidates", "hits")
 
     def __init__(self, size: int, candidates: int, hits: int):
-        self.size = size
-        self.candidates = candidates
-        self.hits = hits
+        super().__init__(size, candidates, hits)
 
     def to_json(self) -> dict:
         return {"size": self.size, "candidates": self.candidates, "hits": self.hits}
@@ -71,9 +72,7 @@ class CommonTreeWitness(_Record):
     __slots__ = ("tree", "emb1", "emb2")
 
     def __init__(self, tree: Tree, emb1: MinorEmbedding, emb2: MinorEmbedding):
-        self.tree = tree
-        self.emb1 = emb1
-        self.emb2 = emb2
+        super().__init__(tree, emb1, emb2)
 
     def to_json(self) -> dict:
         return {"tree_literal": format_tree(self.tree),
@@ -86,10 +85,7 @@ class SolverResult(_Record):
 
     def __init__(self, optimum_size: int, witnesses: list[CommonTreeWitness],
                  levels: list[LevelStats] | None = None, wall_ms: float = 0.0):
-        self.optimum_size = optimum_size
-        self.witnesses = witnesses
-        self.levels = [] if levels is None else levels
-        self.wall_ms = wall_ms
+        super().__init__(optimum_size, witnesses, [] if levels is None else levels, wall_ms)
 
     def to_json(self) -> dict:
         return {
@@ -119,12 +115,7 @@ def _identity_embedding(s: Tree, t: Tree) -> MinorEmbedding:
     return MinorEmbedding(s, t, {v: v for v in s.nodes})
 
 
-#: The distinct induced shapes of each size of each input tree, filled by
-#: `_minor_level` and kept, like `embeddings._FITS`, as long as the process.
-_MINOR_LEVELS: dict[tuple[Tree, int], list[tuple[int, tuple[str, ...]]]] = {}
-
-
-def _minor_level(small: Tree, k: int) -> list[tuple[int, tuple[str, ...]]]:
+def _minor_level(small: Tree, k: int) -> tuple[tuple[int, tuple[str, ...]], ...]:
     """The distinct shapes of the size-k induced minors of `small`, each with
     the first node subset (names in name order) that induces it, in the
     order `combinations(sorted(small.nodes), k)` discovers them.
@@ -133,10 +124,11 @@ def _minor_level(small: Tree, k: int) -> list[tuple[int, tuple[str, ...]]]:
     (each node hangs under its nearest in-subset ancestor, kept on a stack)
     and interned with `_intern`, so no `Tree` is built; a subset whose first
     node is not an ancestor of all the others has a second root and is
-    skipped.  Each level is walked completely once per tree and memoized,
-    since the pair scan asks again for the same smaller inputs.
+    skipped.  Each level is walked completely once per tree and kept in its
+    `_tables` under k, since the pair scan asks again for the same smaller
+    inputs.
     """
-    level = _MINOR_LEVELS.get((small, k))
+    level = small._tables.get(k)
     if level is None:
         order, tin, tout = small._preorder, small._tin, small._tout
         # position i of the name-sorted node list holds that node's preorder index
@@ -156,14 +148,16 @@ def _minor_level(small: Tree, k: int) -> list[tuple[int, tuple[str, ...]]]:
                 depth.append(len(open_ends))
                 open_ends.append(ends[i])
             first.setdefault(_intern(depth, [labels[i] for i in pre]), w)
-        level = _MINOR_LEVELS[small, k] = [(s, tuple(order[i] for i in w))
-                                           for s, w in first.items()]
+        level = small._tables[k] = tuple((s, tuple(order[i] for i in w))
+                                         for s, w in first.items())
     return level
 
 
 def _lcs_core(small: Tree, other: Tree,
-              all_witnesses: bool) -> tuple[int, list[LevelStats], list[tuple[str, ...]]]:
-    """The common-minor search on shapes: (optimum, levels, hit subsets).
+              all_witnesses: bool) -> tuple[int, list[tuple[int, int, int]], list[tuple[str, ...]]]:
+    """The common-minor search on shapes: (optimum, levels, hit subsets),
+    each level a (size, candidates, hits) tuple that only
+    `largest_common_minor` makes a `LevelStats`.
 
     Walk k downward from |small| through the induced shapes of `small`
     (`_minor_level`), testing each with `_fits` into `other`.  The first k
@@ -174,7 +168,7 @@ def _lcs_core(small: Tree, other: Tree,
     inputs that share no node label have no common minor: optimum 0, no hits.
     """
     target = _shape(other)
-    levels: list[LevelStats] = []
+    levels: list[tuple[int, int, int]] = []
     for k in range(small.size, 0, -1):
         level = _minor_level(small, k)
         tested, hits = 0, []
@@ -184,7 +178,7 @@ def _lcs_core(small: Tree, other: Tree,
                 hits.append((s, w))
                 if not all_witnesses:
                     break
-        levels.append(LevelStats(k, tested, len(hits)))
+        levels.append((k, tested, len(hits)))
         if hits:
             return k, levels, [w for s, w in sorted(hits, key=lambda hit: _code(hit[0]))]
     return 0, levels, []  # labeled inputs that share no node label
@@ -222,7 +216,8 @@ def largest_common_minor(t1: Tree, t2: Tree, all_witnesses: bool = False,
         into_other = MinorEmbedding(m, other, dict(zip(order, images)))
         g1, g2 = (into_other, into_small) if flipped else (into_small, into_other)
         witnesses.append(CommonTreeWitness(m, g1, g2))
-    return LcsResult(k, witnesses, levels, (time.perf_counter() - started) * 1e3)
+    return LcsResult(k, witnesses, [LevelStats(*lv) for lv in levels],
+                     (time.perf_counter() - started) * 1e3)
 
 
 class _InducedMinor:
@@ -245,16 +240,16 @@ class _InducedMinor:
 
 def _induced_minor(small: Tree, w: tuple[str, ...]) -> _InducedMinor:
     """The minor `small` induces on its node subset w, made once per subset
-    and kept on `small`; the identity map on w into `small` is re-validated
-    through `_violations` when it is made."""
-    minor = small._induced.get(w)
+    and kept in the `_tables` of `small`; the identity map on w into `small`
+    is re-validated through `_violations` when it is made."""
+    minor = small._tables.get(w)
     if minor is None:
         minor = _InducedMinor(small, w)
         bad = _violations({v: v for v in minor.order}, minor.order, minor.arcs, small.labels,
                           small.root, small._parent, small.labels)
         if bad:
             raise EmbeddingError(bad)
-        small._induced[w] = minor
+        small._tables[w] = minor
     return minor
 
 
@@ -496,10 +491,10 @@ def _merge_masks(t: Tree) -> tuple[list[int], list[int], list[int]]:
     """t's parent index of each preorder index and, on preorder positions,
     its `_position_masks`; made once per tree and kept on it, since
     `_merge_core` places t1 at its preorder positions."""
-    masks = t._tables.get("merge")
+    masks = t._tables.get(_merge_masks)
     if masks is None:
         above = [-1] + [t._tin[t._parent[v]] for v in t._preorder[1:]]
-        masks = t._tables["merge"] = (above, *_position_masks(above, range(t.size)))
+        masks = t._tables[_merge_masks] = (above, *_position_masks(above, range(t.size)))
     return masks
 
 
@@ -510,24 +505,26 @@ def _merge_refutation(t1: Tree, t2: Tree, k: int, hits: list[tuple[str, ...]]) -
     every embedding of every node subset of t1 that induces a tree, at k,
     k - 1, and so on.  By the lemma of `_merge_core` the first merge found
     is optimal; on unlabeled inputs the root pair alone always merges.  Each
-    matching is tried as the search yields it."""
-    def merged(w: tuple[str, ...], skip: int) -> int | None:
-        order, parent = _induced_preorder(t1, w)
-        for images in islice(_search(parent, [t1.labels.get(v) for v in order], t2), skip, None):
+    matching is tried as the search yields it.  A hit's minor is read from
+    t1's tables (`_induced_minor`); the other subsets are induced here."""
+    def merged(order: list[str], parent: list[int], labels: list, skip: int) -> int | None:
+        for images in islice(_search(parent, labels, t2), skip, None):
             c = _merge_core(t1, t2, dict(zip(order, images)))
             if c is not None:
                 return len(c)
         return None
 
     for w in hits:
-        got = merged(w, 1)
+        minor = _induced_minor(t1, w)
+        got = merged(minor.order, minor.parent, minor.labels, 1)
         if got is not None:
             return got
     tin, tout = t1._tin, t1._tout
     for j in range(k, 0, -1):
         for w in combinations(t1._preorder, j):  # w[0] comes first in preorder
             if tout[w[0]] > max(tin[v] for v in w):  # one root: w[0] is above the rest
-                got = merged(w, 0)
+                order, parent = _induced_preorder(t1, w)
+                got = merged(order, parent, [t1.labels.get(v) for v in order], 0)
                 if got is not None:
                     return got
     raise SolverDisagreement(f"no matching of {format_tree(t1)} and {format_tree(t2)} "
@@ -540,7 +537,7 @@ def _code_rank(n: int, stop: tuple[int, ...]) -> int:
     for rank, levels in enumerate(_level_sequences(n), 1):
         if levels == stop:
             return rank
-    raise AssertionError(f"{stop} is not a canonical size-{n} level sequence")
+    raise SolverDisagreement(f"{stop} is not a canonical size-{n} level sequence")
 
 
 def _found(f: MinorEmbedding | None, s: Tree, t: Tree) -> MinorEmbedding:
@@ -633,7 +630,7 @@ def root_merge_supertree(t1: Tree, t2: Tree) -> Tree:
     for s, mapping in ((t1, {v: v for v in t1.nodes}), (t2, rename)):
         bad = check_embedding(mapping, s, merged)
         if bad:
-            raise AssertionError(f"root merge produced a non-supertree: {bad[0]}")
+            raise SolverDisagreement(f"root merge produced a non-supertree: {bad[0]}")
     return merged
 
 

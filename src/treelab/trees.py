@@ -39,14 +39,20 @@ class _Record:
 
     A record's fields are the `__slots__` of its class, in order (a
     subclass that declares none adds none), and its own `__init__` takes
-    them in that order.  The base gives field-wise `==` (only between
-    records of the same class; a mutable record is unhashable), a
+    them in that order and hands them, normalised, to the base constructor,
+    which alone fills the fields.  The base gives field-wise `==` (only
+    between records of the same class; a mutable record is unhashable), a
     ``Name(field=value, ...)`` repr, and pickling and copying through the
     constructor, since restoring slot state by assignment would fail on a
     frozen record.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        # through `object.__setattr__`, which a frozen record does not refuse
+        for field, value in zip(self.__slots__, values):
+            object.__setattr__(self, field, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self.__slots__)
@@ -67,8 +73,8 @@ class _Record:
 
 
 class _FrozenRecord(_Record):
-    """A record that refuses assignment after `__init__` (which sets its
-    fields through `object.__setattr__`) and hashes by its fields."""
+    """A record that refuses assignment after the base constructor has set
+    its fields, and hashes by its fields."""
 
     __slots__ = ()
 
@@ -88,9 +94,7 @@ class StructureViolation(_FrozenRecord):
     __slots__ = ("kind", "subject", "message")
 
     def __init__(self, kind: str, subject: tuple[str, ...], message: str):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "subject", subject)
-        object.__setattr__(self, "message", message)
+        super().__init__(kind, subject, message)
 
     def __str__(self) -> str:
         return self.message
@@ -194,11 +198,18 @@ class Tree:
     empty tree).  Optional `labels` and `region_tags` map node names to
     strings; labels take part in isomorphism, region tags are provenance
     annotations only.
+
+    What other code derives from a tree is kept in its one dict `_tables`,
+    as long as the tree lives, each entry built when first read and keyed
+    so that kinds cannot collide: a node name (its sorted strict
+    descendants), a node-subset tuple (the minor induced there,
+    `solvers._induced_minor`), a size k (the distinct induced shapes of
+    that size, `solvers._minor_level`), or the function that builds a
+    whole-tree table (`solvers._merge_masks`, `quotient._name_ids`).
     """
 
     __slots__ = ("root", "labels", "region_tags", "_nodes", "_arcs", "_children",
-                 "_parent", "_preorder", "_tin", "_tout", "_depth", "_shape",
-                 "_desc_cache", "_tables", "_induced")
+                 "_parent", "_preorder", "_tin", "_tout", "_depth", "_shape", "_tables")
 
     def __init__(self, nodes: Iterable[str], arcs: Iterable[tuple[str, str]],
                  root: str | None = None, labels: Mapping[str, str] | None = None,
@@ -225,12 +236,7 @@ class Tree:
         self._nodes = node_set
         self._arcs = arc_set
         self._shape: int | None = None
-        self._desc_cache: dict[str, tuple[str, ...]] = {}
-        # kept as long as the tree, each built when first read: the tables of
-        # `solvers._merge_masks` and `quotient._name_ids`, and the minor it
-        # induces on a node subset (`solvers._induced_minor`)
-        self._tables: dict[str, tuple] = {}
-        self._induced: dict[tuple[str, ...], object] = {}
+        self._tables: dict = {}
 
         kids: dict[str, list[str]] = {v: [] for v in node_set}
         parent: dict[str, str] = {}
@@ -328,10 +334,10 @@ class Tree:
     def strict_descendants(self, v: str) -> tuple[str, ...]:
         """Proper descendants of v, sorted by name."""
         self._known(v)
-        cached = self._desc_cache.get(v)
+        cached = self._tables.get(v)
         if cached is None:  # v's subtree is a slice of the preorder
             cached = tuple(sorted(self._preorder[self._tin[v] + 1:self._tout[v]]))
-            self._desc_cache[v] = cached
+            self._tables[v] = cached
         return cached
 
     # -- derived trees -----------------------------------------------------
@@ -382,8 +388,7 @@ class Digraph(_FrozenRecord):
             if a not in nodes or b not in nodes:
                 raise TreeError(
                     f"arc {node_str(a)}->{node_str(b)} has an endpoint outside the node set")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "arcs", arcs)
+        super().__init__(nodes, arcs)
 
     @property
     def size(self) -> int:

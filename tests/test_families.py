@@ -3,7 +3,7 @@ import json
 import pytest
 
 from treelab import (BudgetError, DegenerateFamilyWarning, EmbeddingError,
-                     MinorEmbedding, TreeError, are_isomorphic, chain,
+                     MinorEmbedding, SolverDisagreement, TreeError, are_isomorphic, chain,
                      check_embedding, check_fig5_claims, check_theorem5,
                      enumerate_embeddings, fig1_family,
                      fig2_candidates, fig4_family, fig5_family, find_embedding,
@@ -11,7 +11,7 @@ from treelab import (BudgetError, DegenerateFamilyWarning, EmbeddingError,
                      scan_pairs, smallest_common_supertree, star,
                      subproblem_transfer_check, validate, verify_counterexample)
 
-from treelab import embeddings, families, quotient, solvers, trees
+from treelab import cli, embeddings, families, quotient, solvers, trees
 from treelab.trees import _level_sequences
 
 from conftest import all_trees_up_to, scan_pair_with_named_witnesses
@@ -38,6 +38,17 @@ def test_fig1_headline_shapes_and_names():
     assert inst.t2 == parse_tree("a(p1(p2(p3)),z(r,s1(s2,s3)))")
     assert inst.claimed_mu == parse_tree("a(p1(p2(p3)),r,s1(s2,s3))")
     assert inst.t1.size == inst.t2.size == 9 and inst.claimed_mu.size == 8
+
+
+def test_fig1_with_a_broken_witness_is_an_internal_error(monkeypatch, capsys):
+    # the family checks its own claimed embeddings; a violation is a typed
+    # internal error, which the CLI reports with exit 3
+    violation = embeddings.EmbeddingViolation(None, "forced violation")
+    monkeypatch.setattr(families, "check_embedding", lambda f, s, t: [violation])
+    with pytest.raises(SolverDisagreement, match="broke its own witness: forced violation"):
+        headline_instance()
+    assert cli.main(["family", "fig1", "--p", "p1(p2)", "--r", "r", "--s", "s1"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: SolverDisagreement: ")
 
 
 def test_fig1_sizes_formula():

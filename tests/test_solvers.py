@@ -13,7 +13,7 @@ from treelab import (BudgetError, EmbeddingError, SolverDisagreement, TreeError,
                      format_tree, induced_minor, is_minor, largest_common_minor,
                      parse_tree, root_merge_supertree, smallest_common_supertree, star)
 
-from treelab import solvers, trees
+from treelab import quotient, solvers, trees
 from treelab.embeddings import _fits
 from treelab.families import _scan_one_pair, _scan_tree
 from treelab.trees import ENUM_CAP_DEFAULT, _intern, _level_sequences, _levels_of, _shape
@@ -142,26 +142,36 @@ def test_lcs_core_returns_the_first_subset_of_each_hit_shape():
     # size 3 in subset order: {a,b,c} has two roots and is skipped, {a,b,r}
     # is a chain, {a,c,r} a cherry, {b,c,r} the cherry again
     k, levels, hits = solvers._lcs_core(small, other, True)
-    assert k == 3 and [lv.to_json() for lv in levels] == [
-        {"size": 4, "candidates": 1, "hits": 0},
-        {"size": 3, "candidates": 2, "hits": 2}]
+    # each level is a (size, candidates, hits) tuple
+    assert k == 3 and levels == [(4, 1, 0), (3, 2, 2)]
     assert hits == [("a", "b", "r"), ("a", "c", "r")]
     k, levels, hits = solvers._lcs_core(small, other, False)
-    assert (k, levels[-1].candidates, hits) == (3, 1, [("a", "b", "r")])
+    assert (k, levels[-1][1], hits) == (3, 1, [("a", "b", "r")])
 
 
 @pytest.mark.parametrize("first", [False, True])
-def test_lcs_core_is_the_same_with_a_cold_and_a_warm_memo(monkeypatch, first):
-    # a level filled under one witness mode serves the other one unchanged
-    monkeypatch.setattr(solvers, "_MINOR_LEVELS", {})
-    trees = all_trees_up_to(5) + [parse_tree("r:a(b:a(c:b),d:b(e:a,f:a))")]
+def test_lcs_core_is_the_same_with_a_cold_and_a_warm_memo(first):
+    # a level filled under one witness mode serves the other one unchanged;
+    # freshly parsed trees start with empty tables
+    trees = [parse_tree(format_tree(t)) for t in all_trees_up_to(5)]
+    trees.append(parse_tree("r:a(b:a(c:b),d:b(e:a,f:a))"))
+    assert not any(t._tables for t in trees)
     for all_witnesses in (first, not first, first):
         for t1 in trees:
             for t2 in trees:
                 want = lcs_by_subset_walk(t1, t2, all_witnesses)
                 got = largest_common_minor(t1, t2, all_witnesses=all_witnesses)
                 assert report(got) == report(want), (t1, t2, all_witnesses)
-    assert solvers._MINOR_LEVELS
+    assert all(t.size in t._tables for t in trees)
+
+
+def test_lcs_keeps_no_reference_to_its_inputs():
+    # what the solver derives from a tree is kept on the tree, so no module
+    # table keeps the tree alive
+    t1, t2 = parse_tree("a(b(c),d)"), parse_tree("x(y(z,u))")
+    before = sys.getrefcount(t1), sys.getrefcount(t2)
+    assert largest_common_minor(t1, t2, all_witnesses=True).optimum_size == 3
+    assert (sys.getrefcount(t1), sys.getrefcount(t2)) == before
 
 
 def test_lcs_of_inputs_sharing_no_label_is_empty():
@@ -395,11 +405,14 @@ def test_scs_without_a_witness_embedding_is_a_disagreement(monkeypatch, t1, t2):
 
 
 def test_the_library_has_no_assert_statement():
-    # python -O strips assert statements, so no check of the library is one
+    # python -O strips assert statements, so no check of the library is one;
+    # nor does a failed internal check raise their `AssertionError`: it is a
+    # typed `SolverDisagreement`
     found = [f"{path.name}:{node.lineno}"
              for path in sorted(pathlib.Path(solvers.__file__).parent.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Assert)]
+             if isinstance(node, ast.Assert)
+             or isinstance(node, ast.Name) and node.id == "AssertionError"]
     assert found == []
 
 
@@ -483,7 +496,7 @@ def test_merge_matches_growth_on_all_pairs_up_to_7():
 
 
 def test_scan_records_are_the_same_from_cold_and_warm_tables():
-    # the tables each tree keeps (`Tree._tables`, `Tree._induced`) give a pair
+    # the tables each tree keeps (`Tree._tables`) give a pair
     # the record it gets on freshly built trees, once they are filled by the
     # common-minor solver and a first scan
     seqs = [seq for k in range(1, 6) for seq in _level_sequences(k)]
@@ -496,9 +509,10 @@ def test_scan_records_are_the_same_from_cold_and_warm_tables():
         largest_common_minor(_scan_tree(seq1), _scan_tree(seq2), all_witnesses=True)
     first = [_scan_one_pair(args) for args in pairs]
     assert [_scan_one_pair(args) for args in pairs] == first == cold
-    assert all("glue" in _scan_tree(seq)._tables for seq in seqs)
-    assert all(_scan_tree(seq)._induced for seq in seqs)
-    assert sum("merge" in _scan_tree(seq)._tables for seq in seqs) > 1
+    assert all(quotient._name_ids in _scan_tree(seq)._tables for seq in seqs)
+    assert all(any(isinstance(key, tuple) for key in _scan_tree(seq)._tables)
+               for seq in seqs)
+    assert sum(solvers._merge_masks in _scan_tree(seq)._tables for seq in seqs) > 1
 
 
 def test_the_full_merge_refutation_matches_growth_on_all_pairs_up_to_6():
