@@ -50,20 +50,23 @@ check "prop21 violated on the headline instance" 1 \
   treelab prop21 "$T1" "$T2" --mu 'a(p1(p2(p3)),r,s1(s2,s3))'
 check "quotient report builds" 0 treelab quotient "$T1" "$T2"
 
-# the largest quotient workload: every optimal common-minor witness of every
-# pair up to size 7 (4,796 quotients), pinned by the SHA-256 of its report
-# without `timing`, serialized compactly in the program's key order; the
-# process pool must give the same report as one process
-want=607c6c1512f55dc4204704ca46c23b8956d1112ecdda87cefdfbaf7dc2c34e23
-for jobs in 1 2; do
-  got=$(treelab scan --max-size 7 --check eq4,prop21 --jobs "$jobs" | python3 -c '
+digest() {  # SHA-256 of the JSON report on stdin without `timing`, compact, in key order
+  python3 -c '
 import hashlib, json, sys
 def strip(v):
     if isinstance(v, dict):
         return {k: strip(x) for k, x in v.items() if k != "timing"}
     return [strip(x) for x in v] if isinstance(v, list) else v
 text = json.dumps(strip(json.load(sys.stdin)), separators=(",", ":"), ensure_ascii=False)
-print(hashlib.sha256(text.encode()).hexdigest())')
+print(hashlib.sha256(text.encode()).hexdigest())'
+}
+
+# the largest quotient workload: every optimal common-minor witness of every
+# pair up to size 7 (4,796 quotients), pinned by the digest of its report;
+# the process pool must give the same report as one process
+want=607c6c1512f55dc4204704ca46c23b8956d1112ecdda87cefdfbaf7dc2c34e23
+for jobs in 1 2; do
+  got=$(treelab scan --max-size 7 --check eq4,prop21 --jobs "$jobs" | digest)
   if [ "$got" = "$want" ]; then
     echo "PASS  scan --max-size 7 --check eq4,prop21 --jobs $jobs report digest"
   else
@@ -71,6 +74,17 @@ print(hashlib.sha256(text.encode()).hexdigest())')
     failures=$((failures + 1))
   fi
 done
+
+# up to size 8, 60 pairs have no first matching that merges (3 up to size 7),
+# so this report pins the merge refutation (`solvers._merge_refutation`)
+want=c6f101baaa6a7ecbbb968cf6a5ba4b0ce6a0add4a0cb7794354620a903083d59
+got=$(treelab scan --max-size 8 --check eq4 --jobs 1 --force | digest)
+if [ "$got" = "$want" ]; then
+  echo "PASS  scan --max-size 8 --check eq4 --jobs 1 report digest"
+else
+  echo "FAIL  scan --max-size 8 --check eq4 --jobs 1 report digest is $got, expected $want"
+  failures=$((failures + 1))
+fi
 
 # the scan decides each supertree optimum by merging common-minor matchings;
 # growing the bigger input's supertrees must give the same optimum on every

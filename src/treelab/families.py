@@ -33,10 +33,10 @@ from itertools import product
 
 from ._parallel import parallel_map
 from .errors import BudgetError, EmbeddingError, SolverDisagreement, TreeError
-from .trees import (ENUM_CAP_DEFAULT, Digraph, Tree, _FrozenRecord, _Record,
-                    _level_sequences, _literal_from_levels, _tree_from_levels,
-                    are_isomorphic, chain, enumerate_trees, format_tree,
-                    is_rooted_tree, parse_tree, star, tree_from_arcs)
+from .trees import (ENUM_CAP_DEFAULT, Tree, _FrozenRecord, _Record, _fresh_name,
+                    _is_rooted_tree, _level_sequences, _literal_from_levels,
+                    _tree_from_levels, are_isomorphic, chain, enumerate_trees,
+                    format_tree, is_rooted_tree, parse_tree, star, tree_from_arcs)
 from .embeddings import (EmbeddingViolation, MinorEmbedding, check_embedding,
                          enumerate_embeddings, is_minor)
 from .solvers import (_InducedMinor, _lcs_core, _merge_core, _merge_refutation,
@@ -72,14 +72,6 @@ class Fig1Instance(_Record):
                  t2: Tree, claimed_mu: Tree, g1: MinorEmbedding, g2: MinorEmbedding,
                  p_isomorphic_s: bool):
         super().__init__(p, r, s, parts, t1, t2, claimed_mu, g1, g2, p_isomorphic_s)
-
-
-def _fresh_name(base: str, used: set[str]) -> str:
-    cand = base
-    while cand in used:
-        cand += "_"
-    used.add(cand)
-    return cand
 
 
 def _rename_avoiding(tree: Tree, used: set[str], slot: str) -> Tree:
@@ -718,7 +710,7 @@ def _scan_one_pair(args: tuple[tuple[int, ...], tuple[int, ...], bool]) -> dict:
             if merged is not None:
                 scs_size = len(merged)
     if scs_size is None:
-        scs_size = _merge_refutation(t1, t2, lcs_size, hits)
+        scs_size = _merge_refutation(t1, t2, lcs_size)
     gap = scs_size - eq4_prediction(t1, t2, lcs_size)
     if gap < 0:
         raise SolverDisagreement(
@@ -741,11 +733,10 @@ def _witness_quotient(t1: Tree, t2: Tree, minor: _InducedMinor, images: list[str
         identity_findings.append("class count differs from |t1|+|t2|-|mu|")
     succ = _successors(n, arcs)
     kinds = sorted({found[0] for found in _prop21_core(succ, merged)})
-    reduced = Digraph(frozenset(range(n)), frozenset(_reduce_core(succ)))
     return {"mu": minor.literal,
             "holds": not kinds,
             "violation_kinds": kinds,
-            "reduced_is_tree": is_rooted_tree(reduced),
+            "reduced_is_tree": _is_rooted_tree(range(n), _reduce_core(succ)),
             "identity_findings": identity_findings}
 
 

@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import time
 from collections.abc import Mapping
-from itertools import combinations, islice, product
+from itertools import combinations, product
 
 from .errors import BudgetError, EmbeddingError, SolverDisagreement, TreeError
-from .trees import (_KIDS, _LABEL, ENUM_CAP_DEFAULT, Tree, _Record, _code, _intern,
-                    _intern_node, _level_sequences, _levels_of, _literal, _shape,
+from .trees import (_KIDS, _LABEL, ENUM_CAP_DEFAULT, Tree, _Record, _code, _fresh_name,
+                    _intern, _intern_node, _level_sequences, _levels_of, _literal, _shape,
                     _tree_count, _tree_from_levels, format_tree)
 from .embeddings import (MinorEmbedding, _fits, _induced_preorder, _search, _violations,
                          check_embedding, find_embedding, is_minor, is_minor_by_subsets)
@@ -101,9 +101,13 @@ class LcsResult(SolverResult):
     """Largest common minor: no common minor of size optimum_size+1 exists
     (optimum 0 and no witnesses when the inputs share no node label)."""
 
+    __slots__ = ()
+
 
 class ScsResult(SolverResult):
     """Smallest common supertree: no common supertree of size optimum_size-1 exists."""
+
+    __slots__ = ()
 
 
 def _require_solvable(t1: Tree, t2: Tree) -> None:
@@ -498,35 +502,24 @@ def _merge_masks(t: Tree) -> tuple[list[int], list[int], list[int]]:
     return masks
 
 
-def _merge_refutation(t1: Tree, t2: Tree, k: int, hits: list[tuple[str, ...]]) -> int:
+def _merge_refutation(t1: Tree, t2: Tree, k: int) -> int:
     """The supertree optimum of t1 and t2 by merging, once the first
-    embedding of each of the common-minor hit subsets `hits` (of the optimum
-    k, subsets of t1) failed to merge: try their other embeddings, then
-    every embedding of every node subset of t1 that induces a tree, at k,
-    k - 1, and so on.  By the lemma of `_merge_core` the first merge found
-    is optimal; on unlabeled inputs the root pair alone always merges.  Each
-    matching is tried as the search yields it.  A hit's minor is read from
-    t1's tables (`_induced_minor`); the other subsets are induced here."""
-    def merged(order: list[str], parent: list[int], labels: list, skip: int) -> int | None:
-        for images in islice(_search(parent, labels, t2), skip, None):
-            c = _merge_core(t1, t2, dict(zip(order, images)))
-            if c is not None:
-                return len(c)
-        return None
-
-    for w in hits:
-        minor = _induced_minor(t1, w)
-        got = merged(minor.order, minor.parent, minor.labels, 1)
-        if got is not None:
-            return got
+    embedding of each common-minor hit subset (of the optimum k, subsets of
+    t1) failed to merge: try every embedding of every node subset of t1 that
+    induces a tree, at k, k - 1, and so on.  Level k holds every hit subset
+    and each of its embeddings, so the hits are not tried apart.  By the
+    lemma of `_merge_core` the first merge found is optimal; on unlabeled
+    inputs the root pair alone always merges.  Each matching is tried as the
+    search yields it."""
     tin, tout = t1._tin, t1._tout
     for j in range(k, 0, -1):
         for w in combinations(t1._preorder, j):  # w[0] comes first in preorder
             if tout[w[0]] > max(tin[v] for v in w):  # one root: w[0] is above the rest
                 order, parent = _induced_preorder(t1, w)
-                got = merged(order, parent, [t1.labels.get(v) for v in order], 0)
-                if got is not None:
-                    return got
+                for images in _search(parent, [t1.labels.get(v) for v in order], t2):
+                    c = _merge_core(t1, t2, dict(zip(order, images)))
+                    if c is not None:
+                        return len(c)
     raise SolverDisagreement(f"no matching of {format_tree(t1)} and {format_tree(t2)} "
                              f"merges, not even the pair of their roots")
 
@@ -610,14 +603,8 @@ def root_merge_supertree(t1: Tree, t2: Tree) -> Tree:
 
     used = set(t1.nodes)
     rename: dict[str, str] = {t2.root: t1.root}
-    for v in t2.preorder:
-        if v == t2.root:
-            continue
-        cand = v
-        while cand in used:
-            cand += "_"
-        rename[v] = cand
-        used.add(cand)
+    for v in t2.preorder[1:]:  # the root comes first
+        rename[v] = _fresh_name(v, used)
 
     nodes = set(t1.nodes) | {rename[v] for v in t2.nodes if v != t2.root}
     arcs = set(t1.arcs) | {(rename[a], rename[b]) for a, b in t2.arcs}

@@ -37,25 +37,30 @@ def node_str(v) -> str:
 class _Record:
     """Base of the library's plain value records.
 
-    A record's fields are the `__slots__` of its class, in order (a
-    subclass that declares none adds none), and its own `__init__` takes
-    them in that order and hands them, normalised, to the base constructor,
-    which alone fills the fields.  The base gives field-wise `==` (only
-    between records of the same class; a mutable record is unhashable), a
-    ``Name(field=value, ...)`` repr, and pickling and copying through the
-    constructor, since restoring slot state by assignment would fail on a
-    frozen record.
+    A record's fields, `_fields`, are the `__slots__` of its bases and then
+    of its class, in order (a subclass declaring ``__slots__ = ()`` adds
+    none), and its own `__init__` takes them in that order and hands them,
+    normalised, to the base constructor, which alone fills the fields.  The
+    base gives field-wise `==` (only between records of the same class; a
+    mutable record is unhashable), a ``Name(field=value, ...)`` repr, and
+    pickling and copying through the constructor, since restoring slot state
+    by assignment would fail on a frozen record.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
 
     def __init__(self, *values):
         # through `object.__setattr__`, which a frozen record does not refuse
-        for field, value in zip(self.__slots__, values):
+        for field, value in zip(self._fields, values):
             object.__setattr__(self, field, value)
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
+        return tuple(getattr(self, f) for f in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -65,7 +70,7 @@ class _Record:
     __hash__ = None
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
@@ -421,10 +426,15 @@ def is_rooted_tree(g) -> bool:
     """`not validate(g)` without building the report: False on a self-loop, a
     dangling arc, a second parent, zero or several roots, or an unreachable
     node (which covers cycles); True on the empty digraph."""
-    nodes = g.nodes
+    return _is_rooted_tree(g.nodes, g.arcs)
+
+
+def _is_rooted_tree(nodes, arcs) -> bool:
+    """`is_rooted_tree` on a node collection (anything with `in` and `len`,
+    such as a `range` of class ids) and an iterable of arcs."""
     kids: dict = {}
     has_parent: set = set()
-    for a, b in g.arcs:
+    for a, b in arcs:
         if a == b or a not in nodes or b not in nodes or b in has_parent:
             return False
         has_parent.add(b)
@@ -745,6 +755,15 @@ def enumerate_trees(n: int) -> Iterator[Tree]:
 
 
 # -- small constructions -----------------------------------------------------
+
+def _fresh_name(base: str, used: set[str]) -> str:
+    """`base` with "_" appended until it is not in `used`, which gains it."""
+    cand = base
+    while cand in used:
+        cand += "_"
+    used.add(cand)
+    return cand
+
 
 def chain(k: int, prefix: str = "n") -> Tree:
     """Path-shaped tree with k nodes."""

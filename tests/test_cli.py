@@ -340,6 +340,14 @@ def test_transfer_cli(capsys):
     assert code == 0 and data["stable"] is True
 
 
+def test_transfer_falls_back_to_the_candidate_upper_bound(capsys):
+    # the big supertrees of every pair here lie beyond the enumeration cap
+    code, data = run_json(capsys, "transfer", "fig4", "--a", "a1(a2,a3)", "--b", "b1(b2)",
+                          "--jobs", "1")
+    assert code == 0 and data["all_exact"] is False
+    assert [r["mode"] for r in data["pairs"]] == ["candidate_upper_bound"] * 2
+
+
 # -- scan ----------------------------------------------------------------------------------
 
 def test_scan_cli_all_zero(capsys):

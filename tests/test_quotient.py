@@ -271,12 +271,16 @@ def test_core_matches_the_oracles_on_the_headline(headline):
     assert check_prop21(corrupted).to_json() == prop21_by_classes(corrupted).to_json()
 
 
-def test_core_matches_the_oracles_with_merged_classes_on_the_alternative_path():
-    # the arc n1 -> n4 (from m1 -> m2) beside the chain n1 -> n2 -> n3 -> n4;
-    # marking n2 and n3 merged by hand makes the reason name the first of them
+def chain_with_a_shortcut():
+    """The arc n1 -> n4 (from m1 -> m2) beside the chain n1 -> n2 -> n3 -> n4."""
     t1, t2, mu = chain(4), chain(2, "m"), parse_tree("c1(c2)")
-    q = build_quotient(t1, t2, mu, MinorEmbedding(mu, t1, {"c1": "n1", "c2": "n4"}),
-                       MinorEmbedding(mu, t2, {"c1": "m1", "c2": "m2"}))
+    return build_quotient(t1, t2, mu, MinorEmbedding(mu, t1, {"c1": "n1", "c2": "n4"}),
+                          MinorEmbedding(mu, t2, {"c1": "m1", "c2": "m2"}))
+
+
+def test_core_matches_the_oracles_with_merged_classes_on_the_alternative_path():
+    # marking n2 and n3 merged by hand makes the reason name the first of them
+    q = chain_with_a_shortcut()
     assert_core_matches_the_oracles(q)
     n2, n3 = q.class_of_member(1, "n2"), q.class_of_member(1, "n3")
     marked = QuotientGraph(q.classes, q.arcs, q.ell1, q.ell2, q.mu_image | {n2, n3},
@@ -285,6 +289,19 @@ def test_core_matches_the_oracles_with_merged_classes_on_the_alternative_path():
     assert report.to_json() == prop21_by_classes(marked).to_json()
     assert [v.reason for v in report.violations] == [
         "alternative path passes through merged class 1:n2"]
+
+
+def test_core_matches_the_oracles_with_two_alternative_paths():
+    # no witness quotient up to size 7 has an arc with two alternative paths;
+    # the arc n1 -> n3 by hand gives n1 -> n4 a second one, n1 -> n3 -> n4
+    q = chain_with_a_shortcut()
+    n1, n3 = q.class_of_member(1, "n1"), q.class_of_member(1, "n3")
+    extra = QuotientGraph(q.classes, q.arcs | {(n1, n3)}, q.ell1, q.ell2, q.mu_image,
+                          q.t_mu, q.g1, q.g2)
+    report = check_prop21(extra)
+    assert report.to_json() == prop21_by_classes(extra).to_json()
+    assert ["alternative path is not unique"] == [
+        v.reason for v in report.violations if v.w == q.class_of_member(1, "n4")]
 
 
 @settings(max_examples=200, deadline=None)
@@ -299,6 +316,7 @@ def test_scan_builds_no_boundary_types(monkeypatch):
 
     monkeypatch.setattr(quotient, "ThetaClass", refuse)
     monkeypatch.setattr(quotient, "QuotientGraph", refuse)
+    monkeypatch.setattr(Digraph, "__init__", refuse)  # the reduced quotients too
     t = chain(2)
     with pytest.raises(AssertionError):
         build_quotient(t, t, t, identity_embedding(t, t), identity_embedding(t, t))

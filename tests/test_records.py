@@ -10,7 +10,7 @@ from treelab import (CommonTreeWitness, Digraph, EmbeddingViolation, Fig1Instanc
                      Lemma4Witness, MinorEmbedding, Prop21Report, Prop21Violation,
                      QuotientGraph, ScanReport, StructureViolation, SupertreeCandidate,
                      ThetaClass, TreeError, TripleMergeWitness, VerificationReport)
-from treelab.solvers import LevelStats, SolverResult
+from treelab.solvers import LcsResult, LevelStats, ScsResult, SolverResult
 
 # (class, fields without a default, the defaults of the others), in
 # constructor order
@@ -23,6 +23,8 @@ RECORDS = [
     (LevelStats, ("size", "candidates", "hits"), {}),
     (CommonTreeWitness, ("tree", "emb1", "emb2"), {}),
     (SolverResult, ("optimum_size", "witnesses"), {"levels": [], "wall_ms": 0.0}),
+    (LcsResult, ("optimum_size", "witnesses"), {"levels": [], "wall_ms": 0.0}),
+    (ScsResult, ("optimum_size", "witnesses"), {"levels": [], "wall_ms": 0.0}),
     (ThetaClass, ("members",), {}),
     (QuotientGraph, ("classes", "arcs", "ell1", "ell2", "mu_image", "t_mu", "g1", "g2"),
      {}),
@@ -63,6 +65,8 @@ def test_record_contract(cls, required, defaults):
     positional = cls(*values)
     keyword = cls(**dict(zip(fields, values)))
     assert [getattr(positional, f) for f in fields] == list(values)
+    with pytest.raises(AttributeError):  # a record has its fields and nothing else
+        positional.typo = 1
     assert positional == keyword and not positional != keyword
 
     short, other = cls(*values[:len(required)]), cls(*values[:len(required)])

@@ -516,11 +516,11 @@ def test_scan_records_are_the_same_from_cold_and_warm_tables():
 
 
 def test_the_full_merge_refutation_matches_growth_on_all_pairs_up_to_6():
-    # no hit subsets given: every level from |t1| down is refuted or merged
+    # every level from |t1| down is refuted or merged
     trees6 = all_trees_up_to(6)
     for i, t1 in enumerate(trees6):
         for t2 in trees6[i:]:
-            got = solvers._merge_refutation(t1, t2, t1.size, [])
+            got = solvers._merge_refutation(t1, t2, t1.size)
             assert got == growth_optimum(t1, t2), (format_tree(t1), format_tree(t2))
 
 
@@ -536,7 +536,7 @@ def test_merge_refutation_stops_at_the_first_matching_that_merges(monkeypatch):
     monkeypatch.setattr(solvers, "_search", recording)
     t1, t2 = parse_tree("a(b,c)"), parse_tree("x(y,z)")
     # the first subset at level 3 is all of t1, and its first matching merges
-    assert solvers._merge_refutation(t1, t2, 3, []) == 3
+    assert solvers._merge_refutation(t1, t2, 3) == 3
     assert yielded == [["x", "y", "z"]]
 
 
@@ -563,6 +563,9 @@ def test_root_merge_examples():
 def test_root_merge_name_collisions_are_resolved():
     m = root_merge_supertree(chain(3), chain(3))
     assert m.size == 5
+    # b collides with b, and its first fresh name b_ with b_ too
+    m = root_merge_supertree(parse_tree("a(b,b_)"), parse_tree("x(b)"))
+    assert m.nodes == {"a", "b", "b_", "b__"}
 
 
 def test_root_merge_labels():
