@@ -75,8 +75,9 @@ for jobs in 1 2; do
   fi
 done
 
-# up to size 8, 60 pairs have no first matching that merges (3 up to size 7),
-# so this report pins the merge refutation (`solvers._merge_refutation`)
+# up to size 8, 54 pairs have a positive gap, where the forest recursion
+# (`solvers._scs_optimum`) must search past the merge lemma's floor; this
+# report pins them
 want=c6f101baaa6a7ecbbb968cf6a5ba4b0ce6a0add4a0cb7794354620a903083d59
 got=$(treelab scan --max-size 8 --check eq4 --jobs 1 --force | digest)
 if [ "$got" = "$want" ]; then
@@ -86,9 +87,9 @@ else
   failures=$((failures + 1))
 fi
 
-# the scan decides each supertree optimum by merging common-minor matchings;
-# growing the bigger input's supertrees must give the same optimum on every
-# pair up to size 8 (printed: pairs, disagreements, pairs with a positive gap)
+# the scan decides each supertree optimum by the forest recursion; growing the
+# bigger input's supertrees must give the same optimum on every pair up to
+# size 8 (printed: pairs, disagreements, pairs with a positive gap)
 got=$(python3 -c '
 from treelab.families import _scan_one_pair, _scan_tree
 from treelab.solvers import _scs_core
@@ -104,9 +105,9 @@ for i, seq1 in enumerate(shapes):
         gaps += rec["gap"] > 0
 print(pairs, disagreements, gaps)')
 if [ "$got" = "20100 0 54" ]; then
-  echo "PASS  merge and growth agree on the supertree optimum of all 20,100 pairs up to size 8"
+  echo "PASS  the recursion and growth agree on the supertree optimum of all 20,100 pairs up to size 8"
 else
-  echo "FAIL  merge against growth up to size 8: pairs, disagreements, gap pairs = $got"
+  echo "FAIL  the recursion against growth up to size 8: pairs, disagreements, gap pairs = $got"
   failures=$((failures + 1))
 fi
 
@@ -150,6 +151,16 @@ check "scan --max-size 4 finds no gap" 0 \
 # criterion 9: transfer families
 check "fig4 transfer constant is stable" 0 \
   treelab transfer fig4 --a 'A1(A2)' --b 'B1(B2)' --jobs 1
+# the fig4 supertree optima at |A| = 4, |B| = 3 (26 and 28 nodes) lie past
+# the enumeration cap; the recursion gives them exactly
+got=$(treelab transfer fig4 --a 'a1(a2,a3,a4)' --b 'b1(b2,b3)' |
+  python3 -c 'import json, sys; d = json.load(sys.stdin); print(d["all_exact"], d["constant_double"])')
+if [ "$got" = "True 18" ]; then
+  echo "PASS  transfer fig4 at |A| = 4, |B| = 3 is exact with constant_double 18"
+else
+  echo "FAIL  transfer fig4 at |A| = 4, |B| = 3: all_exact, constant_double = $got, expected True 18"
+  failures=$((failures + 1))
+fi
 check "fig5 family is generated and flagged" 0 \
   treelab family fig5 --a A --b B
 

@@ -12,15 +12,15 @@ more than one node beyond |t1| + |t2| - |a(P,R,S)|.  This module generates
 the family, enumerates the candidate minimum supertrees, verifies the size
 gap exactly, checks the triple-merge impossibility over supertree
 embeddings, and scans all small tree pairs for gap and path-uniqueness
-behaviour, on node positions: its witnesses come from the builder that
-`largest_common_minor` uses (`solvers._witness_embedding`).  Each scan tree
-is built once per process and keeps in its `_tables`, across every pair
-it takes part in, what depends on it alone: its induced shapes of each
-size, the minors it induces on its hit subsets, with their literals, its
-merge bitmasks and its quotient ids.  Two further
-parameterized families (``fig4``, ``fig5``) embed an arbitrary subproblem
-pair (A, B) into the construction; ``fig5`` is a best-effort
-reconstruction and all its checks are report-grade.
+behaviour, on shapes and node positions: its supertree optima come from the
+forest recursion (`solvers._scs_optimum`), its witnesses from the builder
+that `largest_common_minor` uses (`solvers._witness_embedding`).  Each scan
+tree is built once per process and keeps in its `_tables`, across every
+pair it takes part in, what depends on it alone: its induced shapes of each
+size, the minors it induces on its hit subsets, with their literals, and its
+quotient ids.  Two further parameterized families (``fig4``, ``fig5``) embed
+an arbitrary subproblem pair (A, B) into the construction; ``fig5`` is a
+best-effort reconstruction and all its checks are report-grade.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from .trees import (ENUM_CAP_DEFAULT, Tree, _FrozenRecord, _Record, _fresh_name,
                     format_tree, is_rooted_tree, parse_tree, star, tree_from_arcs)
 from .embeddings import (EmbeddingViolation, MinorEmbedding, check_embedding,
                          enumerate_embeddings, is_minor)
-from .solvers import (_InducedMinor, _lcs_core, _merge_core, _merge_refutation,
-                      _witness_embedding, largest_common_minor, smallest_common_supertree)
+from .solvers import (_InducedMinor, _lcs_core, _scs_optimum, _witness_embedding,
+                      largest_common_minor, smallest_common_supertree)
 from .quotient import (QuotientGraph, Prop21Report, _glue, _identities,
                        _prop21_core, _reduce_core, _successors,
                        build_quotient, check_eq2_eq3, check_prop21, eq4_prediction,
@@ -598,9 +598,9 @@ def subproblem_transfer_check(family: str, a: Tree, b: Tree) -> dict:
     B), for ``fig5`` the largest common minor (subproblem: common minor of
     A and B).  Each pair contributes delta = big - sub; the sweep reports
     whether the delta is stable across pairs and what the constant is at the
-    smallest parameter size (n = m = 1) for reference.  When the exact big
-    optimum is out of enumeration reach, the verified candidate upper bound
-    is used and flagged.
+    smallest parameter size (n = m = 1) for reference.  The fig4 supertree
+    optima come from the forest recursion (`solvers._scs_optimum`), exact
+    under its budget.
     """
     if family not in ("fig4", "fig5"):
         raise TreeError(f"unknown family {family!r}")
@@ -609,26 +609,15 @@ def subproblem_transfer_check(family: str, a: Tree, b: Tree) -> dict:
         raise TreeError(f"|A| = {n} must be at least |B| = {m}")
 
     def one(aa: Tree, bb: Tree) -> dict:
-        rec = {"a": format_tree(aa), "b": format_tree(bb)}
+        rec = {"a": format_tree(aa), "b": format_tree(bb), "mode": "exact"}
         if family == "fig4":
-            t1, t2, meta = fig4_family(aa, bb)
-            sub = smallest_common_supertree(aa, bb).optimum_size
-            try:
-                big = smallest_common_supertree(t1, t2).optimum_size
-                rec["mode"] = "exact"
-            except BudgetError:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", DegenerateFamilyWarning)
-                    inst = fig1_family(parse_tree(meta["p_literal"]),
-                                       parse_tree(meta["r_literal"]),
-                                       parse_tree(meta["s_literal"]))
-                big = min(c.tree.size for c in fig2_candidates(inst))
-                rec["mode"] = "candidate_upper_bound"
+            t1, t2, _ = fig4_family(aa, bb)
+            sub = _scs_optimum(aa, bb)
+            big = _scs_optimum(t1, t2)
         else:
             t1, t2, _ = fig5_family(aa, bb)
             sub = largest_common_minor(aa, bb).optimum_size
             big = largest_common_minor(t1, t2, budget=max(t1.size, t2.size)).optimum_size
-            rec["mode"] = "exact"
         rec["big_optimum"] = big
         rec["sub_optimum"] = sub
         rec["delta"] = big - sub
@@ -689,28 +678,17 @@ _scan_tree = functools.lru_cache(maxsize=None)(_tree_from_levels)
 
 
 def _scan_one_pair(args: tuple[tuple[int, ...], tuple[int, ...], bool]) -> dict:
-    """One pair's record: the common-minor optimum, the supertree optimum by
-    merging (`solvers._merge_core`), the gap and, with prop21, the witness
-    quotients.  The supertree optimum is the first success of: absorption
-    (t1 is a minor of t2, so t2 is the supertree); the first embedding of
-    each hit subset (`solvers._witness_embedding`), which the quotients
-    reuse; then `_merge_refutation`."""
+    """One pair's record: the common-minor optimum, the supertree optimum, the
+    gap and, with prop21, the witness quotients.  The supertree optimum is t2
+    when t1 is a minor of it (absorption), else the forest recursion
+    `solvers._scs_optimum`, which stops at the merge lemma's lower bound
+    |t1| + |t2| - lcs.  Only prop21 searches the witness embeddings
+    (`solvers._witness_embedding`)."""
     seq1, seq2, with_prop21 = args
     t1, t2 = _scan_tree(seq1), _scan_tree(seq2)  # |t1| <= |t2| by scan order
-    lcs_size, _, hits = _lcs_core(t1, t2, True)
-    scs_size = t2.size if is_minor(t1, t2) else None
-    witnesses = []
-    for w in hits:
-        if scs_size is not None and not with_prop21:
-            break
-        minor, images = _witness_embedding(t1, t2, w)
-        witnesses.append((minor, images))
-        if scs_size is None:
-            merged = _merge_core(t1, t2, dict(zip(minor.order, images)))
-            if merged is not None:
-                scs_size = len(merged)
-    if scs_size is None:
-        scs_size = _merge_refutation(t1, t2, lcs_size)
+    lcs_size, _, hits = _lcs_core(t1, t2, with_prop21)
+    scs_size = (t2.size if is_minor(t1, t2)
+                else _scs_optimum(t1, t2, t1.size + t2.size - lcs_size))
     gap = scs_size - eq4_prediction(t1, t2, lcs_size)
     if gap < 0:
         raise SolverDisagreement(
@@ -718,7 +696,8 @@ def _scan_one_pair(args: tuple[tuple[int, ...], tuple[int, ...], bool]) -> dict:
             f"optimum {scs_size} below the prediction")
     rec = {"lcs": lcs_size, "scs": scs_size, "gap": gap}
     if with_prop21:
-        rec["quotients"] = [_witness_quotient(t1, t2, *found) for found in witnesses]
+        rec["quotients"] = [_witness_quotient(t1, t2, *_witness_embedding(t1, t2, w))
+                            for w in hits]
     return rec
 
 
@@ -750,15 +729,14 @@ def scan_pairs(max_size: int, checks: Iterable[str] = ("eq4",),
     read off the level sequences, whose decreasing order is code order
     (`trees._level_sequences`), so ordering the pairs interns no shape and
     builds no code.  Workers receive level sequences and ask the solver
-    cores for sizes only.  The supertree optimum comes from merging
-    common-minor matchings (`solvers._merge_core`), not from growing
-    supertrees: by its lemma it is |t1| + |t2| minus the largest matching
-    that merges, and each merge is built and re-validated (`_scan_one_pair`).
-    With the ``prop21`` check enabled, every optimal common-minor witness
-    additionally has its quotient glued and checked on integer class ids, by
-    the cores of `treelab.quotient`: path-uniqueness violations, the
-    structural identities, and whether reduction yields a tree.  The
-    witnesses are those `largest_common_minor` reports
+    cores for sizes only.  The supertree optimum comes from the forest
+    recursion (`solvers._scs_optimum`), not from growing supertrees, and the
+    recursion stops at the merge lemma's lower bound |t1| + |t2| - lcs
+    (`_scan_one_pair`).  Only the ``prop21`` check searches embeddings: every
+    optimal common-minor witness has its quotient glued and checked on
+    integer class ids, by the cores of `treelab.quotient`: path-uniqueness
+    violations, the structural identities, and whether reduction yields a
+    tree.  The witnesses are those `largest_common_minor` reports
     (`solvers._witness_embedding`), but none is built as a named `Tree`: each
     is glued straight from its node subset of the smaller tree
     (`_witness_quotient`).
@@ -775,15 +753,13 @@ def scan_pairs(max_size: int, checks: Iterable[str] = ("eq4",),
 
     seqs = [seq for k in range(1, max_size + 1) for seq in _level_sequences(k)]
     rank = {seq: r for r, seq in enumerate(sorted(seqs, reverse=True))}
-    order = sorted(((i, j) for i in range(len(seqs)) for j in range(i, len(seqs))),
-                   key=lambda ij: (len(seqs[ij[0]]) + len(seqs[ij[1]]),
-                                   rank[seqs[ij[0]]], rank[seqs[ij[1]]]))
     with_prop21 = "prop21" in checks
-    work = [(seqs[i], seqs[j], with_prop21) for i, j in order]
+    work = sorted(((seq1, seq2, with_prop21) for i, seq1 in enumerate(seqs) for seq2 in seqs[i:]),
+                  key=lambda w: (len(w[0]) + len(w[1]), rank[w[0]], rank[w[1]]))
     records = parallel_map(_scan_one_pair, work, jobs)
-    literals = [_literal_from_levels(seq) for seq in seqs]
-    for (i, j), rec in zip(order, records):
-        rec["t1"], rec["t2"] = literals[i], literals[j]
+    literals = {seq: _literal_from_levels(seq) for seq in seqs}
+    for (seq1, seq2, _), rec in zip(work, records):
+        rec["t1"], rec["t2"] = literals[seq1], literals[seq2]
 
     histogram: dict[int, int] = {}
     minimal = None

@@ -1,14 +1,17 @@
 """Exact largest common minor and smallest common supertree solvers.
 
-Both problems are solved by exhaustion, never by heuristics: optimality at
-size k is only claimed after the neighbouring level has been fully decided.
-The supertree optimum has two independent deciders.  Growth walks every
-supertree of the bigger input, one node at a time, which a deletion lemma
-shows are all the trees that can host both inputs (`_scs_core`; `scs` and
-`verify` use it for their code-ordered witnesses and levels).  Merging
-looks for the largest common-minor matching that merges into one tree
-(`_merge_core`, `_merge_refutation`; the pair scan uses it).  The tests
-hold each to the other.
+Both problems are solved by exhaustion, never by heuristics: the level
+walks claim optimality at size k only after the neighbouring level has been
+fully decided, and the supertree recursion drops a branch only by a proven
+lower bound.  The supertree optimum has two independent deciders.  Growth
+walks every supertree of the bigger input, one node at a time, which a
+deletion lemma shows are all the trees that can host both inputs
+(`_scs_core`; `scs` and `verify` use it for their code-ordered witnesses and
+levels).  The forest recursion (`_scs_optimum`; the pair scan and
+`transfer fig4` use it) takes the least of three kinds of branch at each
+pair of forests of interned shapes, memoized for the process.  The tests
+hold each to the other, and the recursion also to the best common-minor
+matching that merges into one supertree.
 
 Each search is a core that works on interned shapes or node positions only
 and returns the optimum and its hits (`_lcs_core` also its levels, as plain
@@ -16,25 +19,24 @@ tuples; the supertree levels are counts of trees in code order, which the
 public solver derives).  The public solvers wrap the cores and build named
 `Tree`s, embeddings and `LevelStats` for the result alone.  A common-minor
 hit subset becomes a witness only through `_witness_embedding`, for
-`largest_common_minor` and the scan.
+`largest_common_minor` and the scan's prop21 check.
 
 What depends on one input alone is made once and kept in the one
 `Tree._tables` of that input, never in a module table keyed by trees: its
-distinct induced shapes of each size (`_minor_level`), the minor it induces
-on each hit subset, whose identity map is validated when it is made
-(`_induced_minor`), and the preorder bitmasks `_merge_core` reads
-(`_merge_masks`).  Each pair then only searches and validates the
-embedding into the other input, and merges.
+distinct induced shapes of each size (`_minor_level`) and the minor it
+induces on each hit subset, whose identity map is validated when it is made
+(`_induced_minor`).  Each pair then only searches and validates the
+embedding into the other input.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Mapping
-from itertools import combinations, product
+from collections.abc import Generator, Iterator
+from itertools import chain, combinations, product
 
 from .errors import BudgetError, EmbeddingError, SolverDisagreement, TreeError
-from .trees import (_KIDS, _LABEL, ENUM_CAP_DEFAULT, Tree, _Record, _code, _fresh_name,
+from .trees import (_KIDS, _LABEL, _SIZE, ENUM_CAP_DEFAULT, Tree, _Record, _code, _fresh_name,
                     _intern, _intern_node, _level_sequences, _levels_of, _literal, _shape,
                     _tree_count, _tree_from_levels, format_tree)
 from .embeddings import (MinorEmbedding, _fits, _induced_preorder, _search, _violations,
@@ -303,18 +305,11 @@ def _insertions(s: int) -> frozenset[int]:
             continue
         stack.pop()
         label = _LABEL[x]
-        counts = [kids.count(k) for k in kinds]
-        grown = set()
-        for take in product(*(range(c + 1) for c in counts)):
-            adopted = tuple(k for k, t in zip(kinds, take) for _ in range(t))
-            kept = [k for k, c, t in zip(kinds, counts, take) for _ in range(c - t)]
-            kept.append(_intern_node(None, adopted))
-            grown.add(_intern_node(label, tuple(sorted(kept))))
+        grown = {_intern_node(label, tuple(sorted(kept + (_intern_node(None, adopted),))))
+                 for adopted, kept, _ in _splits(kids)}
         for c in kinds:
-            i = kids.index(c)
-            rest = kids[:i] + kids[i + 1:]
-            for y in _GROWN[c]:
-                grown.add(_intern_node(label, tuple(sorted(rest + (y,)))))
+            rest = _without(kids, c)
+            grown.update(_intern_node(label, tuple(sorted(rest + (y,)))) for y in _GROWN[c])
         _GROWN[x] = frozenset(grown)
     return _GROWN[s] | {_intern_node(None, (s,))}
 
@@ -363,165 +358,132 @@ def _scs_core(t1: Tree, t2: Tree, all_witnesses: bool, ceiling: int,
         f"requested ceiling", lower_bound=ceiling + 1)
 
 
-def _merge_core(t1: Tree, t2: Tree, matching: Mapping[str, str]) -> list[int] | None:
-    """The common supertree of t1 and t2 in which exactly the pairs of
-    `matching` (t1 node -> t2 node, equal labels) share a node, as a parent
-    array (-1 at the root), or None when no common supertree does.
+#: Supertree optima of pairs of forests (sorted tuples of shape ids), keyed by
+#: the two in sorted order, for the life of the process, like `embeddings._FITS`.
+#: A call's own pair is not kept: the scan asks for each pair once, and keeping
+#: them would almost double the memo (199,207 entries after scan 9, not 111,128).
+_SCS: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
 
-    Positions: each t1 node, and the t2 node matched to it, sits at its t1
-    preorder index; the unmatched t2 nodes follow in t2 preorder.  A built
-    supertree is re-validated: both inputs' maps onto its positions must pass
-    `_violations`, else `SolverDisagreement`.
+#: Most pairs of forests one `_scs_optimum` call may solve, 16 times the most
+#: seen: 5,996 for a 3,000-node chain against a(b,c), 180 in `transfer fig4`
+#: at |A| = 8, |B| = 2, and 8 in scan 9 (its memo warm).
+SCS_BUDGET = 100_000
 
-    Why merging decides the supertree optimum.  Let C be a minimum common
-    supertree, with embeddings f1 and f2.
+def _weight(forest: tuple[int, ...]) -> int:
+    """The node count of a forest of shape ids."""
+    return sum(_SIZE[x] for x in forest)
+
+
+def _splits(forest: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Every split of a sorted forest into a sub-multiset and the rest, both
+    sorted, each split once, with the node count of the sub-multiset."""
+    kinds = sorted(set(forest))
+    counts = [forest.count(k) for k in kinds]
+    for take in product(*(range(c + 1) for c in counts)):
+        yield (tuple(k for k, t in zip(kinds, take) for _ in range(t)),
+               tuple(k for k, c, t in zip(kinds, counts, take) for _ in range(c - t)),
+               sum(_SIZE[k] * t for k, t in zip(kinds, take)))
+
+
+def _without(forest: tuple[int, ...], x: int) -> tuple[int, ...]:
+    i = forest.index(x)
+    return forest[:i] + forest[i + 1:]
+
+
+def _scs_frame(xs: tuple[int, ...], ys: tuple[int, ...],
+               floor: int) -> Generator[tuple, int, int]:
+    """SCS(xs, ys) of two non-empty forests, as a generator that yields each
+    pair of forests it needs, with a floor, and is sent its optimum."""
+    wx, wy = _weight(xs), _weight(ys)
+    best, stop = wx + wy, max(wx, wy, floor)  # the two forests side by side
+    if len(ys) < len(xs):  # a comes from the forest with fewer trees
+        xs, ys, wx, wy = ys, xs, wy, wx
+    a, others = xs[0], xs[1:]
+    na = _SIZE[a]
+    kinds = sorted(set(ys))
+    for x1, y1, x2, y2, w1, w2 in chain(  # w1, w2: the pairs' trivial bounds
+            ((_KIDS[a], _KIDS[b], others, _without(ys, b),
+              max(na, _SIZE[b]) - 1, max(wx - na, wy - _SIZE[b]))
+             for b in kinds if _LABEL[b] == _LABEL[a]),  # shared roots
+            ((_KIDS[a], part, others, rest, max(na - 1, w), max(wx - na, wy - w))
+             for part, rest, w in _splits(ys)),  # a's root t1-only
+            ((tuple(sorted(part + (a,))), _KIDS[b], rest, _without(ys, b),
+              max(w + na, _SIZE[b] - 1), max(wx - na - w, wy - _SIZE[b]))
+             for b in kinds for part, rest, w in _splits(others))):  # b's root t2-only, above a
+        if 1 + w1 + w2 >= best:
+            continue
+        v1 = yield x1, y1, stop - 1 - _weight(x2) - _weight(y2)
+        if 1 + v1 + w2 >= best:
+            continue
+        best = min(best, 1 + v1 + (yield x2, y2, stop - 1 - v1))
+        if best <= stop:
+            break
+    return best
+
+
+def _scs_optimum(t1: Tree, t2: Tree, floor: int = 0) -> int:
+    """The smallest common supertree size of t1 and t2, by a recursion on
+    pairs of forests of interned shapes.
+
+    A forest is a multiset of subtree shapes (a tree's children form one),
+    and |F| counts its nodes.  SCS(A, {}) = |A| and SCS({}, B) = |B|.
+    Otherwise fix a tree a of A, with A1 = A - a; SCS(A, B) is the least of
+      - 1 + SCS(ch a, ch b) + SCS(A1, B - b), for each b in B with a's root
+        label: the roots of a and b share a node;
+      - 1 + SCS(ch a, B') + SCS(A1, B - B'), for each sub-multiset B' of B:
+        a's root is t1-only, and whole B-trees hang below it;
+      - 1 + SCS(A' + a, ch b) + SCS(A1 - A', B - b), for each b in B and each
+        sub-multiset A' of A1: b's root is t2-only, above a.
+
+    Why it is complete.  Let C be a minimum common supertree (a forest, for
+    two forests), with embeddings f1 and f2.
       1. Every node of C is in an image; otherwise contract it away.
       2. C restricted to each image is that input: embeddings keep ancestry,
          and by Lemma 4 (`check_lemma4`) they keep incomparability too.
       3. So |C| = |t1| + |t2| - |M|, where M pairs up the t1 and t2 nodes
-         that share an image, and M agrees on ancestry in both inputs.
-      4. Forest matchings are never needed.  If M's t1 side has two or more
-         roots, neither input root is matched.  Adding the pair of the two
-         roots keeps M consistent and mergeable: the two roots fuse at the
-         top of C.
-      5. So SCS = |t1| + |t2| - (the largest mergeable tree matching).  Tree
-         matchings are common-minor witnesses with one embedding per side,
-         so the gap is the common-minor optimum minus that size.
+         that share an image.  The shared images form a common minor, so
+         SCS >= |t1| + |t2| - LCS: the merge lemma's lower bound.
+    By step 2 no other A-tree lies below a's root, so the root of a's tree
+    in C is a's root (shared with a B-root or not) or a t2-only B-root above
+    it.  Below a one-input root only whole trees of the other forest hang,
+    since nothing lies above that root, and the rest of C is a common
+    supertree of what is left of both forests.
 
-    Mergeability is decided BUILD-style (Aho, Sagiv, Szymanski & Ullman,
-    SIAM J. Comput. 10(3), 1981), on bitmasks of positions and an explicit
-    stack of (set, parent) tasks.  The *tops* of a set S are its nodes that,
-    in each input they belong to, are ancestors of every other S-node of that
-    input.  Only one node per input can be that, so S has one shared top, or
-    at most one t1-only and one t2-only top.  The tops are chained (t1-only
-    above t2-only), which costs nothing: the two are unrelated in the
-    inputs.  The rest of S splits into the components of "comparable in t1
-    or in t2", each hung below the chain and decided in turn.  That relates
-    every pair of nodes as both inputs do.  A set with no top refutes the
-    matching.  If C were valid, its restriction to a connected set S would
-    be one tree (two roots would be incomparable in C, so in both inputs,
-    yet S's comparabilities connect them), and that tree's root is an
-    ancestor of all of S in C, so in each of its inputs: a top.  The same
-    restriction keeps each component of a mergeable set mergeable, so one
-    set without a top refutes the whole matching.
+    Each pair is a frame (`_scs_frame`) on an explicit stack, so depth is
+    never a limit, and its optimum is memoized in `_SCS`, in either order.
+    A frame tries the shared roots first, skips a branch whose trivial bound
+    (max(|X|, |Y|) per pair) cannot beat its best, and stops once its best
+    reaches its floor or max(|A|, |B|).  Floors are proven lower bounds:
+    `floor` for the top pair (such as step 3's), and for each pair of a
+    branch what the frame's own bound leaves for it, since every branch
+    costs at least the frame's optimum.  A call that solves more than
+    `SCS_BUDGET` pairs raises `BudgetError`.
     """
-    n1, tin1 = t1.size, t1._tin
-    back = {b: a for a, b in matching.items()}
-    pos2, size = [], n1
-    for v in t2._preorder:
-        if v in back:
-            pos2.append(tin1[back[v]])
+    frames: list[tuple[tuple[tuple[int, ...], tuple[int, ...]], Generator]] = []
+    request = ((_shape(t1),), (_shape(t2),), floor)
+    solved = 0
+    while True:
+        xs, ys, low = request
+        key = (xs, ys) if xs <= ys else (ys, xs)
+        value = _SCS.get(key) if key[0] else _weight(key[1])
+        if value is None:
+            solved += 1
+            if solved > SCS_BUDGET:
+                raise BudgetError(
+                    f"supertree recursion limited to {SCS_BUDGET} pairs of forests per "
+                    f"call (inputs of {t1.size} and {t2.size} nodes)",
+                    lower_bound=max(floor, t1.size, t2.size))
+            frames.append((key, _scs_frame(*key, low)))
+        while frames:
+            try:
+                request = frames[-1][1].send(value)
+                break
+            except StopIteration as done:
+                key, value = frames.pop()[0], done.value
+                if frames:
+                    _SCS[key] = value
         else:
-            pos2.append(size)
-            size += 1
-    # per input: the positions under each node, itself included; and the
-    # positions comparable to each one in t1 or in t2
-    _, below1, related1 = _merge_masks(t1)
-    under2, related2 = _position_masks(_merge_masks(t2)[0], pos2)
-    below2 = [0] * size
-    related = related1 + [0] * (size - n1)
-    for j, p in enumerate(pos2):
-        below2[p] = under2[j]
-        related[p] |= related2[j]
-    in1, in2 = below1[0], below2[pos2[0]]
-
-    parent = [-1] * size
-    stack = [((1 << size) - 1, -1)]
-    while stack:
-        s, above = stack.pop()
-        s1, s2 = s & in1, s & in2
-        top1 = top2 = -1
-        if s1:
-            x = (s1 & -s1).bit_length() - 1  # first in t1 preorder
-            if not s1 & ~below1[x]:
-                top1 = x
-        if s2:
-            for x in pos2:  # stop at the first in t2 preorder
-                if s2 >> x & 1:
-                    if not s2 & ~below2[x]:
-                        top2 = x
-                    break
-        if top1 == top2:
-            tops = [top1] if top1 >= 0 else []
-        else:  # a shared node tops both of its inputs or neither
-            tops = [x for x, other in ((top1, in2), (top2, in1))
-                    if x >= 0 and not other >> x & 1]
-        if not tops:
-            return None
-        for x in tops:
-            parent[x] = above
-            above = x
-            s &= ~(1 << x)
-        while s:
-            component = grow = s & -s
-            while grow:
-                reach = 0
-                while grow:
-                    low = grow & -grow
-                    reach |= related[low.bit_length() - 1]
-                    grow ^= low
-                grow = reach & s & ~component
-                component |= grow
-            stack.append((component, above))
-            s &= ~component
-
-    root = parent.index(-1)
-    up = {x: p for x, p in enumerate(parent) if p >= 0}
-    labels = {tin1[v]: a for v, a in t1.labels.items()}
-    labels.update((pos2[t2._tin[v]], a) for v, a in t2.labels.items())
-    for t, f in ((t1, tin1), (t2, dict(zip(t2._preorder, pos2)))):
-        bad = _violations(f, t._preorder, t.arcs, t.labels, root, up, labels)
-        if bad:
-            raise SolverDisagreement(
-                f"the merged supertree of {format_tree(t1)} and {format_tree(t2)} "
-                f"does not host {format_tree(t)}: {bad[0]}")
-    return parent
-
-
-def _position_masks(above: list[int], pos) -> tuple[list[int], list[int]]:
-    """For a tree whose preorder index j has parent index `above[j]` (-1 at
-    the root) and sits at position `pos[j]`: per preorder index, the bitmask
-    of the positions in its subtree and of the positions comparable to it."""
-    under = [1 << p for p in pos]
-    for j in range(len(above) - 1, 0, -1):
-        under[above[j]] |= under[j]
-    over = [0] * len(above)
-    for j in range(1, len(above)):
-        over[j] = over[above[j]] | 1 << pos[above[j]]
-    return under, [u | o for u, o in zip(under, over)]
-
-
-def _merge_masks(t: Tree) -> tuple[list[int], list[int], list[int]]:
-    """t's parent index of each preorder index and, on preorder positions,
-    its `_position_masks`; made once per tree and kept on it, since
-    `_merge_core` places t1 at its preorder positions."""
-    masks = t._tables.get(_merge_masks)
-    if masks is None:
-        above = [-1] + [t._tin[t._parent[v]] for v in t._preorder[1:]]
-        masks = t._tables[_merge_masks] = (above, *_position_masks(above, range(t.size)))
-    return masks
-
-
-def _merge_refutation(t1: Tree, t2: Tree, k: int) -> int:
-    """The supertree optimum of t1 and t2 by merging, once the first
-    embedding of each common-minor hit subset (of the optimum k, subsets of
-    t1) failed to merge: try every embedding of every node subset of t1 that
-    induces a tree, at k, k - 1, and so on.  Level k holds every hit subset
-    and each of its embeddings, so the hits are not tried apart.  By the
-    lemma of `_merge_core` the first merge found is optimal; on unlabeled
-    inputs the root pair alone always merges.  Each matching is tried as the
-    search yields it."""
-    tin, tout = t1._tin, t1._tout
-    for j in range(k, 0, -1):
-        for w in combinations(t1._preorder, j):  # w[0] comes first in preorder
-            if tout[w[0]] > max(tin[v] for v in w):  # one root: w[0] is above the rest
-                order, parent = _induced_preorder(t1, w)
-                for images in _search(parent, [t1.labels.get(v) for v in order], t2):
-                    c = _merge_core(t1, t2, dict(zip(order, images)))
-                    if c is not None:
-                        return len(c)
-    raise SolverDisagreement(f"no matching of {format_tree(t1)} and {format_tree(t2)} "
-                             f"merges, not even the pair of their roots")
+            return value
 
 
 def _code_rank(n: int, stop: tuple[int, ...]) -> int:

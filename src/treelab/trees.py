@@ -210,7 +210,7 @@ class Tree:
     descendants), a node-subset tuple (the minor induced there,
     `solvers._induced_minor`), a size k (the distinct induced shapes of
     that size, `solvers._minor_level`), or the function that builds a
-    whole-tree table (`solvers._merge_masks`, `quotient._name_ids`).
+    whole-tree table (`quotient._name_ids`).
     """
 
     __slots__ = ("root", "labels", "region_tags", "_nodes", "_arcs", "_children",

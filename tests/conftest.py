@@ -10,7 +10,9 @@ common-minor walk on shapes, supertree growth from the bigger input, one path
 walk per source, the path-uniqueness check and arc reduction on integer
 class ids, the witness search on an explicit stack, and the pair scan's
 quotients glued from node subsets); differential tests hold the fast forms
-to them.
+to them.  `scs_by_merging` decides the supertree optimum a third way, by
+the largest common-minor matching that merges into one tree
+(`merge_matching`), and holds the library's forest recursion to it.
 """
 
 from functools import lru_cache
@@ -24,7 +26,7 @@ from treelab import (Digraph, MinorEmbedding, MultiRootError, Prop21Report,
                      chain, enumerate_embeddings, enumerate_trees, find_embedding,
                      format_tree, induced_minor, is_minor, is_rooted_tree,
                      largest_common_minor, parse_tree)
-from treelab.embeddings import _fits
+from treelab.embeddings import _fits, _violations
 from treelab.families import _scan_tree
 from treelab.quotient import (_glue, _identities, _prop21_core, _reduce_core,
                               _require_witness, _successors, eq4_prediction)
@@ -253,6 +255,151 @@ def scs_by_catalogue(t1, t2, all_witnesses=False):
                          for c in hits]
             return ScsResult(n, witnesses, levels)
     raise AssertionError("the root merge is a common supertree")
+
+
+def _position_masks(t, pos):
+    """For each preorder index j of t, whose node sits at position pos[j]:
+    the bitmask of the positions in its subtree and of the positions
+    comparable to it."""
+    index = {v: j for j, v in enumerate(t.preorder)}
+    above = [-1] + [index[t.parent(v)] for v in t.preorder[1:]]
+    under = [1 << p for p in pos]
+    for j in range(len(above) - 1, 0, -1):
+        under[above[j]] |= under[j]
+    over = [0] * len(above)
+    for j in range(1, len(above)):
+        over[j] = over[above[j]] | 1 << pos[above[j]]
+    return under, [u | o for u, o in zip(under, over)]
+
+
+def merge_matching(t1, t2, matching):
+    """The common supertree of t1 and t2 in which exactly the pairs of
+    `matching` (t1 node -> t2 node, equal labels) share a node, as a parent
+    array (-1 at the root), or None when no common supertree does.
+
+    Positions: each t1 node, and the t2 node matched to it, sits at its t1
+    preorder index; the unmatched t2 nodes follow in t2 preorder.  A built
+    supertree is re-validated: both inputs' maps onto its positions must pass
+    `_violations`, else `SolverDisagreement`.
+
+    Why merging decides the supertree optimum.  By the lemma of
+    `solvers._scs_optimum`, |C| = |t1| + |t2| - |M| for a minimum common
+    supertree C, where M pairs up the t1 and t2 nodes that share an image,
+    and M agrees on ancestry in both inputs.  Forest matchings are never
+    needed.  If M's t1 side has two or more roots, neither input root is
+    matched.  Adding the pair of the two roots keeps M consistent and
+    mergeable: the two roots fuse at the top of C.  So SCS = |t1| + |t2| -
+    (the largest mergeable tree matching), and tree matchings are
+    common-minor witnesses with one embedding per side.
+
+    Mergeability is decided BUILD-style (Aho, Sagiv, Szymanski & Ullman,
+    SIAM J. Comput. 10(3), 1981), on bitmasks of positions and an explicit
+    stack of (set, parent) tasks.  The *tops* of a set S are its nodes that,
+    in each input they belong to, are ancestors of every other S-node of that
+    input.  Only one node per input can be that, so S has one shared top, or
+    at most one t1-only and one t2-only top.  The tops are chained (t1-only
+    above t2-only), which costs nothing: the two are unrelated in the
+    inputs.  The rest of S splits into the components of "comparable in t1
+    or in t2", each hung below the chain and decided in turn.  That relates
+    every pair of nodes as both inputs do.  A set with no top refutes the
+    matching.  If C were valid, its restriction to a connected set S would
+    be one tree (two roots would be incomparable in C, so in both inputs,
+    yet S's comparabilities connect them), and that tree's root is an
+    ancestor of all of S in C, so in each of its inputs: a top.  The same
+    restriction keeps each component of a mergeable set mergeable, so one
+    set without a top refutes the whole matching.
+    """
+    n1 = t1.size
+    tin1 = {v: j for j, v in enumerate(t1.preorder)}
+    back = {b: a for a, b in matching.items()}
+    pos2, size = [], n1
+    for v in t2.preorder:
+        if v in back:
+            pos2.append(tin1[back[v]])
+        else:
+            pos2.append(size)
+            size += 1
+    # per input: the positions under each node, itself included; and the
+    # positions comparable to each one in t1 or in t2
+    below1, related1 = _position_masks(t1, range(n1))
+    under2, related2 = _position_masks(t2, pos2)
+    below2 = [0] * size
+    related = related1 + [0] * (size - n1)
+    for j, p in enumerate(pos2):
+        below2[p] = under2[j]
+        related[p] |= related2[j]
+    in1, in2 = below1[0], below2[pos2[0]]
+
+    parent = [-1] * size
+    stack = [((1 << size) - 1, -1)]
+    while stack:
+        s, above = stack.pop()
+        s1, s2 = s & in1, s & in2
+        top1 = top2 = -1
+        if s1:
+            x = (s1 & -s1).bit_length() - 1  # first in t1 preorder
+            if not s1 & ~below1[x]:
+                top1 = x
+        if s2:
+            for x in pos2:  # stop at the first in t2 preorder
+                if s2 >> x & 1:
+                    if not s2 & ~below2[x]:
+                        top2 = x
+                    break
+        if top1 == top2:
+            tops = [top1] if top1 >= 0 else []
+        else:  # a shared node tops both of its inputs or neither
+            tops = [x for x, other in ((top1, in2), (top2, in1))
+                    if x >= 0 and not other >> x & 1]
+        if not tops:
+            return None
+        for x in tops:
+            parent[x] = above
+            above = x
+            s &= ~(1 << x)
+        while s:
+            component = grow = s & -s
+            while grow:
+                reach = 0
+                while grow:
+                    low = grow & -grow
+                    reach |= related[low.bit_length() - 1]
+                    grow ^= low
+                grow = reach & s & ~component
+                component |= grow
+            stack.append((component, above))
+            s &= ~component
+
+    root = parent.index(-1)
+    up = {x: p for x, p in enumerate(parent) if p >= 0}
+    at2 = dict(zip(t2.preorder, pos2))
+    labels = {tin1[v]: a for v, a in t1.labels.items()}
+    labels.update((at2[v], a) for v, a in t2.labels.items())
+    for t, f in ((t1, tin1), (t2, at2)):
+        bad = _violations(f, t.preorder, t.arcs, t.labels, root, up, labels)
+        if bad:
+            raise SolverDisagreement(
+                f"the merged supertree of {format_tree(t1)} and {format_tree(t2)} "
+                f"does not host {format_tree(t)}: {bad[0]}")
+    return parent
+
+
+def scs_by_merging(t1, t2):
+    """The supertree optimum as |t1| + |t2| minus the largest common-minor
+    matching that merges (`merge_matching`): every embedding of the minor
+    each node subset of t1 induces, largest subsets first, until one
+    merges."""
+    for k in range(min(t1.size, t2.size), 0, -1):
+        for w in combinations(sorted(t1.nodes), k):
+            try:
+                m = induced_minor(t1, w)
+            except MultiRootError:
+                continue
+            for f in enumerate_embeddings(m, t2):
+                parent = merge_matching(t1, t2, f.mapping)
+                if parent is not None:
+                    return len(parent)
+    raise AssertionError("the pair of the two roots merges")
 
 
 def simple_paths_recursive(succ, v, w):

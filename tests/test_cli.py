@@ -7,7 +7,8 @@ import warnings
 import pytest
 
 from treelab import DegenerateFamilyWarning, SolverDisagreement
-from treelab import cli, enumerate_trees, format_tree, trees
+from treelab import (cli, enumerate_trees, fig1_family, fig2_candidates, fig4_family,
+                     format_tree, parse_tree, solvers, trees)
 from treelab.cli import main
 
 
@@ -340,12 +341,27 @@ def test_transfer_cli(capsys):
     assert code == 0 and data["stable"] is True
 
 
-def test_transfer_falls_back_to_the_candidate_upper_bound(capsys):
-    # the big supertrees of every pair here lie beyond the enumeration cap
+def test_transfer_fig4_is_exact_beyond_the_enumeration_cap(capsys):
+    # the big supertrees of both pairs here have 20 nodes, past the cap of 14
     code, data = run_json(capsys, "transfer", "fig4", "--a", "a1(a2,a3)", "--b", "b1(b2)",
                           "--jobs", "1")
-    assert code == 0 and data["all_exact"] is False
-    assert [r["mode"] for r in data["pairs"]] == ["candidate_upper_bound"] * 2
+    assert code == 0 and data["all_exact"] is True
+    assert [(r["mode"], r["big_optimum"], r["sub_optimum"], r["delta_double"])
+            for r in data["pairs"]] == [("exact", 20, 3, 14)] * 2
+    for r in data["pairs"]:  # no larger than the best Figure 2 candidate
+        _, _, meta = fig4_family(parse_tree(r["a"]), parse_tree(r["b"]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateFamilyWarning)
+            inst = fig1_family(*(parse_tree(meta[f"{part}_literal"]) for part in "prs"))
+        assert r["big_optimum"] <= min(c.tree.size for c in fig2_candidates(inst))
+
+
+def test_transfer_past_the_recursion_budget_is_a_budget_error(capsys, monkeypatch):
+    monkeypatch.setattr(solvers, "_SCS", {})
+    monkeypatch.setattr(solvers, "SCS_BUDGET", 3)
+    code, out, err = run(capsys, "transfer", "fig4", "--a", "a1(a2,a3)", "--b", "b1(b2)")
+    assert code == 2 and out == ""
+    assert "supertree recursion limited to 3 pairs of forests" in err
 
 
 # -- scan ----------------------------------------------------------------------------------

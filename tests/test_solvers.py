@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from treelab import (BudgetError, EmbeddingError, SolverDisagreement, TreeError,
                      are_isomorphic, canonical_code, chain, check_embedding, cli,
@@ -19,7 +19,7 @@ from treelab.families import _scan_one_pair, _scan_tree
 from treelab.trees import ENUM_CAP_DEFAULT, _intern, _level_sequences, _levels_of, _shape
 
 from conftest import (all_trees_up_to, catalogue, labeled_trees, lcs_by_subset_walk,
-                      scs_by_catalogue, unlabeled_trees)
+                      merge_matching, scs_by_catalogue, scs_by_merging, unlabeled_trees)
 
 
 def witness_codes(result):
@@ -446,7 +446,7 @@ def test_insertions_need_no_recursion():
 
 
 # -- supertrees by merging a common-minor matching ------------------------------------
-# `_merge_core` positions: t1 nodes at their preorder index, then the unmatched
+# `merge_matching` positions: t1 nodes at their preorder index, then the unmatched
 # t2 nodes in t2 preorder; the parent array has -1 at the root.
 
 def growth_optimum(t1, t2):
@@ -456,40 +456,51 @@ def growth_optimum(t1, t2):
 def test_merge_of_the_root_pair_alone_is_the_root_merge():
     t1, t2 = parse_tree("a(b(c),d)"), parse_tree("x(y,z(w))")
     # a b c d at 0-3, then y z w at 4-6, all root children under the shared root
-    assert solvers._merge_core(t1, t2, {"a": "x"}) == [-1, 0, 1, 0, 0, 0, 5]
+    assert merge_matching(t1, t2, {"a": "x"}) == [-1, 0, 1, 0, 0, 0, 5]
 
 
 def test_merge_of_a_forest_matching_and_of_it_with_the_roots():
     t1, t2 = parse_tree("r(a,b)"), parse_tree("s(c,d)")
     # r a b at 0-2, s at 3: the t1-only top r above the t2-only top s
-    assert solvers._merge_core(t1, t2, {"a": "c", "b": "d"}) == [-1, 3, 3, 0]
-    assert solvers._merge_core(t1, t2, {"r": "s", "a": "c", "b": "d"}) == [-1, 0, 0]
+    assert merge_matching(t1, t2, {"a": "c", "b": "d"}) == [-1, 3, 3, 0]
+    assert merge_matching(t1, t2, {"r": "s", "a": "c", "b": "d"}) == [-1, 0, 0]
 
 
 def test_a_crossing_matching_merges_nowhere():
     # a above b in t1, but b's partner x above a's partner y in t2
     t1, t2 = parse_tree("a(b)"), parse_tree("x(y)")
-    assert solvers._merge_core(t1, t2, {"a": "y", "b": "x"}) is None
+    assert merge_matching(t1, t2, {"a": "y", "b": "x"}) is None
     t1, t2 = parse_tree("r(a(b),c)"), parse_tree("s(x(y),z)")
-    assert solvers._merge_core(t1, t2, {"r": "s", "a": "y", "b": "x"}) is None
-    assert solvers._merge_core(t1, t2, {"r": "s", "a": "x", "b": "y"}) is not None
+    assert merge_matching(t1, t2, {"r": "s", "a": "y", "b": "x"}) is None
+    assert merge_matching(t1, t2, {"r": "s", "a": "x", "b": "y"}) is not None
 
 
 def test_merge_stacks_a_t1_only_top_over_a_t2_only_top():
     t1, t2 = parse_tree("p(q,r)"), parse_tree("u(v(w))")
     # p q r at 0-2, u and w at 3-4: p over u, then q=v (over w) and r under u
-    parent = solvers._merge_core(t1, t2, {"q": "v"})
+    parent = merge_matching(t1, t2, {"q": "v"})
     assert parent == [-1, 3, 3, 0, 1]
     assert len(parent) == t1.size + t2.size - 1 == growth_optimum(t1, t2) + 1
-    # the lemma's fourth step: adding the root pair keeps it mergeable, one smaller
-    assert len(solvers._merge_core(t1, t2, {"p": "u", "q": "v"})) == growth_optimum(t1, t2)
+    # adding the root pair keeps it mergeable, one smaller
+    assert len(merge_matching(t1, t2, {"p": "u", "q": "v"})) == growth_optimum(t1, t2)
 
 
-def test_merge_matches_growth_on_all_pairs_up_to_7():
+# -- supertrees by the forest recursion -------------------------------------------------
+
+def test_the_recursion_matches_growth_on_all_ordered_pairs_up_to_7(monkeypatch):
+    # each argument order from an empty memo; then the scan's call, which
+    # stops at the merge lemma's floor, on the pairs it meets (|t1| <= |t2|)
     shapes = [seq for k in range(1, 8) for seq in _level_sequences(k)]
     assert len(shapes) == 85
+    pairs = [(_scan_tree(seq1), _scan_tree(seq2)) for seq1 in shapes for seq2 in shapes]
+    grown = [growth_optimum(t1, t2) for t1, t2 in pairs]
+    for flip in (False, True):
+        monkeypatch.setattr(solvers, "_SCS", {})
+        got = [solvers._scs_optimum(*((t2, t1) if flip else (t1, t2))) for t1, t2 in pairs]
+        assert got == grown
+    monkeypatch.setattr(solvers, "_SCS", {})
     for i, seq1 in enumerate(shapes):
-        for seq2 in shapes[i:]:  # |t1| <= |t2|, as the scan orders them
+        for seq2 in shapes[i:]:
             t1, t2 = _scan_tree(seq1), _scan_tree(seq2)
             assert _scan_one_pair((seq1, seq2, False))["scs"] == growth_optimum(t1, t2), (
                 format_tree(t1), format_tree(t2))
@@ -512,41 +523,72 @@ def test_scan_records_are_the_same_from_cold_and_warm_tables():
     assert all(quotient._name_ids in _scan_tree(seq)._tables for seq in seqs)
     assert all(any(isinstance(key, tuple) for key in _scan_tree(seq)._tables)
                for seq in seqs)
-    assert sum(solvers._merge_masks in _scan_tree(seq)._tables for seq in seqs) > 1
 
 
-def test_the_full_merge_refutation_matches_growth_on_all_pairs_up_to_6():
-    # every level from |t1| down is refuted or merged
+def test_the_recursion_matches_the_best_merge_on_all_pairs_up_to_6():
     trees6 = all_trees_up_to(6)
     for i, t1 in enumerate(trees6):
         for t2 in trees6[i:]:
-            got = solvers._merge_refutation(t1, t2, t1.size)
-            assert got == growth_optimum(t1, t2), (format_tree(t1), format_tree(t2))
-
-
-def test_merge_refutation_stops_at_the_first_matching_that_merges(monkeypatch):
-    yielded = []
-
-    def recording(parent, labels, t):
-        for images in real(parent, labels, t):
-            yielded.append(images)
-            yield images
-
-    real = solvers._search
-    monkeypatch.setattr(solvers, "_search", recording)
-    t1, t2 = parse_tree("a(b,c)"), parse_tree("x(y,z)")
-    # the first subset at level 3 is all of t1, and its first matching merges
-    assert solvers._merge_refutation(t1, t2, 3) == 3
-    assert yielded == [["x", "y", "z"]]
+            assert solvers._scs_optimum(t1, t2) == scs_by_merging(t1, t2), (
+                format_tree(t1), format_tree(t2))
 
 
 @settings(max_examples=40, deadline=None)
 @given(unlabeled_trees(max_size=9), unlabeled_trees(max_size=9))
 def test_merge_matches_growth_on_random_pairs_up_to_9(t1, t2):
+    # and so does the recursion, in the scan and in the other argument order
     if t2.size < t1.size:
         t1, t2 = t2, t1
     seqs = (_levels_of(_shape(t1)), _levels_of(_shape(t2)), False)
-    assert _scan_one_pair(seqs)["scs"] == growth_optimum(t1, t2)
+    assert scs_by_merging(t1, t2) == growth_optimum(t1, t2)
+    assert _scan_one_pair(seqs)["scs"] == solvers._scs_optimum(t2, t1) == growth_optimum(t1, t2)
+
+
+def test_the_recursion_hangs_a_t1_forest_below_a_t2_only_root():
+    # t1 embeds below y, so the optimum, t2 itself, has a t2-only node above
+    # t1's root or, with the roots shared, above both of t1's root children
+    t1, t2 = parse_tree("a(b(c),d(e))"), parse_tree("x(y(z(w),u(v)),s,t)")
+    assert solvers._scs_optimum(t1, t2) == solvers._scs_optimum(t2, t1) == 8
+    assert growth_optimum(t1, t2) == 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(labeled_trees(max_size=8), labeled_trees(max_size=8))
+def test_the_recursion_matches_the_best_merge_on_labeled_pairs(t1, t2):
+    # roots share a node only with equal labels; with equal root labels the
+    # root pair merges, so the best merging matching is a tree matching
+    assume(t1.labels[t1.root] == t2.labels[t2.root])
+    assert solvers._scs_optimum(t1, t2) == scs_by_merging(t1, t2)
+
+
+def test_the_recursion_needs_no_recursion():
+    # a 3,000-deep chain: any Python recursion per tree level would exhaust
+    # the lowered limit
+    deep = chain(3000)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)  # lowered, never raised
+    try:
+        assert solvers._scs_optimum(deep, parse_tree("a(b,c)")) == 3001
+        assert solvers._scs_optimum(deep, chain(2, "m")) == 3000
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_the_recursion_stops_at_its_budget(monkeypatch):
+    # from an empty memo this pair takes 12 pairs of forests
+    monkeypatch.setattr(solvers, "_SCS", {})
+    monkeypatch.setattr(solvers, "SCS_BUDGET", 5)
+    t1, t2 = parse_tree("a(b(c,d),e(f(g)))"), parse_tree("x(y(z,q),w(v,u),r)")
+    with pytest.raises(BudgetError, match="5 pairs of forests") as err:
+        solvers._scs_optimum(t1, t2)
+    assert err.value.lower_bound == 8
+    monkeypatch.setattr(solvers, "_SCS", {})
+    with pytest.raises(BudgetError) as err:
+        solvers._scs_optimum(t1, t2, floor=9)
+    assert err.value.lower_bound == 9
+    monkeypatch.setattr(solvers, "_SCS", {})
+    monkeypatch.setattr(solvers, "SCS_BUDGET", 12)
+    assert solvers._scs_optimum(t1, t2) == growth_optimum(t1, t2) == 9
 
 
 # -- root merge -------------------------------------------------------------------------
