@@ -44,6 +44,17 @@ else
   echo "FAIL  scs star(8)/chain(8): optimum, size, candidates = $got, expected 14 14 4052"
   failures=$((failures + 1))
 fi
+# with --all the witnesses are every minimum supertree, 924 of the 32,973
+# trees of size 14
+got=$(treelab scs 'n1(n2,n3,n4,n5,n6,n7,n8)' 'm1(m2(m3(m4(m5(m6(m7(m8)))))))' --all |
+  python3 -c 'import json, sys; d = json.load(sys.stdin); lv = d["levels_scanned"][-1]
+print(d["witness_count"], lv["size"], lv["candidates"], lv["hits"])')
+if [ "$got" = "924 14 32973 924" ]; then
+  echo "PASS  scs --all star(8)/chain(8) has 924 witnesses, all 32,973 trees of size 14 decided"
+else
+  echo "FAIL  scs --all star(8)/chain(8): witnesses, size, candidates, hits = $got, expected 924 14 32973 924"
+  failures=$((failures + 1))
+fi
 
 # criterion 2: path-uniqueness violation and the diamond
 check "prop21 violated on the headline instance" 1 \
@@ -88,22 +99,24 @@ else
 fi
 
 # the scan decides each supertree optimum by the forest recursion; growing the
-# bigger input's supertrees must give the same optimum on every pair up to
-# size 8 (printed: pairs, disagreements, pairs with a positive gap)
+# bigger input's supertrees (the tests' oracle) must give the same optimum on
+# every pair up to size 8 (printed: pairs, disagreements, pairs with a positive gap)
 got=$(python3 -c '
+import sys
+sys.path.insert(0, sys.argv[1])
+from conftest import scs_by_growth
 from treelab.families import _scan_one_pair, _scan_tree
-from treelab.solvers import _scs_core
-from treelab.trees import ENUM_CAP_DEFAULT, _level_sequences
+from treelab.trees import _level_sequences
 shapes = [seq for k in range(1, 9) for seq in _level_sequences(k)]
 pairs = disagreements = gaps = 0
 for i, seq1 in enumerate(shapes):
     for seq2 in shapes[i:]:
         t1, t2 = _scan_tree(seq1), _scan_tree(seq2)
-        grown = _scs_core(t1, t2, False, t1.size + t2.size - 1, ENUM_CAP_DEFAULT)[0]
+        grown = scs_by_growth(t1, t2)[0]
         rec = _scan_one_pair((seq1, seq2, False))
         pairs, disagreements = pairs + 1, disagreements + (rec["scs"] != grown)
         gaps += rec["gap"] > 0
-print(pairs, disagreements, gaps)')
+print(pairs, disagreements, gaps)' "$repo/tests")
 if [ "$got" = "20100 0 54" ]; then
   echo "PASS  the recursion and growth agree on the supertree optimum of all 20,100 pairs up to size 8"
 else
@@ -154,11 +167,11 @@ check "fig4 transfer constant is stable" 0 \
 # the fig4 supertree optima at |A| = 4, |B| = 3 (26 and 28 nodes) lie past
 # the enumeration cap; the recursion gives them exactly
 got=$(treelab transfer fig4 --a 'a1(a2,a3,a4)' --b 'b1(b2,b3)' |
-  python3 -c 'import json, sys; d = json.load(sys.stdin); print(d["all_exact"], d["constant_double"])')
+  python3 -c 'import json, sys; d = json.load(sys.stdin); print(d["stable_double"], d["constant_double"])')
 if [ "$got" = "True 18" ]; then
-  echo "PASS  transfer fig4 at |A| = 4, |B| = 3 is exact with constant_double 18"
+  echo "PASS  transfer fig4 at |A| = 4, |B| = 3 has the stable constant_double 18"
 else
-  echo "FAIL  transfer fig4 at |A| = 4, |B| = 3: all_exact, constant_double = $got, expected True 18"
+  echo "FAIL  transfer fig4 at |A| = 4, |B| = 3: stable_double, constant_double = $got, expected True 18"
   failures=$((failures + 1))
 fi
 check "fig5 family is generated and flagged" 0 \

@@ -609,7 +609,7 @@ def subproblem_transfer_check(family: str, a: Tree, b: Tree) -> dict:
         raise TreeError(f"|A| = {n} must be at least |B| = {m}")
 
     def one(aa: Tree, bb: Tree) -> dict:
-        rec = {"a": format_tree(aa), "b": format_tree(bb), "mode": "exact"}
+        rec = {"a": format_tree(aa), "b": format_tree(bb)}
         if family == "fig4":
             t1, t2, _ = fig4_family(aa, bb)
             sub = _scs_optimum(aa, bb)
@@ -638,8 +638,7 @@ def subproblem_transfer_check(family: str, a: Tree, b: Tree) -> dict:
             "deltas": deltas,
             "stable_double": len(doubles) == 1,
             "constant_double": doubles[0] if len(doubles) == 1 else None,
-            "smallest_size_constant": smallest["delta"],
-            "all_exact": all(r["mode"] == "exact" for r in records)}
+            "smallest_size_constant": smallest["delta"]}
 
 
 # -- the exhaustive small-pair scan ----------------------------------------------
@@ -730,16 +729,15 @@ def scan_pairs(max_size: int, checks: Iterable[str] = ("eq4",),
     (`trees._level_sequences`), so ordering the pairs interns no shape and
     builds no code.  Workers receive level sequences and ask the solver
     cores for sizes only.  The supertree optimum comes from the forest
-    recursion (`solvers._scs_optimum`), not from growing supertrees, and the
-    recursion stops at the merge lemma's lower bound |t1| + |t2| - lcs
-    (`_scan_one_pair`).  Only the ``prop21`` check searches embeddings: every
-    optimal common-minor witness has its quotient glued and checked on
-    integer class ids, by the cores of `treelab.quotient`: path-uniqueness
-    violations, the structural identities, and whether reduction yields a
-    tree.  The witnesses are those `largest_common_minor` reports
-    (`solvers._witness_embedding`), but none is built as a named `Tree`: each
-    is glued straight from its node subset of the smaller tree
-    (`_witness_quotient`).
+    recursion (`solvers._scs_optimum`), stopped at the merge lemma's lower
+    bound |t1| + |t2| - lcs (`_scan_one_pair`).  Only the ``prop21`` check
+    searches embeddings: every optimal common-minor witness has its quotient
+    glued and checked on integer class ids, by the cores of
+    `treelab.quotient`: path-uniqueness violations, the structural
+    identities, and whether reduction yields a tree.  The witnesses are
+    those `largest_common_minor` reports (`solvers._witness_embedding`), but
+    none is built as a named `Tree`: each is glued straight from its node
+    subset of the smaller tree (`_witness_quotient`).
     """
     checks = tuple(checks)
     unknown = set(checks) - {"eq4", "prop21"}

@@ -1,17 +1,15 @@
 """Exact largest common minor and smallest common supertree solvers.
 
-Both problems are solved by exhaustion, never by heuristics: the level
-walks claim optimality at size k only after the neighbouring level has been
+Both problems are solved by exhaustion, never by heuristics: the common-minor
+walk claims optimality at size k only after the level above it has been
 fully decided, and the supertree recursion drops a branch only by a proven
-lower bound.  The supertree optimum has two independent deciders.  Growth
-walks every supertree of the bigger input, one node at a time, which a
-deletion lemma shows are all the trees that can host both inputs
-(`_scs_core`; `scs` and `verify` use it for their code-ordered witnesses and
-levels).  The forest recursion (`_scs_optimum`; the pair scan and
-`transfer fig4` use it) takes the least of three kinds of branch at each
-pair of forests of interned shapes, memoized for the process.  The tests
-hold each to the other, and the recursion also to the best common-minor
-matching that merges into one supertree.
+lower bound.  That recursion is the one supertree decider: at each pair of
+forests of interned shapes it takes the least of three kinds of branch,
+memoized for the process (`_scs_optimum`, for the pair scan and `transfer
+fig4`), and the branches that reach the optimum give every minimum
+supertree (`_scs_shapes`, for `scs` and `verify`).  The tests hold it to
+growing the bigger input's supertrees one node at a time and to the best
+common-minor matching that merges into one tree.
 
 Each search is a core that works on interned shapes or node positions only
 and returns the optimum and its hits (`_lcs_core` also its levels, as plain
@@ -33,7 +31,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Generator, Iterator
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 
 from .errors import BudgetError, EmbeddingError, SolverDisagreement, TreeError
 from .trees import (_KIDS, _LABEL, _SIZE, ENUM_CAP_DEFAULT, Tree, _Record, _code, _fresh_name,
@@ -277,117 +275,65 @@ def _witness_embedding(small: Tree, other: Tree,
     return minor, images
 
 
-#: One-node insertions strictly below the root of each shape (the moves of
-#: `_insertions` but the new root), memoized like `embeddings._FITS`.
-_GROWN: dict[int, frozenset[int]] = {}
-
-
-def _insertions(s: int) -> frozenset[int]:
-    """Every shape made from shape s by inserting one unlabeled node: a new
-    root above s, or a new child of some node adopting a sub-multiset of that
-    node's children (the empty one gives a new leaf).
-
-    Below its root a shape grows by its root's adoptions, or by one copy of
-    a child shape replaced by each of that child's moves.  Shapes are grown
-    children first from an explicit stack, so depth is never a limit.
-    """
-    stack = [s]
-    while stack:
-        x = stack[-1]
-        if x in _GROWN:
-            stack.pop()
-            continue
-        kids = _KIDS[x]
-        kinds = sorted(set(kids))
-        todo = [c for c in kinds if c not in _GROWN]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        label = _LABEL[x]
-        grown = {_intern_node(label, tuple(sorted(kept + (_intern_node(None, adopted),))))
-                 for adopted, kept, _ in _splits(kids)}
-        for c in kinds:
-            rest = _without(kids, c)
-            grown.update(_intern_node(label, tuple(sorted(rest + (y,)))) for y in _GROWN[c])
-        _GROWN[x] = frozenset(grown)
-    return _GROWN[s] | {_intern_node(None, (s,))}
-
-
-def _scs_core(t1: Tree, t2: Tree, all_witnesses: bool, ceiling: int,
-              enum_cap: int) -> tuple[int, list[int]]:
-    """The supertree search on shapes: (optimum, hit shapes).
-
-    Walk n upward from max(|t1|, |t2|) to `ceiling` through the size-n
-    supertrees of the bigger input, starting from that input itself, and
-    test each, in canonical-code order, with `_fits` for the other input;
-    the hits are the hit shapes of the first level with one (only the first
-    unless `all_witnesses`).  On equal sizes the input with more leaves is
-    grown, since the cost of `_fits` grows with the width of what it places.
-
-    The levels are complete by a deletion lemma.  Let C, of size
-    n + 1 > |T|, contain T.  Deleting a node outside the image of an
-    embedding leaves a size-n tree that still contains T: a non-image leaf,
-    else contract a non-image non-root, else drop a one-child root.  So the
-    size-(n + 1) supertrees of T are exactly the one-node insertions
-    (`_insertions`) into its size-n supertrees, and a level without a hit
-    refutes every tree of its size.
-    """
-    start = max(t1.size, t2.size)
-    big, little = ((t1, t2) if (t1.size, len(t1.leaves)) >= (t2.size, len(t2.leaves))
-                   else (t2, t1))
-    target = _shape(little)
-    level = [_shape(big)]
-    for n in range(start, ceiling + 1):
-        if n > enum_cap:
-            raise BudgetError(
-                f"supertree search needs size-{n} enumeration (cap {enum_cap}); "
-                f"every size below {n} was exhaustively refuted", lower_bound=n)
-        if n > start:
-            level = sorted({c for s in level for c in _insertions(s)}, key=_code)
-        hits: list[int] = []
-        for c in level:
-            if _fits(target, c):
-                hits.append(c)
-                if not all_witnesses:
-                    break
-        if hits:
-            return n, hits
-    raise BudgetError(
-        f"no common supertree of size <= {ceiling}; search stopped at the "
-        f"requested ceiling", lower_bound=ceiling + 1)
-
-
 #: Supertree optima of pairs of forests (sorted tuples of shape ids), keyed by
 #: the two in sorted order, for the life of the process, like `embeddings._FITS`.
-#: A call's own pair is not kept: the scan asks for each pair once, and keeping
-#: them would almost double the memo (199,207 entries after scan 9, not 111,128).
+#: A run's own pair is not kept: the scan asks for each once, and keeping them
+#: would almost double the memo (199,207 entries after scan 9, not 111,128).
 _SCS: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
 
-#: Most pairs of forests one `_scs_optimum` call may solve, 16 times the most
-#: seen: 5,996 for a 3,000-node chain against a(b,c), 180 in `transfer fig4`
-#: at |A| = 8, |B| = 2, and 8 in scan 9 (its memo warm).
-SCS_BUDGET = 100_000
+#: Most branches (pairs of forests asked for, memoized or not) one run of the
+#: recursion may request, so it bounds time as well as memory; 16 times the most
+#: seen: 17,986 for a 3,000-node chain against a(b,c), 606 in `transfer fig4` at
+#: |A| = 8, |B| = 4, 680 for all witnesses of star(8) and chain(8) from a cold
+#: memo (`_scs_shapes`) and 45 in scan 9.
+SCS_BUDGET = 300_000
+
 
 def _weight(forest: tuple[int, ...]) -> int:
     """The node count of a forest of shape ids."""
     return sum(_SIZE[x] for x in forest)
 
 
-def _splits(forest: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+def _key(xs: tuple[int, ...], ys: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A pair of forests in sorted order, an empty one first, as `_SCS` keys it."""
+    return (xs, ys) if xs <= ys else (ys, xs)
+
+
+def _splits(forest: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
     """Every split of a sorted forest into a sub-multiset and the rest, both
     sorted, each split once, with the node count of the sub-multiset."""
-    kinds = sorted(set(forest))
-    counts = [forest.count(k) for k in kinds]
-    for take in product(*(range(c + 1) for c in counts)):
-        yield (tuple(k for k, t in zip(kinds, take) for _ in range(t)),
-               tuple(k for k, c, t in zip(kinds, counts, take) for _ in range(c - t)),
-               sum(_SIZE[k] * t for k, t in zip(kinds, take)))
+    splits: list[tuple[tuple[int, ...], tuple[int, ...], int]] = [((), (), 0)]
+    for k in sorted(set(forest)):
+        c, n = forest.count(k), _SIZE[k]
+        splits = [(part + (k,) * t, rest + (k,) * (c - t), w + n * t)
+                  for part, rest, w in splits for t in range(c + 1)]
+    return splits
 
 
 def _without(forest: tuple[int, ...], x: int) -> tuple[int, ...]:
     i = forest.index(x)
     return forest[:i] + forest[i + 1:]
+
+
+def _branches(xs: tuple[int, ...], ys: tuple[int, ...], wx: int, wy: int) -> Iterator[tuple]:
+    """The branches of SCS(xs, ys) for non-empty forests of wx and wy nodes,
+    shared roots first, as (root label, X1, Y1, X2, Y2, w1, w2): the root's
+    children and the rest of the supertree are supertrees of (X1, Y1) and
+    (X2, Y2), whose trivial bounds are w1 and w2."""
+    if len(ys) < len(xs):  # a comes from the forest with fewer trees
+        xs, ys, wx, wy = ys, xs, wy, wx
+    a, others = xs[0], xs[1:]
+    la, na = _LABEL[a], _SIZE[a]
+    kinds = sorted(set(ys))
+    return chain(
+        ((la, _KIDS[a], _KIDS[b], others, _without(ys, b),
+          max(na, _SIZE[b]) - 1, max(wx - na, wy - _SIZE[b]))
+         for b in kinds if _LABEL[b] == la),  # shared roots
+        ((la, _KIDS[a], part, others, rest, max(na - 1, w), max(wx - na, wy - w))
+         for part, rest, w in _splits(ys)),  # a's root t1-only
+        ((_LABEL[b], tuple(sorted(part + (a,))), _KIDS[b], rest, _without(ys, b),
+          max(w + na, _SIZE[b] - 1), max(wx - na - w, wy - _SIZE[b]))
+         for b in kinds for part, rest, w in _splits(others)))  # b's root t2-only, above a
 
 
 def _scs_frame(xs: tuple[int, ...], ys: tuple[int, ...],
@@ -396,20 +342,7 @@ def _scs_frame(xs: tuple[int, ...], ys: tuple[int, ...],
     pair of forests it needs, with a floor, and is sent its optimum."""
     wx, wy = _weight(xs), _weight(ys)
     best, stop = wx + wy, max(wx, wy, floor)  # the two forests side by side
-    if len(ys) < len(xs):  # a comes from the forest with fewer trees
-        xs, ys, wx, wy = ys, xs, wy, wx
-    a, others = xs[0], xs[1:]
-    na = _SIZE[a]
-    kinds = sorted(set(ys))
-    for x1, y1, x2, y2, w1, w2 in chain(  # w1, w2: the pairs' trivial bounds
-            ((_KIDS[a], _KIDS[b], others, _without(ys, b),
-              max(na, _SIZE[b]) - 1, max(wx - na, wy - _SIZE[b]))
-             for b in kinds if _LABEL[b] == _LABEL[a]),  # shared roots
-            ((_KIDS[a], part, others, rest, max(na - 1, w), max(wx - na, wy - w))
-             for part, rest, w in _splits(ys)),  # a's root t1-only
-            ((tuple(sorted(part + (a,))), _KIDS[b], rest, _without(ys, b),
-              max(w + na, _SIZE[b] - 1), max(wx - na - w, wy - _SIZE[b]))
-             for b in kinds for part, rest, w in _splits(others))):  # b's root t2-only, above a
+    for _, x1, y1, x2, y2, w1, w2 in _branches(xs, ys, wx, wy):
         if 1 + w1 + w2 >= best:
             continue
         v1 = yield x1, y1, stop - 1 - _weight(x2) - _weight(y2)
@@ -419,6 +352,35 @@ def _scs_frame(xs: tuple[int, ...], ys: tuple[int, ...],
         if best <= stop:
             break
     return best
+
+
+def _scs_run(requests: Generator[tuple, int, int | set], t1: Tree, t2: Tree,
+             floor: int = 0) -> int | set:
+    """What `requests` returns, a generator that yields pairs of forests with
+    floors and is sent their optima, as a frame does, for the inputs t1 and
+    t2.  Each pair is read from `_SCS` or solved and memoized by a frame
+    (`_scs_frame`) on an explicit stack, so depth is never a limit.  A run
+    asked for more than `SCS_BUDGET` branches raises `BudgetError`."""
+    frames: list[tuple[tuple[tuple[int, ...], tuple[int, ...]], Generator]] = [((), requests)]
+    value, spent = None, 0
+    while True:
+        try:
+            xs, ys, low = frames[-1][1].send(value)
+        except StopIteration as done:
+            key, value = frames.pop()[0], done.value
+            if not frames:
+                return value
+            _SCS[key] = value
+            continue
+        spent += 1
+        if spent > SCS_BUDGET:
+            raise BudgetError(f"supertree recursion limited to {SCS_BUDGET} branches per "
+                              f"call (inputs of {t1.size} and {t2.size} nodes)",
+                              lower_bound=max(floor, t1.size, t2.size))
+        key = _key(xs, ys)
+        value = _SCS.get(key) if key[0] else _weight(key[1])
+        if value is None:
+            frames.append((key, _scs_frame(*key, low)))
 
 
 def _scs_optimum(t1: Tree, t2: Tree, floor: int = 0) -> int:
@@ -449,41 +411,69 @@ def _scs_optimum(t1: Tree, t2: Tree, floor: int = 0) -> int:
     since nothing lies above that root, and the rest of C is a common
     supertree of what is left of both forests.
 
-    Each pair is a frame (`_scs_frame`) on an explicit stack, so depth is
-    never a limit, and its optimum is memoized in `_SCS`, in either order.
-    A frame tries the shared roots first, skips a branch whose trivial bound
-    (max(|X|, |Y|) per pair) cannot beat its best, and stops once its best
-    reaches its floor or max(|A|, |B|).  Floors are proven lower bounds:
-    `floor` for the top pair (such as step 3's), and for each pair of a
-    branch what the frame's own bound leaves for it, since every branch
-    costs at least the frame's optimum.  A call that solves more than
-    `SCS_BUDGET` pairs raises `BudgetError`.
+    Each pair is a frame (`_scs_frame`) run by `_scs_run`, its optimum
+    memoized in `_SCS` in either order.  A frame tries the shared roots first
+    (`_branches`), skips a branch whose trivial bound (max(|X|, |Y|) per pair)
+    cannot beat its best, and stops once its best reaches its floor or
+    max(|A|, |B|).  Floors are proven lower bounds: `floor` for the top pair
+    (such as step 3's), and for each pair of a branch what the frame's own
+    bound leaves for it, since every branch costs at least the frame's optimum.
     """
-    frames: list[tuple[tuple[tuple[int, ...], tuple[int, ...]], Generator]] = []
-    request = ((_shape(t1),), (_shape(t2),), floor)
-    solved = 0
-    while True:
-        xs, ys, low = request
-        key = (xs, ys) if xs <= ys else (ys, xs)
-        value = _SCS.get(key) if key[0] else _weight(key[1])
-        if value is None:
-            solved += 1
-            if solved > SCS_BUDGET:
-                raise BudgetError(
-                    f"supertree recursion limited to {SCS_BUDGET} pairs of forests per "
-                    f"call (inputs of {t1.size} and {t2.size} nodes)",
-                    lower_bound=max(floor, t1.size, t2.size))
-            frames.append((key, _scs_frame(*key, low)))
-        while frames:
-            try:
-                request = frames[-1][1].send(value)
-                break
-            except StopIteration as done:
-                key, value = frames.pop()[0], done.value
-                if frames:
-                    _SCS[key] = value
-        else:
-            return value
+    return _scs_run(_scs_frame((_shape(t1),), (_shape(t2),), floor), t1, t2, floor)
+
+
+def _scs_walk(xs: tuple[int, ...], ys: tuple[int, ...]) -> Generator[tuple, int, set]:
+    """Every minimum common supertree of two forests, as a set of forests,
+    from a generator that yields to `_scs_run` the pairs it needs optima of.
+
+    From the top pair, on an explicit stack, each pair keeps the branches
+    whose 1 + v1 + v2 is its optimum (pruned as a frame prunes).  Then,
+    lightest pair first, a pair's minimum forests are root(label, F1) + F2
+    for each kept branch and minimum forests F1 and F2 of its two sub-pairs;
+    with one side empty, the other side.  There are no others: cut a minimum
+    C as `_scs_optimum`'s completeness argument cuts it, into the children of
+    the root over a's image and the rest.  Each part is a common supertree of
+    its sub-pair, and with the root they add up to the optimum, so each part
+    is minimum and its branch is kept.
+    """
+    top = _key(xs, ys)
+    kept: dict[tuple[tuple[int, ...], tuple[int, ...]], list] = {}
+    stack = [top]
+    while stack:
+        key = stack.pop()
+        if key in kept:
+            continue
+        kept[key] = branches = []
+        if not key[0]:
+            continue
+        best = yield (*key, 0)
+        for label, x1, y1, x2, y2, w1, w2 in _branches(*key, _weight(key[0]),
+                                                        _weight(key[1])):
+            if 1 + w1 + w2 > best:
+                continue
+            v1 = yield x1, y1, best - 1 - _weight(x2) - _weight(y2)
+            if 1 + v1 + w2 > best:
+                continue
+            if 1 + v1 + (yield x2, y2, best - 1 - v1) == best:
+                k1, k2 = _key(x1, y1), _key(x2, y2)
+                branches.append((label, k1, k2))
+                stack += (k1, k2)
+    forests: dict[tuple[tuple[int, ...], tuple[int, ...]], set] = {}
+    for key in sorted(kept, key=lambda k: _weight(k[0]) + _weight(k[1])):
+        made = set() if key[0] else {key[1]}
+        for label, k1, k2 in kept[key]:
+            for f1 in forests[k1]:
+                root = (_intern_node(label, f1),)
+                made.update(tuple(sorted(f2 + root)) for f2 in forests[k2])
+        forests[key] = made
+    return forests[top]
+
+
+def _scs_shapes(t1: Tree, t2: Tree) -> list[int]:
+    """Every minimum common supertree shape of two unlabeled trees, whose
+    roots can always share a node, in canonical-code order (`_scs_walk`)."""
+    found = _scs_run(_scs_walk((_shape(t1),), (_shape(t2),)), t1, t2)
+    return sorted((forest[0] for forest in found), key=_code)
 
 
 def _code_rank(n: int, stop: tuple[int, ...]) -> int:
@@ -511,16 +501,17 @@ def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
 
     Without `all_witnesses`, an input that contains the other is itself an
     optimal witness (absorption), reported as a one-tree level.  Otherwise
-    `_scs_core` finds the optimum on shapes, growing the supertrees of the
-    bigger input upward from max(|t1|, |t2|) (the root merge guarantees a
-    hit by n = |t1| + |t2| - 1, or `max_size` if smaller).  The levels are
-    reported as a scan of every tree of each size in code order would
-    report them: a level without a hit, and the hit level with
-    `all_witnesses`, counts every tree of its size (`_tree_count`, with no
-    walk); the first-hit level counts up to the hit, by walking the level's
-    sequences in code order (`_code_rank`).  Only the hits become named
-    `Tree`s, built from their canonical level sequences, each with the first
-    found embedding of either input.
+    the forest recursion gives the optimum (`_scs_optimum`), at most the
+    root merge's |t1| + |t2| - 1 or `max_size`, and then every minimum shape
+    in code order (`_scs_shapes`).  The levels, from max(|t1|, |t2|) up,
+    are what a scan of every tree of each size in code order would report:
+    each level below the optimum, and the optimum's with `all_witnesses`,
+    counts every tree of its size (`_tree_count`); the first-hit level
+    counts up to the first shape (`_code_rank`, which walks the level).  So
+    no level past `enum_cap` is reported: reaching one raises `BudgetError`,
+    before the recursion runs when the inputs are past it.  Only the
+    witnesses become named `Tree`s, each with the first found embedding of
+    either input.
     """
     started = time.perf_counter()
     _require_solvable(t1, t2)
@@ -528,9 +519,10 @@ def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
         raise TreeError("supertree search enumerates unlabeled trees; "
                         "labeled inputs are not supported")
 
-    natural = t1.size + t2.size - 1
-    ceiling = natural if max_size is None else min(max_size, natural)
-    if not all_witnesses and max(t1.size, t2.size) <= ceiling:
+    start, ceiling = max(t1.size, t2.size), t1.size + t2.size - 1
+    if max_size is not None:
+        ceiling = min(max_size, ceiling)
+    if not all_witnesses and start <= ceiling:
         for big, little in ((t1, t2), (t2, t1)):
             if big.size >= little.size and is_minor(little, big):
                 f_little = _found(find_embedding(little, big), little, big)
@@ -539,15 +531,24 @@ def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
                 return ScsResult(big.size, [CommonTreeWitness(big, emb1, emb2)],
                                  [LevelStats(big.size, 1, 1)],
                                  (time.perf_counter() - started) * 1e3)
-    n, hits = _scs_core(t1, t2, all_witnesses, ceiling, enum_cap)
-    sequences = [_levels_of(c) for c in hits]
-    levels = [LevelStats(k, _tree_count(k), 0) for k in range(max(t1.size, t2.size), n)]
+    capped = max(start, enum_cap + 1)  # the first level past the cap
+    n = None if start > enum_cap else _scs_optimum(t1, t2)
+    if capped <= ceiling and (n is None or capped <= n):
+        raise BudgetError(
+            f"supertree search needs size-{capped} enumeration (cap {enum_cap}); "
+            f"every size below {capped} was exhaustively refuted", lower_bound=capped)
+    if n is None or n > ceiling:
+        raise BudgetError(
+            f"no common supertree of size <= {ceiling}; search stopped at the "
+            f"requested ceiling", lower_bound=ceiling + 1)
+    shapes = _scs_shapes(t1, t2)
+    sequences = [_levels_of(c) for c in (shapes if all_witnesses else shapes[:1])]
+    levels = [LevelStats(k, _tree_count(k), 0) for k in range(start, n)]
     levels.append(LevelStats(n, _tree_count(n) if all_witnesses
-                             else _code_rank(n, sequences[0]), len(hits)))
-    witnesses = []
-    for c in map(_tree_from_levels, sequences):
-        witnesses.append(CommonTreeWitness(c, _found(find_embedding(t1, c), t1, c),
-                                           _found(find_embedding(t2, c), t2, c)))
+                             else _code_rank(n, sequences[0]), len(sequences)))
+    witnesses = [CommonTreeWitness(c, _found(find_embedding(t1, c), t1, c),
+                                   _found(find_embedding(t2, c), t2, c))
+                 for c in map(_tree_from_levels, sequences)]
     return ScsResult(n, witnesses, levels, (time.perf_counter() - started) * 1e3)
 
 

@@ -546,7 +546,7 @@ def _literal(order: Iterable[str], depths: Iterable[int], labels: Mapping[str, s
 # its root label and the sorted ids of its children (the canonical numbering of
 # Aho, Hopcroft & Ullman, 1974).  This table is the single isomorphism
 # authority and `_intern_node` its only writer (`_intern` enters a whole tree
-# through it, the supertree growth in `solvers` one new node at a time);
+# through it, the supertree witness walk in `solvers` one new root at a time);
 # `embeddings` reads the per-shape label, children, size, height and leaf
 # count.  It lives as long as the process, as do the code strings `_code`
 # caches per shape.  Enumeration (`enumerate_trees`, `treelab enum`) and the

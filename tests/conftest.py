@@ -6,13 +6,14 @@ strategies.  `lcs_by_subset_walk`, `scs_by_catalogue`,
 `simple_paths_recursive`, `prop21_by_classes`, `reduce_by_classes`,
 `enumerate_embeddings_recursive` and `scan_pair_with_named_witnesses` are the
 straightforward forms of routines the library runs in a faster form (the
-common-minor walk on shapes, supertree growth from the bigger input, one path
-walk per source, the path-uniqueness check and arc reduction on integer
-class ids, the witness search on an explicit stack, and the pair scan's
-quotients glued from node subsets); differential tests hold the fast forms
-to them.  `scs_by_merging` decides the supertree optimum a third way, by
-the largest common-minor matching that merges into one tree
-(`merge_matching`), and holds the library's forest recursion to it.
+common-minor walk on shapes, the supertree search, one path walk per source,
+the path-uniqueness check and arc reduction on integer class ids, the
+witness search on an explicit stack, and the pair scan's quotients glued
+from node subsets); differential tests hold the fast forms to them.  The
+library's forest recursion decides the supertree optimum and its witnesses;
+two more oracles decide them other ways: `scs_by_growth` grows the bigger
+input's supertrees one node at a time, and `scs_by_merging` takes the
+largest common-minor matching that merges into one tree (`merge_matching`).
 """
 
 from functools import lru_cache
@@ -30,10 +31,10 @@ from treelab.embeddings import _fits, _violations
 from treelab.families import _scan_tree
 from treelab.quotient import (_glue, _identities, _prop21_core, _reduce_core,
                               _require_witness, _successors, eq4_prediction)
-from treelab.solvers import (CommonTreeWitness, LcsResult, LevelStats, ScsResult,
-                             _scs_core)
-from treelab.trees import (ENUM_CAP_DEFAULT, _intern, _level_sequences, _shape,
-                           _tree_from_levels)
+from treelab.solvers import (CommonTreeWitness, LcsResult, LevelStats, ScsResult, _splits,
+                             _without)
+from treelab.trees import (_KIDS, _LABEL, _code, _intern, _intern_node, _level_sequences,
+                           _shape, _tree_from_levels)
 
 
 def brute_force_isomorphic(t1, t2):
@@ -148,7 +149,7 @@ def scan_pair_with_named_witnesses(args):
     seq1, seq2, with_prop21 = args
     t1, t2 = _scan_tree(seq1), _scan_tree(seq2)
     lcs = largest_common_minor(t1, t2, all_witnesses=True, budget=t2.size)
-    scs_size = _scs_core(t1, t2, False, t1.size + t2.size - 1, ENUM_CAP_DEFAULT)[0]
+    scs_size = scs_by_growth(t1, t2)[0]
     gap = scs_size - eq4_prediction(t1, t2, lcs.optimum_size)
     if gap < 0:
         raise SolverDisagreement("negative gap")
@@ -254,6 +255,79 @@ def scs_by_catalogue(t1, t2, all_witnesses=False):
             witnesses = [CommonTreeWitness(c, find_embedding(t1, c), find_embedding(t2, c))
                          for c in hits]
             return ScsResult(n, witnesses, levels)
+    raise AssertionError("the root merge is a common supertree")
+
+
+#: One-node insertions strictly below the root of each shape (the moves of
+#: `insertions` but the new root), memoized for the session.
+_GROWN = {}
+
+
+def insertions(s):
+    """Every shape made from shape s by inserting one unlabeled node: a new
+    root above s, or a new child of some node adopting a sub-multiset of that
+    node's children (the empty one gives a new leaf).
+
+    Below its root a shape grows by its root's adoptions, or by one copy of
+    a child shape replaced by each of that child's moves.  Shapes are grown
+    children first from an explicit stack, so depth is never a limit.
+    """
+    stack = [s]
+    while stack:
+        x = stack[-1]
+        if x in _GROWN:
+            stack.pop()
+            continue
+        kids = _KIDS[x]
+        kinds = sorted(set(kids))
+        todo = [c for c in kinds if c not in _GROWN]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        label = _LABEL[x]
+        grown = {_intern_node(label, tuple(sorted(kept + (_intern_node(None, adopted),))))
+                 for adopted, kept, _ in _splits(kids)}
+        for c in kinds:
+            rest = _without(kids, c)
+            grown.update(_intern_node(label, tuple(sorted(rest + (y,)))) for y in _GROWN[c])
+        _GROWN[x] = frozenset(grown)
+    return _GROWN[s] | {_intern_node(None, (s,))}
+
+
+def scs_by_growth(t1, t2, all_witnesses=False):
+    """The smallest common supertree by growing the supertrees of the bigger
+    input level by level: (optimum, hit shapes in code order, only the first
+    unless `all_witnesses`).
+
+    Walk n upward from max(|t1|, |t2|) through the size-n supertrees of the
+    bigger input, starting from that input itself, and test each, in
+    canonical-code order, with `_fits` for the other input.  On equal sizes
+    the input with more leaves is grown.
+
+    The levels are complete by a deletion lemma.  Let C, of size
+    n + 1 > |T|, contain T.  Deleting a node outside the image of an
+    embedding leaves a size-n tree that still contains T: a non-image leaf,
+    else contract a non-image non-root, else drop a one-child root.  So the
+    size-(n + 1) supertrees of T are exactly the one-node insertions
+    (`insertions`) into its size-n supertrees, and a level without a hit
+    refutes every tree of its size.
+    """
+    big, little = ((t1, t2) if (t1.size, len(t1.leaves)) >= (t2.size, len(t2.leaves))
+                   else (t2, t1))
+    target = _shape(little)
+    level = [_shape(big)]
+    for n in range(big.size, t1.size + t2.size):
+        if n > big.size:
+            level = sorted({c for s in level for c in insertions(s)}, key=_code)
+        hits = []
+        for c in level:
+            if _fits(target, c):
+                hits.append(c)
+                if not all_witnesses:
+                    break
+        if hits:
+            return n, hits
     raise AssertionError("the root merge is a common supertree")
 
 

@@ -345,9 +345,9 @@ def test_transfer_fig4_is_exact_beyond_the_enumeration_cap(capsys):
     # the big supertrees of both pairs here have 20 nodes, past the cap of 14
     code, data = run_json(capsys, "transfer", "fig4", "--a", "a1(a2,a3)", "--b", "b1(b2)",
                           "--jobs", "1")
-    assert code == 0 and data["all_exact"] is True
-    assert [(r["mode"], r["big_optimum"], r["sub_optimum"], r["delta_double"])
-            for r in data["pairs"]] == [("exact", 20, 3, 14)] * 2
+    assert code == 0 and data["stable_double"] is True and data["constant_double"] == 14
+    assert [(r["big_optimum"], r["sub_optimum"], r["delta_double"])
+            for r in data["pairs"]] == [(20, 3, 14)] * 2
     for r in data["pairs"]:  # no larger than the best Figure 2 candidate
         _, _, meta = fig4_family(parse_tree(r["a"]), parse_tree(r["b"]))
         with warnings.catch_warnings():
@@ -361,7 +361,7 @@ def test_transfer_past_the_recursion_budget_is_a_budget_error(capsys, monkeypatc
     monkeypatch.setattr(solvers, "SCS_BUDGET", 3)
     code, out, err = run(capsys, "transfer", "fig4", "--a", "a1(a2,a3)", "--b", "b1(b2)")
     assert code == 2 and out == ""
-    assert "supertree recursion limited to 3 pairs of forests" in err
+    assert "supertree recursion limited to 3 branches" in err
 
 
 # -- scan ----------------------------------------------------------------------------------

@@ -16,10 +16,11 @@ from treelab import (BudgetError, EmbeddingError, SolverDisagreement, TreeError,
 from treelab import quotient, solvers, trees
 from treelab.embeddings import _fits
 from treelab.families import _scan_one_pair, _scan_tree
-from treelab.trees import ENUM_CAP_DEFAULT, _intern, _level_sequences, _levels_of, _shape
+from treelab.trees import _intern, _level_sequences, _levels_of, _shape, _tree_count
 
-from conftest import (all_trees_up_to, catalogue, labeled_trees, lcs_by_subset_walk,
-                      merge_matching, scs_by_catalogue, scs_by_merging, unlabeled_trees)
+from conftest import (all_trees_up_to, catalogue, insertions, labeled_trees, lcs_by_subset_walk,
+                      merge_matching, scs_by_catalogue, scs_by_growth, scs_by_merging,
+                      unlabeled_trees)
 
 
 def witness_codes(result):
@@ -416,12 +417,14 @@ def test_the_library_has_no_assert_statement():
     assert found == []
 
 
+# -- the growth oracle (`conftest.scs_by_growth`) ----------------------------------------
+
 def test_insertions_are_the_supertrees_one_size_up():
     # the deletion lemma: exactly the size-(n + 1) trees containing s
     for n in range(1, 9):
         bigger = [c for c, _ in catalogue(n + 1)]
         for s, _ in catalogue(n):
-            assert solvers._insertions(s) == {c for c in bigger if _fits(s, c)}
+            assert insertions(s) == {c for c in bigger if _fits(s, c)}
 
 
 def test_insertions_need_no_recursion():
@@ -438,7 +441,7 @@ def test_insertions_need_no_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(frames + 50)  # lowered, never raised
     try:
-        grown = solvers._insertions(deep)
+        grown = insertions(deep)
     finally:
         sys.setrecursionlimit(limit)
     # a new leaf under one of the depth - 1 inner nodes, or the longer chain
@@ -450,7 +453,7 @@ def test_insertions_need_no_recursion():
 # t2 nodes in t2 preorder; the parent array has -1 at the root.
 
 def growth_optimum(t1, t2):
-    return solvers._scs_core(t1, t2, False, t1.size + t2.size - 1, ENUM_CAP_DEFAULT)[0]
+    return scs_by_growth(t1, t2)[0]
 
 
 def test_merge_of_the_root_pair_alone_is_the_root_merge():
@@ -574,12 +577,58 @@ def test_the_recursion_needs_no_recursion():
         sys.setrecursionlimit(limit)
 
 
+def test_scs_witnesses_match_growth_on_all_ordered_pairs_up_to_7(monkeypatch):
+    # every minimum shape in code order, and the first one's rank in the
+    # catalogue, as growing the bigger input's supertrees finds them; the
+    # witnesses stay level sequences without embeddings, which the tests
+    # above check on every pair up to 6
+    monkeypatch.setattr(solvers, "_tree_from_levels", lambda levels: levels)
+    monkeypatch.setattr(solvers, "find_embedding", lambda s, t: True)
+    trees = [_scan_tree(seq) for k in range(1, 8) for seq in _level_sequences(k)]
+    assert len(trees) ** 2 == 7225
+    ranks = {}
+    for t1 in trees:
+        for t2 in trees:
+            start = max(t1.size, t2.size)
+            for all_witnesses in (False, True):
+                n, hits = scs_by_growth(t1, t2, all_witnesses)
+                got = smallest_common_supertree(t1, t2, all_witnesses=all_witnesses)
+                levels = [(lv.size, lv.candidates, lv.hits) for lv in got.levels]
+                if not all_witnesses and n == start:  # absorbed: the bigger input
+                    assert [_shape(w.tree) for w in got.witnesses] == hits
+                    assert levels == [(n, 1, 1)]
+                    continue
+                assert [w.tree for w in got.witnesses] == [_levels_of(c) for c in hits]
+                if n not in ranks:
+                    ranks[n] = {c: i for i, (c, _) in enumerate(catalogue(n), 1)}
+                last = _tree_count(n) if all_witnesses else ranks[n][hits[0]]
+                assert levels == [*((k, _tree_count(k), 0) for k in range(start, n)),
+                                  (n, last, len(hits))]
+
+
+def test_the_witness_walk_needs_no_recursion():
+    # a new leaf under one of the 299 inner nodes of a 300-deep chain; a
+    # lowered recursion limit stands in for depth, as for `insertions`
+    deep, fork = chain(300), parse_tree("a(b,c)")
+    frames, f = 0, sys._getframe()
+    while f is not None:
+        frames, f = frames + 1, f.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames + 50)  # lowered, never raised
+    try:
+        shapes = solvers._scs_shapes(deep, fork)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(shapes) == 299 and all(trees._SIZE[c] == 301 for c in shapes)
+
+
 def test_the_recursion_stops_at_its_budget(monkeypatch):
-    # from an empty memo this pair takes 12 pairs of forests
+    # from an empty memo this pair has frames for 12 pairs of forests, which
+    # request about 34 branches (the count follows the order of shape ids)
     monkeypatch.setattr(solvers, "_SCS", {})
     monkeypatch.setattr(solvers, "SCS_BUDGET", 5)
     t1, t2 = parse_tree("a(b(c,d),e(f(g)))"), parse_tree("x(y(z,q),w(v,u),r)")
-    with pytest.raises(BudgetError, match="5 pairs of forests") as err:
+    with pytest.raises(BudgetError, match="5 branches per call .inputs of 7 and 8") as err:
         solvers._scs_optimum(t1, t2)
     assert err.value.lower_bound == 8
     monkeypatch.setattr(solvers, "_SCS", {})
@@ -587,7 +636,11 @@ def test_the_recursion_stops_at_its_budget(monkeypatch):
         solvers._scs_optimum(t1, t2, floor=9)
     assert err.value.lower_bound == 9
     monkeypatch.setattr(solvers, "_SCS", {})
-    monkeypatch.setattr(solvers, "SCS_BUDGET", 12)
+    monkeypatch.setattr(solvers, "SCS_BUDGET", 12)  # branches are counted, not pairs
+    with pytest.raises(BudgetError, match="12 branches"):
+        solvers._scs_optimum(t1, t2)
+    monkeypatch.setattr(solvers, "_SCS", {})
+    monkeypatch.setattr(solvers, "SCS_BUDGET", 60)
     assert solvers._scs_optimum(t1, t2) == growth_optimum(t1, t2) == 9
 
 
