@@ -140,6 +140,31 @@ else
   failures=$((failures + 1))
 fi
 
+# a supertree into a 1,500-deep broom (a chain with two leaves at its end) is
+# past the enumeration cap by its size alone: a budget error, never a crash
+broom_file=$(mktemp)
+python3 -c 'n = 1500; print("(".join(f"n{i:04d}" for i in range(n)) + "(x,y)" + ")" * (n - 1))' > "$broom_file"
+err=$(treelab scs 'a(b,c)' "@$broom_file" 2>&1 > /dev/null)
+got=$?
+rm -f "$broom_file"
+if [ "$got" -eq 2 ] && [[ "$err" == *enumeration* ]] && [[ "$err" != *"internal error"* ]]; then
+  echo "PASS  scs of a(b,c) and a 1,500-deep broom is a budget error"
+else
+  echo "FAIL  scs of a(b,c) and a 1,500-deep broom: exit $got, stderr $err"
+  failures=$((failures + 1))
+fi
+
+# a fig1 instance with P isomorphic to S is generated, with one warning line
+# on stderr, also when warnings are errors
+err=$(treelab family fig1 --p a --r b --s c 2>&1 > /dev/null)
+got=$?
+if [ "$got" -eq 0 ] && [[ "$err" == "warning: P is isomorphic to S"* ]] && [ "$(echo "$err" | wc -l)" -eq 1 ]; then
+  echo "PASS  family fig1 with P isomorphic to S warns on one line"
+else
+  echo "FAIL  family fig1 with P isomorphic to S: exit $got, stderr $err"
+  failures=$((failures + 1))
+fi
+
 # criterion 7: enumeration counts
 for pair in "1 1" "4 4" "7 48" "9 286" "11 1842" "14 32973"; do
   set -- $pair

@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from .errors import BudgetError, TreeError
 from .trees import (ENUM_CAP_DEFAULT, Tree, _literal_from_levels, _sized_sequences,
@@ -26,8 +27,8 @@ from .solvers import (NODE_BUDGET_DEFAULT, largest_common_minor,
                       smallest_common_supertree)
 from .quotient import (build_quotient, check_prop21, eq4_prediction,
                        quotient_to_dot, reduce_quotient)
-from .families import (SCAN_CAP_DEFAULT, check_fig5_claims, fig1_family,
-                       fig4_family, fig5_family, scan_pairs,
+from .families import (SCAN_CAP_DEFAULT, DegenerateFamilyWarning, check_fig5_claims,
+                       fig1_family, fig4_family, fig5_family, scan_pairs,
                        subproblem_transfer_check, verify_counterexample)
 
 
@@ -142,9 +143,8 @@ def cmd_lcs(args) -> int:
 
 def cmd_scs(args) -> int:
     t1, t2 = _load_literal(args.t1), _load_literal(args.t2)
-    result = smallest_common_supertree(
-        t1, t2, all_witnesses=args.all, max_size=args.max_size,
-        enum_cap=args.budget_nodes or ENUM_CAP_DEFAULT)
+    result = smallest_common_supertree(t1, t2, all_witnesses=args.all,
+                                       enum_cap=args.budget_nodes or ENUM_CAP_DEFAULT)
     _emit(args, result.to_json(),
           f"optimum {result.optimum_size}, {len(result.witnesses)} witness(es): "
           + "; ".join(format_tree(w.tree) for w in result.witnesses))
@@ -205,8 +205,12 @@ def cmd_prop21(args) -> int:
 
 def cmd_family(args) -> int:
     if args.which == "fig1":
-        inst = fig1_family(_load_literal(args.p), _load_literal(args.r),
-                           _load_literal(args.s))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", DegenerateFamilyWarning)
+            inst = fig1_family(_load_literal(args.p), _load_literal(args.r),
+                               _load_literal(args.s))
+        for w in caught:  # the report carries p_isomorphic_s
+            print(f"warning: {w.message}", file=sys.stderr)
         data = {"family": "fig1",
                 "t1": format_tree(inst.t1), "t2": format_tree(inst.t2),
                 "claimed_mu": format_tree(inst.claimed_mu),
@@ -232,7 +236,7 @@ def cmd_family(args) -> int:
 def cmd_verify(args) -> int:
     report = verify_counterexample(
         _load_literal(args.p), _load_literal(args.r), _load_literal(args.s),
-        theorem5_exhaustive=args.theorem5_exhaustive, max_size=args.max_size,
+        theorem5_exhaustive=args.theorem5_exhaustive,
         enum_cap=args.budget_nodes or ENUM_CAP_DEFAULT)
     _emit(args, report.to_json(), report.to_text())
     if args.dot_dir:
@@ -359,7 +363,6 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("t1")
         p.add_argument("t2")
         p.add_argument("--all", action="store_true")
-        p.add_argument("--max-size", type=int, default=None)
     for name, fn in (("quotient", cmd_quotient), ("prop21", cmd_prop21)):
         if p := add(name, fn, help=f"{name} of two trees glued along a common minor"):
             p.add_argument("t1")
@@ -390,7 +393,6 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
         v1.add_argument("--p", required=True)
         v1.add_argument("--r", required=True)
         v1.add_argument("--s", required=True)
-        v1.add_argument("--max-size", type=int, default=None)
         v1.add_argument("--theorem5-exhaustive", action="store_true")
         v1.set_defaults(fn=cmd_verify, text_default=False)
     if p := add("transfer", cmd_transfer, help="subproblem-transfer constant check"):

@@ -360,7 +360,6 @@ class VerificationReport(_Record):
 
 def verify_counterexample(p: Tree, r: Tree, s: Tree, *,
                           theorem5_exhaustive: bool = False,
-                          max_size: int | None = None,
                           enum_cap: int = ENUM_CAP_DEFAULT) -> VerificationReport:
     """Run the full pipeline on one family instance.
 
@@ -391,9 +390,8 @@ def verify_counterexample(p: Tree, r: Tree, s: Tree, *,
     scs = None
     scs_lower = None
     try:
-        scs = smallest_common_supertree(inst.t1, inst.t2,
-                                        all_witnesses=theorem5_exhaustive,
-                                        max_size=max_size, enum_cap=enum_cap)
+        scs = smallest_common_supertree(inst.t1, inst.t2, all_witnesses=theorem5_exhaustive,
+                                        enum_cap=enum_cap)
     except BudgetError as err:
         scs_lower = err.lower_bound
         notes.append(f"supertree search stopped early: {err}")

@@ -5,11 +5,12 @@ walk claims optimality at size k only after the level above it has been
 fully decided, and the supertree recursion drops a branch only by a proven
 lower bound.  That recursion is the one supertree decider: at each pair of
 forests of interned shapes it takes the least of three kinds of branch,
-memoized for the process (`_scs_optimum`, for the pair scan and `transfer
-fig4`), and the branches that reach the optimum give every minimum
-supertree (`_scs_shapes`, for `scs` and `verify`).  The tests hold it to
-growing the bigger input's supertrees one node at a time and to the best
-common-minor matching that merges into one tree.
+memoized for the process (`_scs_optimum`, for the pair scan, `transfer
+fig4`, `scs` and `verify`), and the branches that reach the optimum give
+every minimum supertree (`_scs_shapes`, for `scs` and `verify`), even when
+one input contains the other.  The tests hold it to growing the bigger
+input's supertrees one node at a time and to the best common-minor matching
+that merges into one tree.
 
 Each search is a core that works on interned shapes or node positions only
 and returns the optimum and its hits (`_lcs_core` also its levels, as plain
@@ -486,32 +487,29 @@ def _code_rank(n: int, stop: tuple[int, ...]) -> int:
 
 
 def _found(f: MinorEmbedding | None, s: Tree, t: Tree) -> MinorEmbedding:
-    """The witness search's embedding of s into t, which inclusion accepted."""
+    """The witness search's embedding of s into t, a supertree the forest
+    recursion built."""
     if f is None:
         raise SolverDisagreement(f"the witness search finds no embedding of "
-                                 f"{format_tree(s)} into {format_tree(t)}, which "
-                                 f"inclusion accepted")
+                                 f"{format_tree(s)} into {format_tree(t)}, a "
+                                 f"supertree the forest recursion built")
     return f
 
 
 def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
-                              max_size: int | None = None,
                               enum_cap: int = ENUM_CAP_DEFAULT) -> ScsResult:
     """Minimum-size tree containing both inputs as minors, with witnesses.
 
-    Without `all_witnesses`, an input that contains the other is itself an
-    optimal witness (absorption), reported as a one-tree level.  Otherwise
-    the forest recursion gives the optimum (`_scs_optimum`), at most the
-    root merge's |t1| + |t2| - 1 or `max_size`, and then every minimum shape
-    in code order (`_scs_shapes`).  The levels, from max(|t1|, |t2|) up,
-    are what a scan of every tree of each size in code order would report:
-    each level below the optimum, and the optimum's with `all_witnesses`,
-    counts every tree of its size (`_tree_count`); the first-hit level
-    counts up to the first shape (`_code_rank`, which walks the level).  So
-    no level past `enum_cap` is reported: reaching one raises `BudgetError`,
-    before the recursion runs when the inputs are past it.  Only the
-    witnesses become named `Tree`s, each with the first found embedding of
-    either input.
+    The forest recursion gives the optimum (`_scs_optimum`), at most the
+    root merge's |t1| + |t2| - 1, and then every minimum shape in code order
+    (`_scs_shapes`).  The levels, from max(|t1|, |t2|) up, are what a scan
+    of every tree of each size in code order would report: each level below
+    the optimum, and the optimum's with `all_witnesses`, counts every tree
+    of its size (`_tree_count`); the first-hit level counts up to the first
+    shape (`_code_rank`, which walks the level).  So no level past
+    `enum_cap` is reported: reaching one raises `BudgetError`, before the
+    recursion runs when the inputs are past it.  Only the witnesses become
+    named `Tree`s, each with the first found embedding of either input.
     """
     started = time.perf_counter()
     _require_solvable(t1, t2)
@@ -519,28 +517,13 @@ def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
         raise TreeError("supertree search enumerates unlabeled trees; "
                         "labeled inputs are not supported")
 
-    start, ceiling = max(t1.size, t2.size), t1.size + t2.size - 1
-    if max_size is not None:
-        ceiling = min(max_size, ceiling)
-    if not all_witnesses and start <= ceiling:
-        for big, little in ((t1, t2), (t2, t1)):
-            if big.size >= little.size and is_minor(little, big):
-                f_little = _found(find_embedding(little, big), little, big)
-                ident = _identity_embedding(big, big)
-                emb1, emb2 = (ident, f_little) if big is t1 else (f_little, ident)
-                return ScsResult(big.size, [CommonTreeWitness(big, emb1, emb2)],
-                                 [LevelStats(big.size, 1, 1)],
-                                 (time.perf_counter() - started) * 1e3)
-    capped = max(start, enum_cap + 1)  # the first level past the cap
+    start = max(t1.size, t2.size)
     n = None if start > enum_cap else _scs_optimum(t1, t2)
-    if capped <= ceiling and (n is None or capped <= n):
+    if n is None or n > enum_cap:
+        capped = max(start, enum_cap + 1)  # the first level past the cap
         raise BudgetError(
             f"supertree search needs size-{capped} enumeration (cap {enum_cap}); "
             f"every size below {capped} was exhaustively refuted", lower_bound=capped)
-    if n is None or n > ceiling:
-        raise BudgetError(
-            f"no common supertree of size <= {ceiling}; search stopped at the "
-            f"requested ceiling", lower_bound=ceiling + 1)
     shapes = _scs_shapes(t1, t2)
     sequences = [_levels_of(c) for c in (shapes if all_witnesses else shapes[:1])]
     levels = [LevelStats(k, _tree_count(k), 0) for k in range(start, n)]
@@ -556,8 +539,8 @@ def root_merge_supertree(t1: Tree, t2: Tree) -> Tree:
     """Upper-bound witness of size |t1| + |t2| - 1: t1 with t2's root
     children re-attached under t1's root.
 
-    Both inputs embed into the result (t2 maps its root onto t1's root);
-    this pins the supertree search window.  With labels present the two
+    Both inputs embed into the result (t2 maps its root onto t1's root), so
+    no smallest common supertree is bigger.  With labels present the two
     roots must agree.
     """
     _require_solvable(t1, t2)

@@ -229,17 +229,8 @@ def lcs_by_subset_walk(t1, t2, all_witnesses=False):
 
 def scs_by_catalogue(t1, t2, all_witnesses=False):
     """The smallest common supertree by testing every catalogued shape of each
-    size, in canonical-code order, with `_fits` for both inputs; an input
-    that contains the other is taken at once unless `all_witnesses`.  The
-    report is built as `smallest_common_supertree` builds it."""
-    if not all_witnesses:
-        for big, little in ((t1, t2), (t2, t1)):
-            if big.size >= little.size and is_minor(little, big):
-                f_little = find_embedding(little, big)
-                ident = MinorEmbedding(big, big, {v: v for v in big.nodes})
-                emb1, emb2 = (ident, f_little) if big is t1 else (f_little, ident)
-                return ScsResult(big.size, [CommonTreeWitness(big, emb1, emb2)],
-                                 [LevelStats(big.size, 1, 1)])
+    size, in canonical-code order, with `_fits` for both inputs.  The report
+    is built as `smallest_common_supertree` builds it."""
     s1, s2 = _shape(t1), _shape(t2)
     levels = []
     for n in range(max(t1.size, t2.size), t1.size + t2.size):

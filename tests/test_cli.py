@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -161,16 +162,25 @@ def test_scs_jobs_flag_is_accepted_and_ignored(capsys):
     assert runs[0]["witness_count"] > 1
 
 
-def test_scs_max_size_budget_exit(capsys):
-    code, _, err = run(capsys, "scs", "a(b(c))", "x(y,z)", "--max-size", "2")
-    assert code == 2 and "size" in err
+@pytest.mark.parametrize("argv", [("scs", "a(b(c))", "x(y,z)"),
+                                  ("verify", "fig1", "--p", "p", "--r", "q", "--s", "s")])
+def test_max_size_is_a_scan_flag_only(capsys, argv):
+    code, out, err = run(capsys, *argv, "--max-size", "2")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --max-size 2" in err
 
 
-def test_scs_max_size_applies_when_one_input_contains_the_other(capsys):
-    for extra in ((), ("--all",)):
-        code, out, err = run(capsys, "scs", "a(b)", "c(d,e)", "--max-size", "1", *extra)
-        assert code == 2 and out == ""
-        assert "no common supertree of size <= 1" in err
+def test_scs_into_a_deep_broom_is_a_budget_error(capsys, tmp_path):
+    # a 1,500-deep chain with two leaves at its end contains a(b,c); its
+    # size alone is past the enumeration cap, so no search starts
+    depth = 1500
+    path = tmp_path / "broom.txt"
+    path.write_text("(".join(f"n{i:04d}" for i in range(depth)) + "(x,y)" + ")" * (depth - 1))
+    started = time.perf_counter()
+    code, out, err = run(capsys, "scs", "a(b,c)", f"@{path}")
+    assert code == 2 and out == ""
+    assert "enumeration" in err and "internal error" not in err
+    assert time.perf_counter() - started < 10
 
 
 def test_tree_literal_from_file(capsys, tmp_path):
@@ -441,6 +451,17 @@ def test_verify_dot_dir_reuses_the_report(capsys, tmp_path):
     for name in ("t1", "t2", "mu", "quotient", "reduced", "scs_witness0"):
         assert (out_dir / f"{name}.dot").exists()
     assert 'fillcolor="lightblue"' in (out_dir / "t1.dot").read_text()
+
+
+def test_family_fig1_reports_a_degenerate_instance_as_one_warning_line(capsys):
+    # under warnings as errors too: the warning is a line on stderr, and the
+    # report says P is isomorphic to S
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegenerateFamilyWarning)
+        code, out, err = run(capsys, "family", "fig1", "--p", "a", "--r", "b", "--s", "c")
+    assert code == 0 and json.loads(out)["p_isomorphic_s"] is True
+    assert err == ("warning: P is isomorphic to S: the common minor a(P,R,S) is not "
+                   "strictly smaller than the inputs\n")
 
 
 def test_installed_entry_point_runs():
