@@ -181,6 +181,20 @@ done
 # criterion 8: the prediction holds where expected
 check "verify fig1 compatible instance has gap 0" 0 \
   treelab verify fig1 --p p --r q --s 's1(s2)' --jobs 1
+# a 13 + 13 instance: --budget-nodes caps the common-minor walk and the
+# supertree levels alike, so 15 lets both steps finish and show the gap
+check "verify fig1 at 13 + 13 nodes with --budget-nodes 15 reports gap" 1 \
+  treelab verify fig1 --p 'p1(p2(p3(p4(p5(p6(p7))))))' --r r --s 's1(s2,s3)' --budget-nodes 15
+got=$(set -o pipefail; treelab lcs 'n1(n2(n3(n4(n5(n6(n7(n8(n9(n10(n11(n12(n13(n14)))))))))))))' \
+  'm1(m2,m3,m4,m5,m6,m7,m8,m9,m10,m11,m12,m13,m14)' |
+  python3 -c 'import json, sys; print(json.load(sys.stdin)["optimum_size"])')
+code=$?
+if [ "$code" -eq 0 ] && [ "$got" = "2" ]; then
+  echo "PASS  lcs of a 14-node chain and a 14-node star is 2 under the default cap"
+else
+  echo "FAIL  lcs of a 14-node chain and a 14-node star: exit $code, optimum $got, expected 0 and 2"
+  failures=$((failures + 1))
+fi
 check "scan --max-size 3 finds no gap" 0 \
   treelab scan --max-size 3 --check eq4 --jobs 1
 check "scan --max-size 4 finds no gap" 0 \
@@ -213,6 +227,7 @@ check "--budget-nodes 0 is a usage error" 2 treelab enum --size 3 --budget-nodes
 check "--jobs 0 is a usage error" 2 treelab scan --max-size 2 --jobs 0
 check "embeddings --limit 0 is a usage error" 2 treelab embeddings 'a(b)' 'x(y,z)' --limit 0
 check "scan --max-size 0 exits 2" 2 treelab scan --max-size 0 --jobs 1
+check "scan with an empty check list exits 2" 2 treelab scan --max-size 3 --check ,
 
 # criteria 3-6 exercise library sweeps; run them through pytest
 if python3 -m pytest -q "$repo/tests/test_acceptance.py"; then

@@ -23,8 +23,7 @@ from .trees import (ENUM_CAP_DEFAULT, Tree, _literal_from_levels, _sized_sequenc
                     are_isomorphic, canonical_code, format_tree, is_rooted_tree,
                     parse_tree, to_dot)
 from .embeddings import MinorEmbedding, enumerate_embeddings, find_embedding
-from .solvers import (NODE_BUDGET_DEFAULT, largest_common_minor,
-                      smallest_common_supertree)
+from .solvers import largest_common_minor, smallest_common_supertree
 from .quotient import (build_quotient, check_prop21, eq4_prediction,
                        quotient_to_dot, reduce_quotient)
 from .families import (SCAN_CAP_DEFAULT, DegenerateFamilyWarning, check_fig5_claims,
@@ -100,8 +99,7 @@ def cmd_iso(args) -> int:
 
 
 def cmd_enum(args) -> int:
-    literals = list(map(_literal_from_levels, _sized_sequences(
-        args.size, args.budget_nodes or ENUM_CAP_DEFAULT)))
+    literals = list(map(_literal_from_levels, _sized_sequences(args.size, args.budget_nodes)))
     _emit(args, {"size": args.size, "count": len(literals), "trees": literals},
           "\n".join(literals))
     return 0
@@ -130,8 +128,7 @@ def cmd_embeddings(args) -> int:
 
 def cmd_lcs(args) -> int:
     t1, t2 = _load_literal(args.t1), _load_literal(args.t2)
-    result = largest_common_minor(t1, t2, all_witnesses=args.all,
-                                  budget=args.budget_nodes or NODE_BUDGET_DEFAULT)
+    result = largest_common_minor(t1, t2, all_witnesses=args.all, cap=args.budget_nodes)
     data = result.to_json()
     data["unit_edit_distance"] = t1.size + t2.size - 2 * result.optimum_size
     _emit(args, data,
@@ -143,8 +140,7 @@ def cmd_lcs(args) -> int:
 
 def cmd_scs(args) -> int:
     t1, t2 = _load_literal(args.t1), _load_literal(args.t2)
-    result = smallest_common_supertree(t1, t2, all_witnesses=args.all,
-                                       enum_cap=args.budget_nodes or ENUM_CAP_DEFAULT)
+    result = smallest_common_supertree(t1, t2, all_witnesses=args.all, cap=args.budget_nodes)
     _emit(args, result.to_json(),
           f"optimum {result.optimum_size}, {len(result.witnesses)} witness(es): "
           + "; ".join(format_tree(w.tree) for w in result.witnesses))
@@ -167,8 +163,7 @@ def _quotient_from_args(args):
                 raise TreeError("the given tree is not a common minor of the inputs")
             g1, g2 = f1, f2
     else:
-        lcs = largest_common_minor(t1, t2,
-                                   budget=args.budget_nodes or NODE_BUDGET_DEFAULT)
+        lcs = largest_common_minor(t1, t2, cap=args.budget_nodes)
         if not lcs.witnesses:
             raise TreeError("the inputs have no common minor: they share no node label")
         witness = lcs.witnesses[0]
@@ -236,8 +231,7 @@ def cmd_family(args) -> int:
 def cmd_verify(args) -> int:
     report = verify_counterexample(
         _load_literal(args.p), _load_literal(args.r), _load_literal(args.s),
-        theorem5_exhaustive=args.theorem5_exhaustive,
-        enum_cap=args.budget_nodes or ENUM_CAP_DEFAULT)
+        theorem5_exhaustive=args.theorem5_exhaustive, cap=args.budget_nodes)
     _emit(args, report.to_json(), report.to_text())
     if args.dot_dir:
         q = report.quotient
@@ -316,9 +310,9 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     common.add_argument("--dot-dir", default=argparse.SUPPRESS,
                         help="write DOT renderings here")
     common.add_argument("--budget-nodes", type=_at_least_one, default=argparse.SUPPRESS,
-                        help="override the search/enumeration cap of enum, lcs, scs, "
-                             "verify, quotient and prop21 (at least 1; other verbs "
-                             "ignore it)")
+                        help="the largest tree enum, lcs, scs, verify, quotient and "
+                             "prop21 may enumerate, walk or rank (at least 1; default "
+                             f"{ENUM_CAP_DEFAULT}; other verbs ignore it)")
 
     parser = argparse.ArgumentParser(
         prog="treelab", parents=[common],
@@ -420,7 +414,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     args.jobs = getattr(args, "jobs", None) or os.cpu_count() or 1
     args.dot_dir = getattr(args, "dot_dir", None)
-    args.budget_nodes = getattr(args, "budget_nodes", None)
+    args.budget_nodes = getattr(args, "budget_nodes", None) or ENUM_CAP_DEFAULT
     if getattr(args, "format", None) is None:
         args.format = "text" if getattr(args, "text_default", False) else "json"
     try:

@@ -14,11 +14,11 @@ checker groups and sorts its report only for a map that fails.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from itertools import combinations, islice, product
+from itertools import combinations, islice
 
 from .errors import EmbeddingError, MultiRootError, TreeError
 from .trees import (_HEIGHT, _KIDS, _LABEL, _LEAVES, _SIZE, Tree, _FrozenRecord, _Record,
-                    _shape, are_isomorphic)
+                    _shape, _splits, are_isomorphic)
 
 
 class MinorEmbedding(_Record):
@@ -315,27 +315,23 @@ def _fits(s: int, t: int) -> bool:
 
 def _packs(forest: tuple[int, ...], into: tuple[int, ...]) -> bool:
     """The sorted shape forest `forest` embeds into the forest `into`: a DP
-    over the sub-multisets of `forest` still to place (count vectors, so k
-    equal trees cost k + 1 states, not 2^k), one target tree at a time.  A
-    target tree takes nothing, one source tree anywhere in it, or a group of
-    two or more strictly below its root (group roots stay incomparable)."""
+    over the parts of `forest` still to place, one target tree at a time, in
+    plain loops (one Python frame per target level).  Each target tree takes
+    a split of what is left (`trees._splits`): nothing, one source tree
+    anywhere in it, or two or more strictly below its root (kept incomparable)."""
     got = _PACKS.get((forest, into))
     if got is not None:
         return got
-    kinds = sorted(set(forest))
-    full = tuple(forest.count(k) for k in kinds)
-    states = {full}
+    states = {forest}
     for g in into:
-        takes = []
-        for take in product(*(range(c + 1) for c in full)):
-            group = tuple(k for k, c in zip(kinds, take) for _ in range(c))
-            if not group or (_fits(group[0], g) if len(group) == 1
-                             else _packs(group, _KIDS[g])):
-                takes.append(take)
-        states = {tuple(r - c for r, c in zip(rest, take))
-                  for rest in states for take in takes
-                  if all(c <= r for c, r in zip(take, rest))}
-    return _PACKS.setdefault((forest, into), (0,) * len(kinds) in states)
+        left = set()
+        for rest in states:
+            for part, remains, _ in _splits(rest):
+                if not part or (_fits(part[0], g) if len(part) == 1
+                                else _packs(part, _KIDS[g])):
+                    left.add(remains)
+        states = left
+    return _PACKS.setdefault((forest, into), () in states)
 
 
 def is_minor(s: Tree, t: Tree) -> bool:

@@ -167,8 +167,7 @@ def _join(root: str, arcs: list, groups: tuple[Tree, ...]) -> Tree:
                           {v: s for part in groups for v, s in part.labels.items()})
 
 
-def fig2_candidates(inst: Fig1Instance,
-                    enum_cap: int = ENUM_CAP_DEFAULT) -> list[SupertreeCandidate]:
+def fig2_candidates(inst: Fig1Instance, cap: int = ENUM_CAP_DEFAULT) -> list[SupertreeCandidate]:
     """The candidate minimum supertrees of a family instance.
 
     Cases ``a`` duplicate the P (resp. S) part in its entirety, case ``b``
@@ -222,7 +221,7 @@ def fig2_candidates(inst: Fig1Instance,
 
     # case c, two copies of a smallest common supertree of P and S:
     #   a( u( Q, R ), Q' )
-    ps = smallest_common_supertree(pp, ss, enum_cap=enum_cap)
+    ps = smallest_common_supertree(pp, ss, cap=cap)
     q, e_p, e_s = ps.witnesses[0].tree, ps.witnesses[0].emb1, ps.witnesses[0].emb2
     used = {"a"} | set(rr.nodes) | set(q.nodes)
     u = _fresh_name("u", used)
@@ -360,7 +359,7 @@ class VerificationReport(_Record):
 
 def verify_counterexample(p: Tree, r: Tree, s: Tree, *,
                           theorem5_exhaustive: bool = False,
-                          enum_cap: int = ENUM_CAP_DEFAULT) -> VerificationReport:
+                          cap: int = ENUM_CAP_DEFAULT) -> VerificationReport:
     """Run the full pipeline on one family instance.
 
     Computes the exact largest common minor and smallest common supertree,
@@ -369,6 +368,8 @@ def verify_counterexample(p: Tree, r: Tree, s: Tree, *,
     the exact optimum), and the triple-merge check over the found minimum
     supertrees.  With `theorem5_exhaustive` every minimum supertree and
     every embedding pair is swept instead of just the solver witnesses.
+    Both solvers take `cap`: an input past it raises `BudgetError`, and a
+    supertree optimum past it leaves only its lower bound in the report.
     """
     timing: dict[str, float] = {}
     notes: list[str] = []
@@ -379,7 +380,7 @@ def verify_counterexample(p: Tree, r: Tree, s: Tree, *,
         inst = fig1_family(p, r, s)
     notes.extend(str(w.message) for w in caught)
 
-    lcs = largest_common_minor(inst.t1, inst.t2)
+    lcs = largest_common_minor(inst.t1, inst.t2, cap=cap)
     timing["lcs_ms"] = round((time.perf_counter() - started) * 1e3, 3)
     if lcs.optimum_size < inst.claimed_mu.size:
         raise SolverDisagreement(
@@ -391,7 +392,7 @@ def verify_counterexample(p: Tree, r: Tree, s: Tree, *,
     scs_lower = None
     try:
         scs = smallest_common_supertree(inst.t1, inst.t2, all_witnesses=theorem5_exhaustive,
-                                        enum_cap=enum_cap)
+                                        cap=cap)
     except BudgetError as err:
         scs_lower = err.lower_bound
         notes.append(f"supertree search stopped early: {err}")
@@ -399,7 +400,7 @@ def verify_counterexample(p: Tree, r: Tree, s: Tree, *,
 
     t0 = time.perf_counter()
     try:
-        candidates = fig2_candidates(inst, enum_cap=enum_cap)
+        candidates = fig2_candidates(inst, cap=cap)
     except BudgetError as err:
         candidates = []
         notes.append(f"candidate construction skipped: {err}")
@@ -583,7 +584,7 @@ def check_fig5_claims(a: Tree, b: Tree) -> dict:
         out["scs_exact"] = False
         out["scs_lower_bound"] = err.lower_bound
 
-    lcs = largest_common_minor(t1, t2, budget=max(t1.size, t2.size))
+    lcs = largest_common_minor(t1, t2, cap=max(t1.size, t2.size))
     out["lcs_size"] = lcs.optimum_size
     return out
 
@@ -615,7 +616,7 @@ def subproblem_transfer_check(family: str, a: Tree, b: Tree) -> dict:
         else:
             t1, t2, _ = fig5_family(aa, bb)
             sub = largest_common_minor(aa, bb).optimum_size
-            big = largest_common_minor(t1, t2, budget=max(t1.size, t2.size)).optimum_size
+            big = largest_common_minor(t1, t2, cap=max(t1.size, t2.size)).optimum_size
         rec["big_optimum"] = big
         rec["sub_optimum"] = sub
         rec["delta"] = big - sub
@@ -738,6 +739,8 @@ def scan_pairs(max_size: int, checks: Iterable[str] = ("eq4",),
     subset of the smaller tree (`_witness_quotient`).
     """
     checks = tuple(checks)
+    if not checks:
+        raise TreeError("no scan check given: choose from eq4, prop21")
     unknown = set(checks) - {"eq4", "prop21"}
     if unknown:
         raise TreeError(f"unknown scan checks: {sorted(unknown)}")

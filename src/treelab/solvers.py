@@ -37,12 +37,9 @@ from itertools import chain, combinations
 from .errors import BudgetError, EmbeddingError, SolverDisagreement, TreeError
 from .trees import (_KIDS, _LABEL, _SIZE, ENUM_CAP_DEFAULT, Tree, _Record, _code, _fresh_name,
                     _intern, _intern_node, _level_sequences, _levels_of, _literal, _shape,
-                    _tree_count, _tree_from_levels, format_tree)
+                    _splits, _tree_count, _tree_from_levels, format_tree)
 from .embeddings import (MinorEmbedding, _fits, _induced_preorder, _search, _violations,
                          check_embedding, find_embedding, is_minor, is_minor_by_subsets)
-
-#: Default per-input node cap for the brute-force common-minor search.
-NODE_BUDGET_DEFAULT = 12
 
 
 class LevelStats(_Record):
@@ -190,7 +187,7 @@ def _lcs_core(small: Tree, other: Tree,
 
 
 def largest_common_minor(t1: Tree, t2: Tree, all_witnesses: bool = False,
-                         budget: int = NODE_BUDGET_DEFAULT) -> LcsResult:
+                         cap: int = ENUM_CAP_DEFAULT) -> LcsResult:
     """Maximum-size tree that is a minor of both inputs, with witnesses.
 
     `_lcs_core` finds the optimum on shapes, walking the induced shapes of
@@ -198,13 +195,14 @@ def largest_common_minor(t1: Tree, t2: Tree, all_witnesses: bool = False,
     order: the minor the smaller input induces on the first subset of each
     hit shape, with its labels and region tags.  Each witness carries the
     identity embedding on the subset side and the first embedding the search
-    finds on the other, both re-validated by `_witness_embedding`.
+    finds on the other, both re-validated by `_witness_embedding`.  An input
+    past `cap` nodes raises `BudgetError`: the walk takes up to 2^|t| subsets.
     """
     started = time.perf_counter()
     _require_solvable(t1, t2)
-    if t1.size > budget or t2.size > budget:
+    if t1.size > cap or t2.size > cap:
         raise BudgetError(
-            f"common-minor search limited to inputs of {budget} nodes "
+            f"common-minor search limited to inputs of {cap} nodes "
             f"(got {t1.size} and {t2.size})")
 
     flipped = t2.size < t1.size
@@ -298,17 +296,6 @@ def _weight(forest: tuple[int, ...]) -> int:
 def _key(xs: tuple[int, ...], ys: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """A pair of forests in sorted order, an empty one first, as `_SCS` keys it."""
     return (xs, ys) if xs <= ys else (ys, xs)
-
-
-def _splits(forest: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """Every split of a sorted forest into a sub-multiset and the rest, both
-    sorted, each split once, with the node count of the sub-multiset."""
-    splits: list[tuple[tuple[int, ...], tuple[int, ...], int]] = [((), (), 0)]
-    for k in sorted(set(forest)):
-        c, n = forest.count(k), _SIZE[k]
-        splits = [(part + (k,) * t, rest + (k,) * (c - t), w + n * t)
-                  for part, rest, w in splits for t in range(c + 1)]
-    return splits
 
 
 def _without(forest: tuple[int, ...], x: int) -> tuple[int, ...]:
@@ -497,7 +484,7 @@ def _found(f: MinorEmbedding | None, s: Tree, t: Tree) -> MinorEmbedding:
 
 
 def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
-                              enum_cap: int = ENUM_CAP_DEFAULT) -> ScsResult:
+                              cap: int = ENUM_CAP_DEFAULT) -> ScsResult:
     """Minimum-size tree containing both inputs as minors, with witnesses.
 
     The forest recursion gives the optimum (`_scs_optimum`), at most the
@@ -506,9 +493,9 @@ def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
     of every tree of each size in code order would report: each level below
     the optimum, and the optimum's with `all_witnesses`, counts every tree
     of its size (`_tree_count`); the first-hit level counts up to the first
-    shape (`_code_rank`, which walks the level).  So no level past
-    `enum_cap` is reported: reaching one raises `BudgetError`, before the
-    recursion runs when the inputs are past it.  Only the witnesses become
+    shape (`_code_rank`, which walks the level).  So no level past `cap`
+    is reported: reaching one raises `BudgetError`, before the recursion
+    runs when the inputs are past it.  Only the witnesses become
     named `Tree`s, each with the first found embedding of either input.
     """
     started = time.perf_counter()
@@ -518,11 +505,11 @@ def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
                         "labeled inputs are not supported")
 
     start = max(t1.size, t2.size)
-    n = None if start > enum_cap else _scs_optimum(t1, t2)
-    if n is None or n > enum_cap:
-        capped = max(start, enum_cap + 1)  # the first level past the cap
+    n = None if start > cap else _scs_optimum(t1, t2)
+    if n is None or n > cap:
+        capped = max(start, cap + 1)  # the first level past the cap
         raise BudgetError(
-            f"supertree search needs size-{capped} enumeration (cap {enum_cap}); "
+            f"supertree search needs size-{capped} enumeration (cap {cap}); "
             f"every size below {capped} was exhaustively refuted", lower_bound=capped)
     shapes = _scs_shapes(t1, t2)
     sequences = [_levels_of(c) for c in (shapes if all_witnesses else shapes[:1])]
@@ -575,9 +562,10 @@ def cross_check_minor(s: Tree, t: Tree) -> bool:
     shape table of `trees`: inclusion and the subset oracle both decide
     through shape ids, so a wrong table would make them agree.  The tests'
     `reference_code` and `brute_force_isomorphic` check the table itself.
+    Inputs are capped at `ENUM_CAP_DEFAULT` nodes, as the solvers are.
     """
-    if s.size > NODE_BUDGET_DEFAULT or t.size > NODE_BUDGET_DEFAULT:
-        raise BudgetError(f"cross-check limited to inputs of {NODE_BUDGET_DEFAULT} nodes")
+    if s.size > ENUM_CAP_DEFAULT or t.size > ENUM_CAP_DEFAULT:
+        raise BudgetError(f"cross-check limited to inputs of {ENUM_CAP_DEFAULT} nodes")
     if s.root is None or t.root is None:
         raise TreeError("cross-check requires non-empty trees")
     verdicts = (is_minor(s, t), find_embedding(s, t) is not None,

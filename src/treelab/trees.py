@@ -23,7 +23,7 @@ from .errors import BudgetError, InvalidTreeError, ParseError, TreeError
 
 NAME_PATTERN = re.compile(r"[A-Za-z0-9_]+")
 
-#: Largest size `enumerate_trees` accepts (`treelab enum` too, by default).
+#: Largest tree `enumerate_trees` builds, and any exhaustive search's default cap.
 ENUM_CAP_DEFAULT = 14
 
 
@@ -548,9 +548,10 @@ def _literal(order: Iterable[str], depths: Iterable[int], labels: Mapping[str, s
 # authority and `_intern_node` its only writer (`_intern` enters a whole tree
 # through it, the supertree witness walk in `solvers` one new root at a time);
 # `embeddings` reads the per-shape label, children, size, height and leaf
-# count.  It lives as long as the process, as do the code strings `_code`
-# caches per shape.  Enumeration (`enumerate_trees`, `treelab enum`) and the
-# pair scan's ordering read the level sequences directly and write nothing here.
+# count, and both forest recursions split forests by `_splits`.  It lives as
+# long as the process, as do the code strings `_code` caches per shape.
+# Enumeration (`enumerate_trees`, `treelab enum`) and the pair scan's ordering
+# read the level sequences directly and write nothing here.
 
 _SHAPE_IDS: dict[tuple[str | None, tuple[int, ...]], int] = {}
 _LABEL: list[str | None] = []
@@ -594,6 +595,18 @@ def _shape(t: Tree) -> int:
         t._shape = _intern([t._depth[v] for v in t._preorder],
                            [t.labels.get(v) for v in t._preorder])
     return t._shape
+
+
+def _splits(forest: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Every split of a sorted forest into a sub-multiset and the rest, both
+    sorted, each split once (k equal trees split k + 1 ways, not 2^k), with
+    the node count of the sub-multiset."""
+    splits: list[tuple[tuple[int, ...], tuple[int, ...], int]] = [((), (), 0)]
+    for k in sorted(set(forest)):
+        c, n = forest.count(k), _SIZE[k]
+        splits = [(part + (k,) * t, rest + (k,) * (c - t), w + n * t)
+                  for part, rest, w in splits for t in range(c + 1)]
+    return splits
 
 
 def _code(s: int) -> str:

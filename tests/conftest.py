@@ -31,10 +31,9 @@ from treelab.embeddings import _fits, _violations
 from treelab.families import _scan_tree
 from treelab.quotient import (_glue, _identities, _prop21_core, _reduce_core,
                               _require_witness, _successors, eq4_prediction)
-from treelab.solvers import (CommonTreeWitness, LcsResult, LevelStats, ScsResult, _splits,
-                             _without)
+from treelab.solvers import CommonTreeWitness, LcsResult, LevelStats, ScsResult, _without
 from treelab.trees import (_KIDS, _LABEL, _code, _intern, _intern_node, _level_sequences,
-                           _shape, _tree_from_levels)
+                           _shape, _splits, _tree_from_levels)
 
 
 def brute_force_isomorphic(t1, t2):
@@ -148,7 +147,7 @@ def scan_pair_with_named_witnesses(args):
     `_require_witness`, and the literal from `format_tree`."""
     seq1, seq2, with_prop21 = args
     t1, t2 = _scan_tree(seq1), _scan_tree(seq2)
-    lcs = largest_common_minor(t1, t2, all_witnesses=True, budget=t2.size)
+    lcs = largest_common_minor(t1, t2, all_witnesses=True, cap=t2.size)
     scs_size = scs_by_growth(t1, t2)[0]
     gap = scs_size - eq4_prediction(t1, t2, lcs.optimum_size)
     if gap < 0:

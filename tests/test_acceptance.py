@@ -147,7 +147,7 @@ def test_criterion_5_quotient_structural_identities():
     def check_pair(t1, t2):
         nonlocal checked
         lcs = largest_common_minor(t1, t2, all_witnesses=True,
-                                   budget=max(t1.size, t2.size))
+                                   cap=max(t1.size, t2.size))
         for w in lcs.witnesses:
             q = build_quotient(t1, t2, w.tree, w.emb1, w.emb2)
             assert check_eq2_eq3(q) == []

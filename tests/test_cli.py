@@ -97,7 +97,7 @@ def test_enum_lists_trees(capsys):
 
 def test_enum_budget_error(capsys):
     code, _, err = run(capsys, "enum", "--size", "15")
-    assert code == 2 and "budget" in err.lower() or "cap" in err
+    assert code == 2 and ("budget" in err.lower() or "cap" in err)
 
 
 @pytest.mark.parametrize("argv", [("enum", "--size", "3"), ("lcs", "a(b)", "x(y)"),
@@ -338,6 +338,19 @@ def test_verify_gap_zero_exits_0(capsys):
     assert code == 0 and data["gap"] == 0
 
 
+def test_verify_budget_nodes_caps_both_solvers(capsys):
+    # 13 + 13 nodes: the common-minor walk and the supertree level 15 both
+    # need a cap above the default 14, and a cap below the inputs stops both
+    argv = ("verify", "fig1", "--p", "p1(p2(p3(p4(p5(p6(p7))))))", "--r", "r",
+            "--s", "s1(s2,s3)")
+    code, data = run_json(capsys, *argv, "--budget-nodes", "15")
+    assert code == 1 and data["sizes"] == {"t1": 13, "t2": 13, "claimed_mu": 12}
+    assert (data["lcs_size"], data["eq4_prediction"], data["scs_size"], data["gap"]) == \
+        (12, 14, 15, 1)
+    code, out, err = run(capsys, *argv, "--budget-nodes", "12")
+    assert code == 2 and out == "" and "limited to inputs of 12 nodes" in err
+
+
 def test_verify_text_table(capsys):
     code, out, _ = run(capsys, "--format", "text", "verify", "fig1",
                        "--p", "p", "--r", "q", "--s", "s1(s2)", "--jobs", "1")
@@ -393,6 +406,12 @@ def test_scan_cli_size_below_one_exits_2(capsys, size):
 def test_scan_cli_unknown_check(capsys):
     code, _, err = run(capsys, "scan", "--max-size", "3", "--check", "bogus")
     assert code == 2 and "unknown" in err
+
+
+@pytest.mark.parametrize("checks", [",", ""])
+def test_scan_cli_empty_check_list(capsys, checks):
+    code, out, err = run(capsys, "scan", "--max-size", "3", "--check", checks)
+    assert code == 2 and out == "" and "no scan check" in err
 
 
 # -- internal errors ---------------------------------------------------------------------

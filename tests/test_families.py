@@ -224,8 +224,7 @@ def test_verify_report_json_schema():
 
 def test_verify_respects_max_size_budget():
     # the enumeration cap 10 is below the supertree optimum 11
-    report = verify_counterexample(parse_tree(P3), parse_tree(R1), parse_tree(S3),
-                                   enum_cap=10)
+    report = verify_counterexample(parse_tree(P3), parse_tree(R1), parse_tree(S3), cap=10)
     assert not report.scs_exact
     assert report.scs_lower_bound == 11
     assert report.gap is None

@@ -59,6 +59,16 @@ def test_never_builds_an_embedding(monkeypatch):
             is_minor(s, t)
 
 
+def test_decides_a_deep_broom_under_the_default_recursion_limit(monkeypatch):
+    # one Python frame per target level: a(b,c) reaches the two leaves at the
+    # end of an 800-deep chain from empty memos (with a comprehension in
+    # `_packs`, Python 3.10 and 3.11 stop near 500 levels)
+    monkeypatch.setattr(embeddings, "_FITS", {})
+    monkeypatch.setattr(embeddings, "_PACKS", {})
+    broom = parse_tree("(".join(f"n{i:03d}" for i in range(800)) + "(x,y)" + ")" * 799)
+    assert is_minor(parse_tree("a(b,c)"), broom)
+
+
 def test_wide_trees_are_all_trees_with_few_internal_nodes():
     want = sorted(canonical_code(t) for t in enumerate_trees(8) if len(t.leaves) >= 6)
     assert sorted(canonical_code(t) for t in wide_trees(8)) == want

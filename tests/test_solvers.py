@@ -52,8 +52,9 @@ def test_lcs_chain2_star3():
 
 def test_lcs_budget_enforced():
     with pytest.raises(BudgetError):
-        largest_common_minor(chain(13), chain(13, "m"))
-    largest_common_minor(chain(13), chain(13, "m"), budget=13)
+        largest_common_minor(chain(15), chain(15, "m"))
+    largest_common_minor(chain(15), chain(15, "m"), cap=15)
+    assert largest_common_minor(chain(14), star(14, "m")).optimum_size == 2  # the default cap
 
 
 def test_lcs_rejects_empty_input():
@@ -261,13 +262,13 @@ def test_scs_max_size_cap_reports_lower_bound():
     t1 = parse_tree("a(y(p1(p2(p3)),r),s1(s2,s3))")
     t2 = parse_tree("a(p1(p2(p3)),z(r,s1(s2,s3)))")
     with pytest.raises(BudgetError) as err:
-        smallest_common_supertree(t1, t2, enum_cap=10)
+        smallest_common_supertree(t1, t2, cap=10)
     assert err.value.lower_bound == 11
 
 
 def test_scs_enum_cap_reports_lower_bound():
     with pytest.raises(BudgetError) as err:
-        smallest_common_supertree(star(9), chain(9, "m"), enum_cap=9)
+        smallest_common_supertree(star(9), chain(9, "m"), cap=9)
     assert err.value.lower_bound == 10
 
 
@@ -674,7 +675,7 @@ def test_cross_check_examples():
     assert cross_check_minor(chain(1), parse_tree("a(b(c),d)"))
     assert not cross_check_minor(star(3), chain(3, "m"))
     with pytest.raises(BudgetError):
-        cross_check_minor(chain(13), chain(13, "m"))
+        cross_check_minor(chain(15), chain(15, "m"))
 
 
 def test_cross_check_sweep_up_to_5():
