@@ -185,6 +185,12 @@ check "verify fig1 compatible instance has gap 0" 0 \
 # supertree levels alike, so 15 lets both steps finish and show the gap
 check "verify fig1 at 13 + 13 nodes with --budget-nodes 15 reports gap" 1 \
   treelab verify fig1 --p 'p1(p2(p3(p4(p5(p6(p7))))))' --r r --s 's1(s2,s3)' --budget-nodes 15
+# a supertree optimum past the cap leaves the gap undecided: a budget error,
+# never "every checked property holds"
+check "verify fig1 at 13 + 13 nodes under the default cap: gap undecided exits 2" 2 \
+  treelab verify fig1 --p 'p1(p2(p3(p4(p5(p6(p7))))))' --r r --s 's1(s2,s3)'
+check "verify fig1 headline instance with --budget-nodes 10: gap undecided exits 2" 2 \
+  treelab verify fig1 --p 'p1(p2(p3))' --r 'r' --s 's1(s2,s3)' --budget-nodes 10
 got=$(set -o pipefail; treelab lcs 'n1(n2(n3(n4(n5(n6(n7(n8(n9(n10(n11(n12(n13(n14)))))))))))))' \
   'm1(m2,m3,m4,m5,m6,m7,m8,m9,m10,m11,m12,m13,m14)' |
   python3 -c 'import json, sys; print(json.load(sys.stdin)["optimum_size"])')

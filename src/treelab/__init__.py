@@ -9,16 +9,14 @@ machine-verified size gaps.
 from .errors import (BudgetError, EmbeddingError, InvalidTreeError,
                      MultiRootError, ParseError, SolverDisagreement, TreeError)
 from .trees import (Digraph, StructureViolation, Tree, are_isomorphic,
-                    canonical_code, chain, disjoint_union, enumerate_trees,
-                    format_tree, is_rooted_tree, parse_tree, star, to_dot,
-                    tree_from_arcs, validate)
+                    canonical_code, chain, enumerate_trees, format_tree,
+                    is_rooted_tree, parse_tree, star, to_dot, tree_from_arcs,
+                    validate)
 from .embeddings import (EmbeddingViolation, Lemma4Witness, MinorEmbedding,
                          check_embedding, check_lemma4, enumerate_embeddings,
-                         find_embedding, incomparable, induced_minor, is_minor,
-                         is_minor_by_subsets, map_path)
+                         find_embedding, incomparable, induced_minor, is_minor)
 from .solvers import (CommonTreeWitness, LcsResult, ScsResult,
-                      cross_check_minor, largest_common_minor,
-                      root_merge_supertree, smallest_common_supertree)
+                      largest_common_minor, smallest_common_supertree)
 from .quotient import (Prop21Report, Prop21Violation, QuotientGraph,
                        ThetaClass, build_quotient, check_eq2_eq3, check_prop21,
                        eq4_prediction, quotient_to_dot, reduce_quotient)

@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the operation succeeds and any checked property holds,
 1 when a checked property is violated (a size gap, a failed path-uniqueness
-check, a non-minor), 2 on usage, parse, input-file or budget errors, 3 on an
+check, a non-minor), 2 on usage, parse, input-file or budget errors (also
+a `verify` whose gap stays undecided, after its partial report), 3 on an
 internal error (a solver disagreement or any other uncaught exception,
 reported as one ``internal error:`` line on stderr), so a crash is never
 read as a violated property.  Report verbs
@@ -241,7 +242,11 @@ def cmd_verify(args) -> int:
         _dot_out(args, "quotient", quotient_to_dot(q, reduced))
         for i, literal in enumerate(report.scs_witness_literals):
             _dot_out(args, f"scs_witness{i}", to_dot(parse_tree(literal)))
-    return 1 if (report.gap or 0) > 0 else 0
+    if report.gap is None:
+        print(f"budget error: gap undecided: the supertree search stopped before its "
+              f"optimum (at least {report.scs_lower_bound} nodes)", file=sys.stderr)
+        return 2
+    return 1 if report.gap > 0 else 0
 
 
 def cmd_transfer(args) -> int:

@@ -18,7 +18,7 @@ from itertools import combinations, islice
 
 from .errors import EmbeddingError, MultiRootError, TreeError
 from .trees import (_HEIGHT, _KIDS, _LABEL, _LEAVES, _SIZE, Tree, _FrozenRecord, _Record,
-                    _shape, _splits, are_isomorphic)
+                    _shape, _splits)
 
 
 class MinorEmbedding(_Record):
@@ -349,25 +349,6 @@ def is_minor(s: Tree, t: Tree) -> bool:
     return t.root is not None and _fits(_shape(s), _shape(t))
 
 
-def is_minor_by_subsets(s: Tree, t: Tree) -> bool:
-    """Subset oracle: some |s|-node subset of t induces a minor isomorphic to s.
-
-    Independent of the backtracking search; it shares the shape table of
-    `trees` with the inclusion recursion, since `are_isomorphic` compares
-    shape ids.  Every minor of t is isomorphic to the induced minor on its
-    image, so this is complete.
-    """
-    if s.size > t.size or s.root is None:
-        return False
-    for w in combinations(sorted(t.nodes), s.size):
-        try:
-            if are_isomorphic(induced_minor(t, w), s):
-                return True
-        except MultiRootError:
-            pass
-    return False
-
-
 # -- incomparability -----------------------------------------------------------
 
 def incomparable(t: Tree, a: str, b: str) -> bool:
@@ -402,21 +383,3 @@ def check_lemma4(f: MinorEmbedding) -> list[Lemma4Witness]:
         if incomparable(s, a, b) and not incomparable(t, f[a], f[b]):
             out.append(Lemma4Witness(a, b, f[a], f[b]))
     return out
-
-
-def map_path(f: MinorEmbedding, p: Iterable[str]) -> tuple[str, ...]:
-    """Image of a source path: the concatenation of its arcs' witness paths."""
-    _require_valid(f)
-    p = tuple(p)
-    if not p:
-        raise TreeError("path must be non-empty")
-    for v in p:
-        if v not in f.source.nodes:
-            raise TreeError(f"unknown node {v!r}")
-    for a, b in zip(p, p[1:]):
-        if (a, b) not in f.source.arcs:
-            raise TreeError(f"not a path: ({a}, {b}) is not an arc")
-    out = [f[p[0]]]
-    for a, b in zip(p, p[1:]):
-        out.extend(f.target.path(f[a], f[b])[1:])
-    return tuple(out)

@@ -35,11 +35,12 @@ from collections.abc import Generator, Iterator
 from itertools import chain, combinations
 
 from .errors import BudgetError, EmbeddingError, SolverDisagreement, TreeError
-from .trees import (_KIDS, _LABEL, _SIZE, ENUM_CAP_DEFAULT, Tree, _Record, _code, _fresh_name,
-                    _intern, _intern_node, _level_sequences, _levels_of, _literal, _shape,
-                    _splits, _tree_count, _tree_from_levels, format_tree)
+from .trees import (_KIDS, _LABEL, _SIZE, ENUM_CAP_DEFAULT, Tree, _Record, _code, _intern,
+                    _intern_node, _level_sequences, _levels_of, _literal, _shape, _splits,
+                    _tree_count, _tree_from_levels, format_tree)
+# no solver calls `is_minor`; perfbench's tracer test reads the binding here
 from .embeddings import (MinorEmbedding, _fits, _induced_preorder, _search, _violations,
-                         check_embedding, find_embedding, is_minor, is_minor_by_subsets)
+                         find_embedding, is_minor)
 
 
 class LevelStats(_Record):
@@ -520,58 +521,3 @@ def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
                                    _found(find_embedding(t2, c), t2, c))
                  for c in map(_tree_from_levels, sequences)]
     return ScsResult(n, witnesses, levels, (time.perf_counter() - started) * 1e3)
-
-
-def root_merge_supertree(t1: Tree, t2: Tree) -> Tree:
-    """Upper-bound witness of size |t1| + |t2| - 1: t1 with t2's root
-    children re-attached under t1's root.
-
-    Both inputs embed into the result (t2 maps its root onto t1's root), so
-    no smallest common supertree is bigger.  With labels present the two
-    roots must agree.
-    """
-    _require_solvable(t1, t2)
-    if t1.labels.get(t1.root) != t2.labels.get(t2.root):
-        raise TreeError("cannot merge roots with differing labels")
-
-    used = set(t1.nodes)
-    rename: dict[str, str] = {t2.root: t1.root}
-    for v in t2.preorder[1:]:  # the root comes first
-        rename[v] = _fresh_name(v, used)
-
-    nodes = set(t1.nodes) | {rename[v] for v in t2.nodes if v != t2.root}
-    arcs = set(t1.arcs) | {(rename[a], rename[b]) for a, b in t2.arcs}
-    labels = dict(t1.labels)
-    labels.update({rename[v]: s for v, s in t2.labels.items() if v != t2.root})
-    tags = dict(t1.region_tags)
-    tags.update({rename[v]: s for v, s in t2.region_tags.items() if v != t2.root})
-    merged = Tree(nodes, arcs, t1.root, labels, tags)
-
-    for s, mapping in ((t1, {v: v for v in t1.nodes}), (t2, rename)):
-        bad = check_embedding(mapping, s, merged)
-        if bad:
-            raise SolverDisagreement(f"root merge produced a non-supertree: {bad[0]}")
-    return merged
-
-
-def cross_check_minor(s: Tree, t: Tree) -> bool:
-    """Run the inclusion, backtracking and subset strategies; they must agree.
-
-    Disagreement raises `SolverDisagreement` - it would mean a bug, never a
-    valid outcome.  Only the backtracking `find_embedding` does not read the
-    shape table of `trees`: inclusion and the subset oracle both decide
-    through shape ids, so a wrong table would make them agree.  The tests'
-    `reference_code` and `brute_force_isomorphic` check the table itself.
-    Inputs are capped at `ENUM_CAP_DEFAULT` nodes, as the solvers are.
-    """
-    if s.size > ENUM_CAP_DEFAULT or t.size > ENUM_CAP_DEFAULT:
-        raise BudgetError(f"cross-check limited to inputs of {ENUM_CAP_DEFAULT} nodes")
-    if s.root is None or t.root is None:
-        raise TreeError("cross-check requires non-empty trees")
-    verdicts = (is_minor(s, t), find_embedding(s, t) is not None,
-                is_minor_by_subsets(s, t))
-    if len(set(verdicts)) > 1:
-        raise SolverDisagreement(
-            f"inclusion, backtracking and subset oracle say {verdicts} "
-            f"for {format_tree(s)} into {format_tree(t)}")
-    return verdicts[0]

@@ -6,8 +6,8 @@ every violation, or the boolean `is_rooted_tree`), the interned shape table
 deduplication and the inclusion decider all read it), enumeration of every
 size straight from its level sequences, whose generation order is
 canonical-code order (the iterator `enumerate_trees` names tree by tree and
-`_literal_from_levels` writes literals; neither interns anything), disjoint
-unions, and DOT export.
+`_literal_from_levels` writes literals; neither interns anything), and DOT
+export.
 
 All types are immutable after construction; operations return new objects.
 Children are unordered everywhere: algorithms never depend on sibling order
@@ -382,8 +382,8 @@ class Tree:
 class Digraph(_FrozenRecord):
     """Plain directed graph with set semantics and no tree constraints.
 
-    Used for disjoint sums, quotients, and reduction outputs.  Node ids may
-    be any hashable values (origin-tagged tuples, quotient classes, ...).
+    Used for quotients and reduction outputs.  Node ids may be any hashable
+    values (origin-tagged tuples, quotient classes, ...).
     """
 
     __slots__ = ("nodes", "arcs")
@@ -792,13 +792,6 @@ def star(k: int, prefix: str = "n") -> Tree:
         raise TreeError("star needs at least 1 node")
     return tree_from_arcs(f"{prefix}1",
                           ((f"{prefix}1", f"{prefix}{i}") for i in range(2, k + 1)))
-
-
-def disjoint_union(t1: Tree, t2: Tree) -> Digraph:
-    """Disjoint sum: every node is tagged with its origin tree (1 or 2)."""
-    nodes = {(1, v) for v in t1.nodes} | {(2, v) for v in t2.nodes}
-    arcs = {((1, a), (1, b)) for a, b in t1.arcs} | {((2, a), (2, b)) for a, b in t2.arcs}
-    return Digraph(frozenset(nodes), frozenset(arcs))
 
 
 # -- DOT export ---------------------------------------------------------------

@@ -13,7 +13,12 @@ from node subsets); differential tests hold the fast forms to them.  The
 library's forest recursion decides the supertree optimum and its witnesses;
 two more oracles decide them other ways: `scs_by_growth` grows the bigger
 input's supertrees one node at a time, and `scs_by_merging` takes the
-largest common-minor matching that merges into one tree (`merge_matching`).
+largest common-minor matching that merges into one tree (`merge_matching`);
+`root_merge_supertree` is a known supertree of size |t1| + |t2| - 1.
+Containment has one decider in the library, `is_minor`; `is_minor_by_subsets`
+decides it from the induced minors of every node subset, and
+`cross_check_minor` holds `is_minor`, the backtracking search and the subset
+oracle to one answer.
 """
 
 from functools import lru_cache
@@ -22,18 +27,19 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import assume, strategies as st
 
-from treelab import (Digraph, MinorEmbedding, MultiRootError, Prop21Report,
-                     Prop21Violation, SolverDisagreement, Tree, TreeError, canonical_code,
-                     chain, enumerate_embeddings, enumerate_trees, find_embedding,
-                     format_tree, induced_minor, is_minor, is_rooted_tree,
-                     largest_common_minor, parse_tree)
+from treelab import (BudgetError, Digraph, MinorEmbedding, MultiRootError, Prop21Report,
+                     Prop21Violation, SolverDisagreement, Tree, TreeError, are_isomorphic,
+                     canonical_code, chain, check_embedding, enumerate_embeddings,
+                     enumerate_trees, find_embedding, format_tree, induced_minor, is_minor,
+                     is_rooted_tree, largest_common_minor, parse_tree)
 from treelab.embeddings import _fits, _violations
 from treelab.families import _scan_tree
 from treelab.quotient import (_glue, _identities, _prop21_core, _reduce_core,
                               _require_witness, _successors, eq4_prediction)
-from treelab.solvers import CommonTreeWitness, LcsResult, LevelStats, ScsResult, _without
-from treelab.trees import (_KIDS, _LABEL, _code, _intern, _intern_node, _level_sequences,
-                           _shape, _splits, _tree_from_levels)
+from treelab.solvers import (CommonTreeWitness, LcsResult, LevelStats, ScsResult,
+                             _require_solvable, _without)
+from treelab.trees import (_KIDS, _LABEL, ENUM_CAP_DEFAULT, _code, _fresh_name, _intern,
+                           _intern_node, _level_sequences, _shape, _splits, _tree_from_levels)
 
 
 def brute_force_isomorphic(t1, t2):
@@ -89,6 +95,48 @@ def brute_force_embeddings(s, t):
         if ok:
             out.append(f)
     return out
+
+
+def is_minor_by_subsets(s, t):
+    """Subset oracle: some |s|-node subset of t induces a minor isomorphic to s.
+
+    Independent of the backtracking search; it shares the shape table of
+    `trees` with the inclusion recursion, since `are_isomorphic` compares
+    shape ids.  Every minor of t is isomorphic to the induced minor on its
+    image, so this is complete.
+    """
+    if s.size > t.size or s.root is None:
+        return False
+    for w in combinations(sorted(t.nodes), s.size):
+        try:
+            if are_isomorphic(induced_minor(t, w), s):
+                return True
+        except MultiRootError:
+            pass
+    return False
+
+
+def cross_check_minor(s, t):
+    """Run the inclusion, backtracking and subset strategies; they must agree.
+
+    Disagreement raises `SolverDisagreement`.  Only the backtracking
+    `find_embedding` does not read the shape table of `trees`: inclusion and
+    the subset oracle both decide through shape ids, so a wrong table would
+    make them agree, and `reference_code` and `brute_force_isomorphic` check
+    the table itself.  Inputs are capped at `ENUM_CAP_DEFAULT` nodes, as the
+    solvers are.
+    """
+    if s.size > ENUM_CAP_DEFAULT or t.size > ENUM_CAP_DEFAULT:
+        raise BudgetError(f"cross-check limited to inputs of {ENUM_CAP_DEFAULT} nodes")
+    if s.root is None or t.root is None:
+        raise TreeError("cross-check requires non-empty trees")
+    verdicts = (is_minor(s, t), find_embedding(s, t) is not None,
+                is_minor_by_subsets(s, t))
+    if len(set(verdicts)) > 1:
+        raise SolverDisagreement(
+            f"inclusion, backtracking and subset oracle say {verdicts} "
+            f"for {format_tree(s)} into {format_tree(t)}")
+    return verdicts[0]
 
 
 def enumerate_embeddings_recursive(s, t, limit=None):
@@ -464,6 +512,39 @@ def scs_by_merging(t1, t2):
                 if parent is not None:
                     return len(parent)
     raise AssertionError("the pair of the two roots merges")
+
+
+def root_merge_supertree(t1, t2):
+    """A known common supertree of size |t1| + |t2| - 1: t1 with t2's root
+    children re-attached under t1's root.
+
+    Both inputs embed into the result (t2 maps its root onto t1's root), so
+    no smallest common supertree is bigger.  t2's other nodes are renamed by
+    `trees._fresh_name`, the rule `families` uses too.  With labels present
+    the two roots must agree.
+    """
+    _require_solvable(t1, t2)
+    if t1.labels.get(t1.root) != t2.labels.get(t2.root):
+        raise TreeError("cannot merge roots with differing labels")
+
+    used = set(t1.nodes)
+    rename = {t2.root: t1.root}
+    for v in t2.preorder[1:]:  # the root comes first
+        rename[v] = _fresh_name(v, used)
+
+    nodes = set(t1.nodes) | {rename[v] for v in t2.nodes if v != t2.root}
+    arcs = set(t1.arcs) | {(rename[a], rename[b]) for a, b in t2.arcs}
+    labels = dict(t1.labels)
+    labels.update({rename[v]: s for v, s in t2.labels.items() if v != t2.root})
+    tags = dict(t1.region_tags)
+    tags.update({rename[v]: s for v, s in t2.region_tags.items() if v != t2.root})
+    merged = Tree(nodes, arcs, t1.root, labels, tags)
+
+    for s, mapping in ((t1, {v: v for v in t1.nodes}), (t2, rename)):
+        bad = check_embedding(mapping, s, merged)
+        if bad:
+            raise SolverDisagreement(f"root merge produced a non-supertree: {bad[0]}")
+    return merged
 
 
 def simple_paths_recursive(succ, v, w):

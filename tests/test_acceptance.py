@@ -14,13 +14,14 @@ import pytest
 
 from treelab import (build_quotient, canonical_code, chain,
                      check_embedding, check_eq2_eq3, check_lemma4,
-                     cross_check_minor, enumerate_embeddings, enumerate_trees,
+                     enumerate_embeddings, enumerate_trees,
                      fig1_family, fig2_candidates, fig4_family, find_embedding,
                      is_minor, largest_common_minor, parse_tree, region_images,
                      scan_pairs, subproblem_transfer_check,
                      validate, verify_counterexample)
 
-from conftest import all_trees_up_to, enumerate_by_leaf_growth, scs_by_catalogue
+from conftest import (all_trees_up_to, cross_check_minor, enumerate_by_leaf_growth,
+                      scs_by_catalogue)
 
 
 @pytest.fixture(scope="session")

@@ -351,6 +351,28 @@ def test_verify_budget_nodes_caps_both_solvers(capsys):
     assert code == 2 and out == "" and "limited to inputs of 12 nodes" in err
 
 
+VERIFY_13 = ("--p", "p1(p2(p3(p4(p5(p6(p7))))))", "--r", "r", "--s", "s1(s2,s3)")
+VERIFY_HEADLINE = ("--p", "p1(p2(p3))", "--r", "r", "--s", "s1(s2,s3)")
+
+
+@pytest.mark.parametrize("argv, code, gap, lower_bound", [
+    (VERIFY_13, 2, None, 15),
+    (VERIFY_HEADLINE + ("--budget-nodes", "10"), 2, None, 11),
+    (VERIFY_HEADLINE, 1, 1, None),
+    (VERIFY_13 + ("--budget-nodes", "15"), 1, 1, None),
+])
+def test_verify_exits_2_when_the_gap_is_undecided(capsys, argv, code, gap, lower_bound):
+    # a supertree optimum past the cap leaves the gap unknown, which must not
+    # read as "every checked property holds"; the partial report still prints
+    got, out, err = run(capsys, "verify", "fig1", *argv)
+    data = json.loads(out)
+    assert (got, data["gap"], data["scs_lower_bound"]) == (code, gap, lower_bound)
+    if code == 2:
+        assert err.startswith("budget error: gap undecided") and err.count("\n") == 1
+    else:
+        assert err == ""
+
+
 def test_verify_text_table(capsys):
     code, out, _ = run(capsys, "--format", "text", "verify", "fig1",
                        "--p", "p", "--r", "q", "--s", "s1(s2)", "--jobs", "1")

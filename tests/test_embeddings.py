@@ -9,13 +9,13 @@ from treelab import (EmbeddingError, MinorEmbedding, MultiRootError, TreeError,
                      are_isomorphic, chain, check_embedding,
                      check_lemma4, enumerate_embeddings, enumerate_trees,
                      fig1_family, find_embedding, incomparable, induced_minor,
-                     is_minor, is_minor_by_subsets, map_path, parse_tree, star)
+                     is_minor, parse_tree, star)
 
 from treelab.cli import main
 from treelab.embeddings import _violations
 
 from conftest import (all_trees_up_to, brute_force_embeddings,
-                      enumerate_embeddings_recursive, labeled_trees)
+                      enumerate_embeddings_recursive, is_minor_by_subsets, labeled_trees)
 
 
 def identity(t, target=None):
@@ -65,8 +65,13 @@ def test_headline_instance_witness_and_path():
     inst = fig1_family(parse_tree("p1(p2(p3))"), parse_tree("r"),
                        parse_tree("s1(s2,s3)"))
     assert check_embedding(inst.g1.mapping, inst.claimed_mu, inst.t1) == []
-    # the arc a -> p1 is carried by the path a -> y -> p1, y not in the image
-    assert map_path(inst.g1, ("a", "p1")) == ("a", "y", "p1")
+    # the arc a -> p1 is carried by the path a -> y -> p1, y not in the image,
+    # and g2 carries a -> r by a -> z -> r
+    g1, g2 = inst.g1, inst.g2
+    assert inst.t1.path(g1["a"], g1["p1"]) == ("a", "y", "p1")
+    assert "y" not in g1.image
+    assert inst.t2.path(g2["a"], g2["r"]) == ("a", "z", "r")
+    assert "z" not in g2.image
 
 
 def test_violations_are_pinned_on_hand_made_maps():
@@ -288,6 +293,16 @@ def test_is_minor_agrees_with_subset_oracle_up_to_4():
             assert is_minor(s, t) == is_minor_by_subsets(s, t)
 
 
+def test_is_minor_is_the_only_containment_answer_in_the_library():
+    # the other strategies are oracles in conftest, and acceptance criterion 6
+    # holds them to `is_minor` on every ordered pair up to 6 nodes
+    import treelab
+    gone = ("cross_check_minor", "is_minor_by_subsets", "root_merge_supertree",
+            "disjoint_union", "map_path")
+    for module in (treelab, treelab.trees, treelab.embeddings, treelab.solvers):
+        assert [name for name in gone if hasattr(module, name)] == []
+
+
 def test_source_root_image_is_the_unique_minimal_image_node():
     # Ancestor preservation forces the source root onto the image-minimal node.
     for s in all_trees_up_to(4):
@@ -349,30 +364,3 @@ def test_lemma4_rejects_invalid_embedding():
                          {"n1": "m1", "n2": "m2", "n3": "m3"})
     with pytest.raises(EmbeddingError):
         check_lemma4(bad)
-
-
-# -- map_path --------------------------------------------------------------------------------
-
-def test_map_path_trivial_and_arc():
-    t = parse_tree("a(b)")
-    f = MinorEmbedding(t, t, identity(t))
-    assert map_path(f, ("a",)) == ("a",)
-    assert map_path(f, ("a", "b")) == ("a", "b")
-
-
-def test_map_path_concatenates_witness_paths():
-    inst = fig1_family(parse_tree("p1(p2(p3))"), parse_tree("r"),
-                       parse_tree("s1(s2,s3)"))
-    assert map_path(inst.g1, ("a", "p1", "p2")) == ("a", "y", "p1", "p2")
-    assert map_path(inst.g2, ("a", "r")) == ("a", "z", "r")
-
-
-def test_map_path_rejects_non_paths():
-    t = parse_tree("a(b,c)")
-    f = MinorEmbedding(t, t, identity(t))
-    with pytest.raises(TreeError):
-        map_path(f, ("b", "c"))
-    with pytest.raises(TreeError):
-        map_path(f, ())
-    with pytest.raises(TreeError):
-        map_path(f, ("a", "zz"))

@@ -7,14 +7,13 @@ from treelab import (BudgetError, DegenerateFamilyWarning, EmbeddingError,
                      check_embedding, check_fig5_claims, check_theorem5,
                      enumerate_embeddings, fig1_family,
                      fig2_candidates, fig4_family, fig5_family, find_embedding,
-                     parse_tree, root_merge_supertree,
-                     scan_pairs, smallest_common_supertree, star,
+                     parse_tree, scan_pairs, smallest_common_supertree, star,
                      subproblem_transfer_check, validate, verify_counterexample)
 
 from treelab import cli, embeddings, families, quotient, solvers, trees
 from treelab.trees import _level_sequences
 
-from conftest import all_trees_up_to, scan_pair_with_named_witnesses
+from conftest import all_trees_up_to, root_merge_supertree, scan_pair_with_named_witnesses
 
 P3, R1, S3 = "p1(p2(p3))", "r", "s1(s2,s3)"
 

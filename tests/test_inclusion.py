@@ -10,11 +10,10 @@ import time
 from hypothesis import given, settings
 
 import treelab.embeddings as embeddings
-from treelab import (Tree, canonical_code, enumerate_trees, find_embedding,
-                     is_minor, is_minor_by_subsets, parse_tree, star,
-                     tree_from_arcs)
+from treelab import (canonical_code, enumerate_trees, find_embedding, is_minor,
+                     parse_tree, star, tree_from_arcs)
 
-from conftest import all_trees_up_to, labeled_trees
+from conftest import all_trees_up_to, is_minor_by_subsets, labeled_trees
 
 
 def wide_trees(n):

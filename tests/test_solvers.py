@@ -9,18 +9,18 @@ from hypothesis import assume, given, settings
 
 from treelab import (BudgetError, EmbeddingError, SolverDisagreement, TreeError,
                      are_isomorphic, canonical_code, chain, check_embedding, cli,
-                     cross_check_minor, enumerate_trees, fig1_family, find_embedding,
-                     format_tree, induced_minor, is_minor, largest_common_minor,
-                     parse_tree, root_merge_supertree, smallest_common_supertree, star)
+                     enumerate_trees, fig1_family, find_embedding, format_tree,
+                     induced_minor, is_minor, largest_common_minor, parse_tree,
+                     smallest_common_supertree, star)
 
 from treelab import quotient, solvers, trees
 from treelab.embeddings import _fits
 from treelab.families import _scan_one_pair, _scan_tree
 from treelab.trees import _intern, _level_sequences, _levels_of, _shape, _tree_count
 
-from conftest import (all_trees_up_to, catalogue, insertions, labeled_trees, lcs_by_subset_walk,
-                      merge_matching, scs_by_catalogue, scs_by_growth, scs_by_merging,
-                      unlabeled_trees)
+from conftest import (all_trees_up_to, catalogue, cross_check_minor, insertions, labeled_trees,
+                      lcs_by_subset_walk, merge_matching, root_merge_supertree,
+                      scs_by_catalogue, scs_by_growth, scs_by_merging, unlabeled_trees)
 
 
 def witness_codes(result):

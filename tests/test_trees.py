@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treelab import (BudgetError, Digraph, InvalidTreeError, ParseError, Tree,
-                     TreeError, are_isomorphic, canonical_code, chain,
-                     disjoint_union, enumerate_trees, format_tree, is_rooted_tree,
-                     parse_tree, star, to_dot, tree_from_arcs, validate)
+                     TreeError, are_isomorphic, canonical_code, chain, enumerate_trees,
+                     format_tree, is_rooted_tree, parse_tree, star, to_dot,
+                     tree_from_arcs, validate)
 
 from treelab.trees import (_code, _level_sequences, _levels_of, _literal_from_levels,
                            _shape, _sized_sequences, _tree_count, _tree_from_levels)
@@ -369,19 +369,7 @@ def test_enumeration_bounds():
         _sized_sequences(7, 6)
 
 
-# -- unions, helpers, export -----------------------------------------------------------
-
-def test_disjoint_union_examples():
-    u = disjoint_union(parse_tree("a"), parse_tree("b"))
-    assert u.size == 2 and not u.arcs
-    u = disjoint_union(chain(2), chain(2))
-    assert u.size == 4 and len(u.arcs) == 2
-    t1 = parse_tree("a(y(p1(p2(p3)),r),s1(s2,s3))")
-    t2 = parse_tree("a(p1(p2(p3)),z(r,s1(s2,s3)))")
-    u = disjoint_union(t1, t2)
-    assert u.size == 18 and len(u.arcs) == 16
-    assert (1, "a") in u.nodes and (2, "a") in u.nodes
-
+# -- helpers, export -----------------------------------------------------------
 
 def test_chain_and_star_shapes():
     assert chain(1).size == 1
@@ -406,7 +394,9 @@ def test_to_dot_renders_region_tags_as_colors():
 
 
 def test_to_dot_digraph_with_tagged_nodes():
-    u = disjoint_union(parse_tree("a(b)"), parse_tree("a(b)"))
+    # nodes tagged with their origin tree, as in a disjoint sum
+    u = Digraph(frozenset({(1, "a"), (1, "b"), (2, "a"), (2, "b")}),
+                frozenset({((1, "a"), (1, "b")), ((2, "a"), (2, "b"))}))
     dot = to_dot(u)
     assert '"1:a" -> "1:b";' in dot and '"2:a" -> "2:b";' in dot
 
