@@ -38,6 +38,8 @@ def _read(path: str) -> str:
             return f.read()
     except UnicodeDecodeError as err:
         raise TreeError(f"{path} is not text: {err}") from None
+    except ValueError as err:  # open() refuses a path that holds a NUL byte
+        raise TreeError(f"cannot open {path!r}: {err}") from None
 
 
 def _load_literal(arg: str) -> Tree:

@@ -138,7 +138,7 @@ def _require_valid(f: MinorEmbedding) -> None:
 
 def induced_minor(t: Tree, w: Iterable[str]) -> Tree:
     """The minor of t on node subset w: each node hangs off its nearest
-    proper ancestor within w.
+    proper ancestor within w, as `_induced_preorder` reads it.
 
     Fails with `MultiRootError` when more than one w-node has no proper
     w-ancestor.  The identity map w -> V(t) of the result is always a valid
@@ -150,42 +150,33 @@ def induced_minor(t: Tree, w: Iterable[str]) -> Tree:
     extra = w - t.nodes
     if extra:
         raise TreeError(f"subset contains unknown nodes: {sorted(extra)}")
-    roots, arcs = _induced_arcs(t, w)
-    if len(roots) > 1:
-        raise MultiRootError(roots)
-    return Tree(w, arcs, roots[0],
+    order, parent = _induced_preorder(t, w)
+    return Tree(order, [(order[p], v) for v, p in zip(order, parent) if p >= 0], order[0],
                 {v: s for v, s in t.labels.items() if v in w},
                 {v: s for v, s in t.region_tags.items() if v in w})
 
 
-def _induced_arcs(t: Tree, w: frozenset[str]) -> tuple[list[str], list[tuple[str, str]]]:
-    """The roots and the arcs of the minor of t on its node subset w, both in
-    name order of the (child) node."""
-    roots, arcs = [], []
+def _induced_preorder(t: Tree, w: Iterable[str]) -> tuple[list[str], list[int]]:
+    """The minor of t on its node subset w without the `Tree`, the one reader
+    of it that `induced_minor` and `solvers._InducedMinor` share: its nodes in
+    preorder (children in name order) and the preorder position of each one's
+    parent (-1 at the root).  Each node hangs off its nearest proper ancestor
+    in w; `MultiRootError` names the nodes of w that have none, when there
+    are several."""
+    w = frozenset(w)
+    roots, kids = [], {}
     up = t._parent
-    for v in sorted(w):
+    for v in sorted(w):  # so each child list is in name order
         p = up.get(v)
         while p is not None and p not in w:
             p = up.get(p)
         if p is None:
             roots.append(v)
         else:
-            arcs.append((p, v))
-    return roots, arcs
-
-
-def _induced_preorder(t: Tree, w: Iterable[str]) -> tuple[list[str], list[int]]:
-    """The minor of t on a node subset w with one root, as `induced_minor`
-    would build it, without the `Tree`: its nodes in preorder (children in
-    name order) and the preorder position of each one's parent (-1 at the
-    root)."""
-    roots, arcs = _induced_arcs(t, frozenset(w))
-    kids: dict[str, list[str]] = {}
-    for a, b in arcs:  # b ascends, so each child list is in name order
-        kids.setdefault(a, []).append(b)
-    order: list[str] = []
-    parent: list[int] = []
-    stack = [(roots[0], -1)]
+            kids.setdefault(p, []).append(v)
+    if len(roots) > 1:
+        raise MultiRootError(roots)
+    order, parent, stack = [], [], [(roots[0], -1)]
     while stack:
         v, p = stack.pop()
         parent.append(p)

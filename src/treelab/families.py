@@ -36,7 +36,7 @@ from .errors import BudgetError, EmbeddingError, SolverDisagreement, TreeError
 from .trees import (ENUM_CAP_DEFAULT, Tree, _FrozenRecord, _Record, _fresh_name,
                     _is_rooted_tree, _level_sequences, _literal_from_levels,
                     _tree_from_levels, are_isomorphic, chain, enumerate_trees,
-                    format_tree, is_rooted_tree, parse_tree, star, tree_from_arcs)
+                    format_tree, is_rooted_tree, parse_tree, star)
 from .embeddings import (EmbeddingViolation, MinorEmbedding, check_embedding,
                          enumerate_embeddings, is_minor)
 from .solvers import (_InducedMinor, _lcs_core, _scs_optimum, _witness_embedding,
@@ -84,21 +84,14 @@ def _part_tags(parts: dict[str, Tree]) -> dict[str, str]:
     return {v: slot for slot, part in parts.items() for v in part.nodes}
 
 
-def _assemble(spine_root: str, spine_mid: str, under_mid: Iterable[Tree],
-              under_root: Iterable[Tree], parts: dict[str, Tree]) -> Tree:
-    """Tree with `spine_mid` under `spine_root`, given parts under each."""
-    nodes = {spine_root, spine_mid}
-    arcs = [(spine_root, spine_mid)]
-    labels: dict[str, str] = {}
-    tags = {spine_root: "spine", spine_mid: "spine"}
-    for hang, kids in ((spine_mid, under_mid), (spine_root, under_root)):
-        for part in kids:
-            nodes |= part.nodes
-            arcs.append((hang, part.root))
-            arcs.extend(part.arcs)
-            labels.update(part.labels)
-    tags.update(_part_tags(parts))
-    return Tree(nodes, arcs, spine_root, labels, tags)
+def _join(root: str, arcs: list[tuple[str, str]], parts: tuple[Tree, ...],
+          tags: dict[str, str] | None = None) -> Tree:
+    """The one assembler of the family trees: `root` with `arcs`, which hang
+    each of `parts` by its root, and every arc of the parts, with their labels
+    and the region `tags`.  Its nodes are the root and every arc head."""
+    arcs = arcs + [a for part in parts for a in part.arcs]
+    return Tree({root, *(b for _, b in arcs)}, arcs, root,
+                {v: s for part in parts for v, s in part.labels.items()}, tags)
 
 
 def fig1_family(p: Tree, r: Tree, s: Tree) -> Fig1Instance:
@@ -117,15 +110,12 @@ def fig1_family(p: Tree, r: Tree, s: Tree) -> Fig1Instance:
              "S": _rename_avoiding(s, used, "S")}
     pp, rr, ss = parts["P"], parts["R"], parts["S"]
 
-    t1 = _assemble("a", "y", (pp, rr), (ss,), parts)
-    t2 = _assemble("a", "z", (rr, ss), (pp,), parts)
-
-    mu_nodes = {"a"} | pp.nodes | rr.nodes | ss.nodes
-    mu_arcs = ([("a", pp.root), ("a", rr.root), ("a", ss.root)]
-               + list(pp.arcs) + list(rr.arcs) + list(ss.arcs))
-    mu_labels = {**pp.labels, **rr.labels, **ss.labels}
-    mu_tags = dict(_part_tags(parts), a="spine")
-    claimed_mu = Tree(mu_nodes, mu_arcs, "a", mu_labels, mu_tags)
+    tags = dict(_part_tags(parts), a="spine")
+    t1 = _join("a", [("a", "y"), ("y", pp.root), ("y", rr.root), ("a", ss.root)],
+               (pp, rr, ss), dict(tags, y="spine"))
+    t2 = _join("a", [("a", "z"), ("z", rr.root), ("z", ss.root), ("a", pp.root)],
+               (pp, rr, ss), dict(tags, z="spine"))
+    claimed_mu = _join("a", [("a", pp.root), ("a", rr.root), ("a", ss.root)], (pp, rr, ss), tags)
 
     g1 = MinorEmbedding(claimed_mu, t1, {v: v for v in claimed_mu.nodes})
     g2 = MinorEmbedding(claimed_mu, t2, {v: v for v in claimed_mu.nodes})
@@ -162,62 +152,47 @@ def _fresh_copy(tree: Tree, used: set[str]) -> tuple[Tree, dict[str, str]]:
     return tree.relabel(mapping), mapping
 
 
-def _join(root: str, arcs: list, groups: tuple[Tree, ...]) -> Tree:
-    return tree_from_arcs(root, arcs + [a for part in groups for a in part.arcs],
-                          {v: s for part in groups for v, s in part.labels.items()})
-
-
 def fig2_candidates(inst: Fig1Instance, cap: int = ENUM_CAP_DEFAULT) -> list[SupertreeCandidate]:
     """The candidate minimum supertrees of a family instance.
 
     Cases ``a`` duplicate the P (resp. S) part in its entirety, case ``b``
     duplicates R, and case ``c`` places two copies of a smallest common
-    supertree of P and S.  Every candidate comes with explicitly composed
-    embeddings of t1 and t2 and is checked before being returned, so each
-    one is a proven upper bound for the exact minimum.
+    supertree of P and S.  Each candidate's embedding of t_i sends every
+    node to itself unless it was moved: onto the duplicated part's copy, or
+    for case ``c`` through the supertree of P and S into one of its copies,
+    with y and z onto the node u.  So the maps are built in linear time, with
+    no search, and each is checked before the candidate is returned: every
+    candidate is a proven upper bound for the exact minimum.
     """
     pp, rr, ss = inst.parts["P"], inst.parts["R"], inst.parts["S"]
-    ident = {v: v for part in (pp, rr, ss) for v in part.nodes}
     out = []
 
-    def emit(case: str, tree: Tree, m1: dict[str, str], m2: dict[str, str]) -> None:
-        f1 = MinorEmbedding(inst.t1, tree, m1)
-        f2 = MinorEmbedding(inst.t2, tree, m2)
+    def emit(case: str, tree: Tree, moved1: dict[str, str], moved2: dict[str, str]) -> None:
+        f1, f2 = (MinorEmbedding(t, tree, {v: moved.get(v, v) for v in t.preorder})
+                  for t, moved in ((inst.t1, moved1), (inst.t2, moved2)))
         for f in (f1, f2):
             bad = check_embedding(f.mapping, f.source, f.target)
             if bad:
                 raise SolverDisagreement(f"candidate case {case} is not a supertree: {bad[0]}")
         out.append(SupertreeCandidate(case, tree, f1, f2))
 
+    def copy(part: Tree) -> tuple[Tree, dict[str, str]]:
+        return _fresh_copy(part, set(inst.t1.nodes | inst.t2.nodes))
+
     # case a, duplicating P:  a( z( y(P, R), S ), P' )
-    used = set(ident) | set(SPINE_NAMES)
-    p2, rn = _fresh_copy(pp, used)
-    tree = _join("a", [("a", "z"), ("z", "y"), ("y", pp.root), ("y", rr.root),
-                       ("z", ss.root), ("a", p2.root)], (pp, rr, ss, p2))
-    emit("a", tree,
-         dict(ident, a="a", y="y"),
-         dict({v: rn[v] for v in pp.nodes},
-              **{v: v for v in rr.nodes | ss.nodes}, a="a", z="z"))
+    p2, rn = copy(pp)
+    emit("a", _join("a", [("a", "z"), ("z", "y"), ("y", pp.root), ("y", rr.root),
+                          ("z", ss.root), ("a", p2.root)], (pp, rr, ss, p2)), {}, rn)
 
     # case a, duplicating S:  a( y( P, z(R, S) ), S' )
-    used = set(ident) | set(SPINE_NAMES)
-    s2, rn = _fresh_copy(ss, used)
-    tree = _join("a", [("a", "y"), ("y", pp.root), ("y", "z"), ("z", rr.root),
-                       ("z", ss.root), ("a", s2.root)], (pp, rr, ss, s2))
-    emit("a", tree,
-         dict({v: rn[v] for v in ss.nodes},
-              **{v: v for v in pp.nodes | rr.nodes}, a="a", y="y"),
-         dict(ident, a="a", z="z"))
+    s2, rn = copy(ss)
+    emit("a", _join("a", [("a", "y"), ("y", pp.root), ("y", "z"), ("z", rr.root),
+                          ("z", ss.root), ("a", s2.root)], (pp, rr, ss, s2)), rn, {})
 
     # case b, duplicating R:  a( y(P, R), z(R', S) )
-    used = set(ident) | set(SPINE_NAMES)
-    r2, rn = _fresh_copy(rr, used)
-    tree = _join("a", [("a", "y"), ("y", pp.root), ("y", rr.root), ("a", "z"),
-                       ("z", r2.root), ("z", ss.root)], (pp, rr, ss, r2))
-    emit("b", tree,
-         dict(ident, a="a", y="y"),
-         dict({v: rn[v] for v in rr.nodes},
-              **{v: v for v in pp.nodes | ss.nodes}, a="a", z="z"))
+    r2, rn = copy(rr)
+    emit("b", _join("a", [("a", "y"), ("y", pp.root), ("y", rr.root), ("a", "z"),
+                          ("z", r2.root), ("z", ss.root)], (pp, rr, ss, r2)), {}, rn)
 
     # case c, two copies of a smallest common supertree of P and S:
     #   a( u( Q, R ), Q' )
@@ -227,15 +202,9 @@ def fig2_candidates(inst: Fig1Instance, cap: int = ENUM_CAP_DEFAULT) -> list[Sup
     u = _fresh_name("u", used)
     q1, rn1 = _fresh_copy(q, used)
     q2, rn2 = _fresh_copy(q, used)
-    tree = _join("a", [("a", u), (u, q1.root), (u, rr.root), ("a", q2.root)],
-                 (q1, rr, q2))
-    emit("c", tree,
-         dict({v: rn1[e_p[v]] for v in pp.nodes},
-              **{v: rn2[e_s[v]] for v in ss.nodes},
-              **{v: v for v in rr.nodes}, a="a", y=u),
-         dict({v: rn2[e_p[v]] for v in pp.nodes},
-              **{v: rn1[e_s[v]] for v in ss.nodes},
-              **{v: v for v in rr.nodes}, a="a", z=u))
+    emit("c", _join("a", [("a", u), (u, q1.root), (u, rr.root), ("a", q2.root)], (q1, rr, q2)),
+         {"y": u, **{v: rn1[e_p[v]] for v in pp.nodes}, **{v: rn2[e_s[v]] for v in ss.nodes}},
+         {"z": u, **{v: rn2[e_p[v]] for v in pp.nodes}, **{v: rn1[e_s[v]] for v in ss.nodes}})
     return out
 
 
@@ -487,11 +456,8 @@ def fig4_family(a: Tree, b: Tree, r: Tree | None = None) -> tuple[Tree, Tree, di
 
     def chain_with(tail: Tree, prefix: str, tag: str) -> Tree:
         spine = chain(n, prefix)
-        used = set(spine.nodes)
-        copy = _rename_avoiding(tail, used, tag)
-        return Tree(spine.nodes | copy.nodes,
-                    list(spine.arcs) + [(f"{prefix}{n}", copy.root)] + list(copy.arcs),
-                    spine.root, copy.labels)
+        copy = _rename_avoiding(tail, set(spine.nodes), tag)
+        return _join(spine.root, [(f"{prefix}{n}", copy.root)], (spine, copy))
 
     p = chain_with(a, "p", "A")
     s = chain_with(b, "s", "B")
@@ -533,10 +499,10 @@ def fig5_family(a: Tree, b: Tree) -> tuple[Tree, Tree, dict]:
     aa = _rename_avoiding(a, used, "A")
     bb = _rename_avoiding(b, used, "B")
 
-    parts1 = {"P": pp, "R": aa, "S": ss}
-    parts2 = {"P": pp, "R": bb, "S": ss}
-    t1 = _assemble("a", "y", (pp, aa), (ss,), parts1)
-    t2 = _assemble("a", "z", (bb, ss), (pp,), parts2)
+    t1 = _join("a", [("a", "y"), ("y", pp.root), ("y", aa.root), ("a", ss.root)], (pp, aa, ss),
+               dict(_part_tags({"P": pp, "R": aa, "S": ss}), a="spine", y="spine"))
+    t2 = _join("a", [("a", "z"), ("z", bb.root), ("z", ss.root), ("a", pp.root)], (pp, bb, ss),
+               dict(_part_tags({"P": pp, "R": bb, "S": ss}), a="spine", z="spine"))
 
     meta = {"family": "fig5", "n": n, "m": m,
             "reconstruction": "RECONSTRUCTED-UNVERIFIED",

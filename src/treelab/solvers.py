@@ -40,7 +40,7 @@ from .trees import (_KIDS, _LABEL, _SIZE, ENUM_CAP_DEFAULT, Tree, _Record, _code
                     _tree_count, _tree_from_levels, format_tree)
 # no solver calls `is_minor`; perfbench's tracer test reads the binding here
 from .embeddings import (MinorEmbedding, _fits, _induced_preorder, _search, _violations,
-                         find_embedding, is_minor)
+                         find_embedding, induced_minor, is_minor)
 
 
 class LevelStats(_Record):
@@ -112,10 +112,6 @@ class ScsResult(SolverResult):
 def _require_solvable(t1: Tree, t2: Tree) -> None:
     if t1.root is None or t2.root is None:
         raise TreeError("solvers require non-empty trees")
-
-
-def _identity_embedding(s: Tree, t: Tree) -> MinorEmbedding:
-    return MinorEmbedding(s, t, {v: v for v in s.nodes})
 
 
 def _minor_level(small: Tree, k: int) -> tuple[tuple[int, tuple[str, ...]], ...]:
@@ -194,10 +190,11 @@ def largest_common_minor(t1: Tree, t2: Tree, all_witnesses: bool = False,
     `_lcs_core` finds the optimum on shapes, walking the induced shapes of
     the smaller input; only its hits become named `Tree`s, in canonical-code
     order: the minor the smaller input induces on the first subset of each
-    hit shape, with its labels and region tags.  Each witness carries the
-    identity embedding on the subset side and the first embedding the search
-    finds on the other, both re-validated by `_witness_embedding`.  An input
-    past `cap` nodes raises `BudgetError`: the walk takes up to 2^|t| subsets.
+    hit shape (`induced_minor`), with its labels and region tags.  Each
+    witness carries the identity embedding on the subset side and the first
+    embedding the search finds on the other, both re-validated by
+    `_witness_embedding`.  An input past `cap` nodes raises `BudgetError`:
+    the walk takes up to 2^|t| subsets.
     """
     started = time.perf_counter()
     _require_solvable(t1, t2)
@@ -212,12 +209,9 @@ def largest_common_minor(t1: Tree, t2: Tree, all_witnesses: bool = False,
     witnesses = []
     for w in hits:
         minor, images = _witness_embedding(small, other, w)
-        order = minor.order
-        m = Tree(order, minor.arcs, order[0],
-                 {v: a for v, a in small.labels.items() if v in w},
-                 {v: a for v, a in small.region_tags.items() if v in w})
-        into_small = _identity_embedding(m, small)
-        into_other = MinorEmbedding(m, other, dict(zip(order, images)))
+        m = induced_minor(small, w)
+        into_small = MinorEmbedding(m, small, {v: v for v in m.nodes})
+        into_other = MinorEmbedding(m, other, dict(zip(minor.order, images)))
         g1, g2 = (into_other, into_small) if flipped else (into_small, into_other)
         witnesses.append(CommonTreeWitness(m, g1, g2))
     return LcsResult(k, witnesses, [LevelStats(*lv) for lv in levels],
@@ -227,8 +221,8 @@ def largest_common_minor(t1: Tree, t2: Tree, all_witnesses: bool = False,
 class _InducedMinor:
     """The common minor a tree induces on one of its node subsets, unbuilt:
     its nodes in preorder (children in name order), the preorder position of
-    each one's parent (-1 at the root), their labels, its arcs and its
-    literal."""
+    each one's parent (-1 at the root), as `induced_minor` reads them, their
+    labels, its arcs and its literal."""
 
     __slots__ = ("order", "parent", "labels", "arcs", "literal")
 

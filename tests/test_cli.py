@@ -1,3 +1,6 @@
+import contextlib
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -6,11 +9,14 @@ import time
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from treelab import DegenerateFamilyWarning, SolverDisagreement
 from treelab import (cli, enumerate_trees, fig1_family, fig2_candidates, fig4_family,
                      format_tree, parse_tree, solvers, trees)
 from treelab.cli import main
+
+from conftest import labeled_trees, unlabeled_trees
 
 
 def run(capsys, *argv):
@@ -206,6 +212,18 @@ def test_undecodable_literal_file_exits_2(capsys, tmp_path):
     path.write_bytes(b"\xff\xfe")
     code, _, err = run(capsys, "canon", f"@{path}")
     assert code == 2 and "not text" in err
+
+
+def test_nul_byte_in_a_path_exits_2(capsys, tmp_path):
+    """open() raises ValueError on a NUL byte: an input error, not a crash.  No
+    shell can pass one in argv, so only in-process callers meet it."""
+    mapping = tmp_path / "g.json"
+    mapping.write_text('{"a": "a"}')
+    for argv in (("canon", "@a\x00b"),
+                 ("quotient", "a(b)", "a(c)", "--mu", "a", "--g1", f"{mapping}\x00",
+                  "--g2", str(mapping))):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error: cannot open") and "null byte" in err
 
 
 # -- quotient and prop21 ---------------------------------------------------------------
@@ -455,6 +473,84 @@ def test_internal_errors_exit_3_without_traceback(capsys, monkeypatch, target, e
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
+# -- fuzzing ------------------------------------------------------------------------------
+
+#: Tree arguments: random text over the literal alphabet, or well-formed
+#: literals so the verbs get past parsing.  Both stay within 4 or 5 nodes, so
+#: `verify` and `transfer` finish at once.
+LITERALS = st.one_of(st.text("ab:(),_9 \t\n@é", max_size=10),
+                     st.one_of(labeled_trees(4), unlabeled_trees(4)).map(format_tree))
+JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.text("ab_\x00é", max_size=3),
+                    lambda inner: (st.lists(inner, max_size=3)
+                                   | st.dictionaries(st.text("ab_", max_size=2), inner,
+                                                     max_size=3)),
+                    max_leaves=6)
+#: The verbs that check a property, the only ones that may exit 1.
+CHECKING = {"iso", "minor", "prop21", "verify", "scan"}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_arguments_never_crash(monkeypatch, tmp_path, data):
+    """Random literals, `@files` of random bytes and mapping files of random
+    JSON: every verb exits 0, 2 or, when it checks a property, 1; never 3."""
+    monkeypatch.chdir(tmp_path)  # a relative @path reads nothing outside
+    names = itertools.count()
+
+    def file_of(content: bytes) -> str:
+        path = tmp_path / f"f{next(names)}"
+        path.write_bytes(content)
+        return str(path)
+
+    def tree():
+        return data.draw(st.one_of(
+            LITERALS,
+            st.one_of(st.binary(max_size=10), LITERALS.map(str.encode)).map(
+                lambda content: "@" + file_of(content))))
+
+    def mapping():
+        return data.draw(st.one_of(
+            st.one_of(JSON, st.dictionaries(st.text("ab_9", max_size=2),
+                                            st.text("ab_9", max_size=2), max_size=4)).map(
+                lambda value: file_of(json.dumps(value).encode())),
+            st.binary(max_size=8).map(file_of),
+            st.text("ab/\x00", max_size=4)))  # a path that may not exist or be valid
+
+    def size():
+        return str(data.draw(st.integers(-1, 4)))
+
+    verb = data.draw(st.sampled_from(cli.VERBS))
+    if verb in ("parse", "canon"):
+        argv = [verb, tree()]
+    elif verb in ("iso", "minor", "embeddings", "lcs", "scs"):
+        argv = [verb, tree(), tree()]
+        argv += data.draw(st.sampled_from((
+            [], ["--limit", "1"], ["--limit", "0"]) if verb == "embeddings" else ([], ["--all"])))
+    elif verb in ("quotient", "prop21"):
+        argv = [verb, tree(), tree()]
+        if data.draw(st.booleans()):
+            argv += ["--mu", tree()]
+        if data.draw(st.booleans()):
+            argv += ["--g1", mapping(), "--g2", mapping()]
+    elif verb == "verify":
+        argv = [verb, "fig1", "--p", tree(), "--r", tree(), "--s", tree()]
+    elif verb == "family":
+        argv = [verb, "fig4", "--a", tree(), "--b", tree()]
+    elif verb == "transfer":
+        argv = [verb, "fig5", "--a", tree(), "--b", tree()]
+    elif verb == "enum":
+        argv = [verb, "--size", size()]
+    else:
+        argv = [verb, "--max-size", size(), "--check",
+                data.draw(st.sampled_from(("eq4", "prop21", "eq4,prop21", ",", "eq5")))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--jobs", "1"])
+    assert "internal error" not in err.getvalue(), argv
+    assert code in ((0, 1, 2) if verb in CHECKING else (0, 2)), (argv, code, err.getvalue())
 
 
 # -- output contracts ------------------------------------------------------------------------

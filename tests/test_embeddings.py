@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 from treelab import (EmbeddingError, MinorEmbedding, MultiRootError, TreeError,
                      are_isomorphic, chain, check_embedding,
                      check_lemma4, enumerate_embeddings, enumerate_trees,
-                     fig1_family, find_embedding, incomparable, induced_minor,
+                     fig1_family, find_embedding, format_tree, incomparable, induced_minor,
                      is_minor, parse_tree, star)
 
 from treelab.cli import main
-from treelab.embeddings import _violations
+from treelab.embeddings import _induced_preorder, _violations
+from treelab.solvers import _InducedMinor
 
 from conftest import (all_trees_up_to, brute_force_embeddings,
                       enumerate_embeddings_recursive, is_minor_by_subsets, labeled_trees)
@@ -184,6 +185,32 @@ def test_identity_embedding_of_every_induced_minor():
                 except MultiRootError:
                     continue
                 assert check_embedding(identity(m), m, t) == []
+
+
+def test_induced_minor_and_the_unbuilt_minor_read_a_subset_alike():
+    """`induced_minor` and the scan's `_InducedMinor` read a subset through one
+    reader: the same preorder, parent positions and literal, also where name
+    order runs against preorder."""
+    for t in all_trees_up_to(6):
+        names = sorted(t.nodes)
+        for tree in (t, t.relabel(dict(zip(names, reversed(names))))):
+            for k in range(1, tree.size + 1):
+                for w in combinations(names, k):
+                    try:
+                        m = induced_minor(tree, w)
+                    except MultiRootError:
+                        continue
+                    unbuilt = _InducedMinor(tree, w)
+                    assert list(m.preorder) == unbuilt.order
+                    assert [m.preorder.index(m.parent(v)) if v != m.root else -1
+                            for v in m.preorder] == unbuilt.parent
+                    assert unbuilt.literal == format_tree(m)
+
+
+def test_the_induced_reader_refuses_a_second_root():
+    with pytest.raises(MultiRootError) as err:
+        _induced_preorder(parse_tree("a(b(c),d)"), ("d", "c"))
+    assert err.value.roots == ("c", "d")
 
 
 # -- enumeration of embeddings ---------------------------------------------------------

@@ -134,6 +134,28 @@ def test_fig2_candidates_headline_sizes_and_cases():
         assert check_embedding(c.f2.mapping, inst.t2, c.tree) == []
 
 
+def test_fig2_candidate_maps_move_only_the_duplicated_part():
+    """Each map is the identity but on the duplicated part, or in case c on P,
+    S, y and z: built from the construction, not searched."""
+    inst = headline_instance()
+    a_p, a_s, b, c = fig2_candidates(inst)
+    p, s = inst.parts["P"].nodes, inst.parts["S"].nodes
+
+    def moved(f):
+        return {v: u for v, u in f.mapping.items() if u != v}
+
+    assert moved(a_p.f1) == {} and moved(a_p.f2) == {v: f"{v}_2" for v in p}
+    assert moved(a_s.f1) == {v: f"{v}_2" for v in s} and moved(a_s.f2) == {}
+    assert moved(b.f1) == {} and moved(b.f2) == {"r": "r_2"}
+    u = c.f1["y"]
+    assert c.f2["z"] == u and c.tree.parent(u) == "a"
+    assert all(f[v] == v for f in (c.f1, c.f2) for v in ("a", "r"))
+    q1 = {v for v in c.tree.nodes if c.tree.reaches(u, v)} - {u, "r"}
+    q2 = c.tree.nodes - q1 - {"a", u, "r"}
+    assert {c.f1[v] for v in p} <= q1 and {c.f1[v] for v in s} <= q2
+    assert {c.f2[v] for v in p} <= q2 and {c.f2[v] for v in s} <= q1
+
+
 def test_fig2_case_c_uses_a_4_node_double_copy():
     inst = headline_instance()
     case_c = [c for c in fig2_candidates(inst) if c.case == "c"][0]
