@@ -17,10 +17,11 @@ forest recursion (`solvers._scs_optimum`), its witnesses from the builder
 that `largest_common_minor` uses (`solvers._witness_embedding`).  Each scan
 tree is built once per process and keeps in its `_tables`, across every
 pair it takes part in, what depends on it alone: its induced shapes of each
-size, the minors it induces on its hit subsets, with their literals, and its
-quotient ids.  Two further parameterized families (``fig4``, ``fig5``) embed
-an arbitrary subproblem pair (A, B) into the construction; ``fig5`` is a
-best-effort reconstruction and all its checks are report-grade.
+size, the minors it induces on its hit subsets, with their literals, its
+quotient ids and, as the bigger tree of a pair, the first embedding into it
+of each witness shape.  Two further parameterized families (``fig4``,
+``fig5``) embed an arbitrary subproblem pair (A, B) into the construction;
+``fig5`` is a best-effort reconstruction and all its checks are report-grade.
 """
 
 from __future__ import annotations

@@ -20,15 +20,23 @@ both.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
 from functools import total_ordering
 from itertools import combinations
 
-from .errors import EmbeddingError, TreeError
+from .errors import BudgetError, EmbeddingError, TreeError
 from .trees import Digraph, Tree, _FrozenRecord, _Record, node_str
 from .embeddings import EmbeddingViolation, MinorEmbedding, check_embedding
 
 TaggedNode = tuple  # (origin 1|2, node name)
+
+#: Most simple paths one path-uniqueness check (`_prop21_core`) may enumerate,
+#: over all its sources; about 200 times the most seen: 47 in a quotient of scan
+#: 7 (and in any test), 71 in one of scan 8, 24 on the headline.  Two 3,000-node
+#: chains glued at top and bottom, about n^2 paths of up to n classes, then stop
+#: after 0.2 s (2 vCPU, Python 3.11), not minutes.
+PATH_BUDGET = 10_000
 
 
 @total_ordering
@@ -161,14 +169,20 @@ def _reaches_around(succ: list[list[int]], v: int, w: int) -> bool:
 
 
 def _reduce_core(succ: list[list[int]]) -> list[tuple[int, int]]:
-    """The arcs (v, w) that no alternative path v ⇝ w subsumes.
+    """The arcs (v, w) that no alternative path v ⇝ w subsumes: on an acyclic
+    graph, its transitive reduction (Aho, Garey & Ullman, SIAM J. Comput. 1,
+    1972).
 
     Subsumption is evaluated against the whole arc set (an arc may be
     witnessed away by arcs that are themselves dropped), which makes the
-    result order-independent.
+    result order-independent.  An alternative path v ⇝ w has two or more
+    arcs, and its last one enters w from a class other than v, so w has a
+    second in-arc: only arcs into classes with two or more in-arcs are
+    searched, and every other arc is kept.
     """
+    joins = {w for w, n in Counter(w for out in succ for w in out).items() if n > 1}
     return [(v, w) for v, out in enumerate(succ) for w in out
-            if not _reaches_around(succ, v, w)]
+            if w not in joins or not _reaches_around(succ, v, w)]
 
 
 def _simple_paths_from(succ, v) -> Iterator[tuple]:
@@ -229,14 +243,22 @@ def _prop21_core(succ: list[list[int]], merged: Collection[int],
     some class, at the latest w, by different arcs; that class has two
     in-arcs and v reaches it.  So a source above no such class has at most
     one path to each end and is not walked.
-    `label` names the merged class in a reason.
+    `label` names the merged class in a reason.  A check that enumerates more
+    than `PATH_BUDGET` paths raises `BudgetError`, naming how many sources it
+    fully checked.
     """
     found: list[tuple] = []
+    budget = PATH_BUDGET
     for v, walk in enumerate(_above_joins(succ)):
         if not walk:
             continue
         paths_to: dict[int, list[tuple]] = {}
         for p in _simple_paths_from(succ, v):
+            budget -= 1
+            if budget < 0:
+                raise BudgetError(
+                    f"path-uniqueness check limited to {PATH_BUDGET} enumerated paths; "
+                    f"the first {v} of {len(succ)} classes were fully checked as sources")
             paths_to.setdefault(p[-1], []).append(p)
         for w in sorted(paths_to):
             paths = paths_to[w]

@@ -22,10 +22,12 @@ hit subset becomes a witness only through `_witness_embedding`, for
 
 What depends on one input alone is made once and kept in the one
 `Tree._tables` of that input, never in a module table keyed by trees: its
-distinct induced shapes of each size (`_minor_level`) and the minor it
-induces on each hit subset, whose identity map is validated when it is made
-(`_induced_minor`).  Each pair then only searches and validates the
-embedding into the other input.
+distinct induced shapes of each size (`_minor_level`), the minor it induces
+on each hit subset, whose identity map is validated when it is made
+(`_induced_minor`), and, as the other input, the first embedding the search
+finds into it of each witness shape, validated when it is searched
+(`_witness_embedding`).  A pair searches only the shapes its target has not
+met yet.
 """
 
 from __future__ import annotations
@@ -191,10 +193,11 @@ def largest_common_minor(t1: Tree, t2: Tree, all_witnesses: bool = False,
     the smaller input; only its hits become named `Tree`s, in canonical-code
     order: the minor the smaller input induces on the first subset of each
     hit shape (`induced_minor`), with its labels and region tags.  Each
-    witness carries the identity embedding on the subset side and the first
-    embedding the search finds on the other, both re-validated by
-    `_witness_embedding`.  An input past `cap` nodes raises `BudgetError`:
-    the walk takes up to 2^|t| subsets.
+    witness carries the identity embedding on the subset side, validated
+    when the minor is made, and the first embedding the search finds on the
+    other, validated when it is searched (`_witness_embedding`).  An input
+    past `cap` nodes raises `BudgetError`: the walk takes up to 2^|t|
+    subsets.
     """
     started = time.perf_counter()
     _require_solvable(t1, t2)
@@ -255,17 +258,27 @@ def _witness_embedding(small: Tree, other: Tree,
                        w: tuple[str, ...]) -> tuple[_InducedMinor, list[str]]:
     """The common minor that `small` induces on its node subset w
     (`_induced_minor`), with the images of the first embedding the search
-    yields into `other`, which is re-validated through `_violations`."""
+    yields into `other`: validated when searched, kept per target.
+
+    The search and its check through `_violations` read only the minor's
+    parent positions and labels and the target, so the images are kept in
+    the `_tables` of `other` under those two, and a later witness of the
+    same shape gets a map that has already been checked.
+    """
     minor = _induced_minor(small, w)
-    images = next(_search(minor.parent, minor.labels, other), None)
+    key = (_witness_embedding, tuple(minor.parent), tuple(minor.labels))
+    images = other._tables.get(key)
     if images is None:
-        raise SolverDisagreement(
-            f"the witness search finds no embedding of the common minor on {w} of "
-            f"{format_tree(small)} into {format_tree(other)}, which inclusion accepted")
-    bad = _violations(dict(zip(minor.order, images)), minor.order, minor.arcs, small.labels,
-                      other.root, other._parent, other.labels)
-    if bad:
-        raise EmbeddingError(bad)
+        images = next(_search(minor.parent, minor.labels, other), None)
+        if images is None:
+            raise SolverDisagreement(
+                f"the witness search finds no embedding of the common minor on {w} of "
+                f"{format_tree(small)} into {format_tree(other)}, which inclusion accepted")
+        bad = _violations(dict(zip(minor.order, images)), minor.order, minor.arcs,
+                          small.labels, other.root, other._parent, other.labels)
+        if bad:
+            raise EmbeddingError(bad)
+        other._tables[key] = images
     return minor, images
 
 

@@ -209,8 +209,11 @@ class Tree:
     so that kinds cannot collide: a node name (its sorted strict
     descendants), a node-subset tuple (the minor induced there,
     `solvers._induced_minor`), a size k (the distinct induced shapes of
-    that size, `solvers._minor_level`), or the function that builds a
-    whole-tree table (`quotient._name_ids`).
+    that size, `solvers._minor_level`), the function that builds a
+    whole-tree table (`quotient._name_ids`), or a tuple that begins with
+    the function that fills it (`solvers._witness_embedding`, whose key
+    adds a source's parent positions and labels and whose entry is the
+    images of the first embedding of that source into this tree).
     """
 
     __slots__ = ("root", "labels", "region_tags", "_nodes", "_arcs", "_children",

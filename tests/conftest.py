@@ -3,7 +3,7 @@
 The brute-force oracles here deliberately avoid the library's own machinery
 (the shape table, backtracking search) so tests cross-check two unrelated
 strategies.  `lcs_by_subset_walk`, `scs_by_catalogue`,
-`simple_paths_recursive`, `prop21_by_classes`, `reduce_by_classes`,
+`simple_paths_recursive`, `prop21_by_classes`, `reduce_per_arc`,
 `enumerate_embeddings_recursive` and `scan_pair_with_named_witnesses` are the
 straightforward forms of routines the library runs in a faster form (the
 common-minor walk on shapes, the supertree search, one path walk per source,
@@ -34,8 +34,8 @@ from treelab import (BudgetError, Digraph, MinorEmbedding, MultiRootError, Prop2
                      is_rooted_tree, largest_common_minor, parse_tree)
 from treelab.embeddings import _fits, _violations
 from treelab.families import _scan_tree
-from treelab.quotient import (_glue, _identities, _prop21_core, _reduce_core,
-                              _require_witness, _successors, eq4_prediction)
+from treelab.quotient import (_glue, _identities, _prop21_core, _require_witness,
+                              _successors, eq4_prediction)
 from treelab.solvers import (CommonTreeWitness, LcsResult, LevelStats, ScsResult,
                              _require_solvable, _without)
 from treelab.trees import (_KIDS, _LABEL, ENUM_CAP_DEFAULT, _code, _fresh_name, _intern,
@@ -192,7 +192,8 @@ def scan_pair_with_named_witnesses(args):
     """One record of `scan_pairs` as the library computed it before gluing
     straight from node subsets: a validated named witness per optimal common
     minor from `largest_common_minor`, both embeddings re-checked by
-    `_require_witness`, and the literal from `format_tree`."""
+    `_require_witness`, the literal from `format_tree`, and the reduction by
+    one search per arc (`reduce_per_arc`)."""
     seq1, seq2, with_prop21 = args
     t1, t2 = _scan_tree(seq1), _scan_tree(seq2)
     lcs = largest_common_minor(t1, t2, all_witnesses=True, cap=t2.size)
@@ -213,7 +214,7 @@ def scan_pair_with_named_witnesses(args):
                 identity_findings.append("class count differs from |t1|+|t2|-|mu|")
             succ = _successors(n, arcs)
             kinds = sorted({found[0] for found in _prop21_core(succ, merged)})
-            reduced = Digraph(frozenset(range(n)), frozenset(_reduce_core(succ)))
+            reduced = reduce_per_arc(range(n), arcs)
             quotients.append({
                 "mu": format_tree(w.tree),
                 "holds": not kinds,
@@ -621,10 +622,12 @@ def prop21_by_classes(q):
     return Prop21Report(not violations, violations)
 
 
-def reduce_by_classes(q):
-    """`reduce_quotient` on `ThetaClass` objects, as the library reduced
-    before its integer core: one search per arc for another way around."""
-    succ = class_successors(q)
+def reduce_per_arc(nodes, arcs):
+    """Arc reduction as the library reduced before its integer core, on
+    nodes of any kind: one search per arc for another way around."""
+    succ = {v: [] for v in nodes}
+    for a, b in arcs:
+        succ[a].append(b)
 
     def reachable_avoiding(v, w, banned_arc):
         stack = [v]
@@ -641,9 +644,8 @@ def reduce_by_classes(q):
                     stack.append(y)
         return False
 
-    kept = frozenset((v, w) for v, w in q.arcs
-                     if not reachable_avoiding(v, w, (v, w)))
-    return Digraph(frozenset(q.classes), kept)
+    kept = frozenset((v, w) for v, w in arcs if not reachable_avoiding(v, w, (v, w)))
+    return Digraph(frozenset(nodes), kept)
 
 
 @st.composite

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from treelab import DegenerateFamilyWarning, SolverDisagreement
 from treelab import (cli, enumerate_trees, fig1_family, fig2_candidates, fig4_family,
-                     format_tree, parse_tree, solvers, trees)
+                     format_tree, parse_tree, quotient, solvers, trees)
 from treelab.cli import main
 
 from conftest import labeled_trees, unlabeled_trees
@@ -287,6 +287,14 @@ def test_prop21_violation_exits_1(capsys):
     assert code == 1
     assert data["holds"] is False
     assert data["violations"][0]["kind"] == "ii"
+
+
+@pytest.mark.parametrize("verb", ["quotient", "prop21"])
+def test_path_check_past_its_budget_exits_2(capsys, monkeypatch, verb):
+    monkeypatch.setattr(quotient, "PATH_BUDGET", 1)
+    code, out, err = run(capsys, verb, T1, T2)
+    assert code == 2 and out == ""
+    assert err.startswith("budget error: path-uniqueness check limited to 1 enumerated paths")
 
 
 def test_prop21_holding_exits_0(capsys):

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import pytest
@@ -410,6 +411,10 @@ def test_scan_revalidates_the_searched_embedding(monkeypatch):
     def invalid(parent, labels, t):
         yield [t.root] * len(parent)  # every node onto the target's root
 
+    # trees built afresh keep no searched embedding yet, so the scan reaches
+    # the stub; the process's own scan trees come back after the test
+    monkeypatch.setattr(families, "_scan_tree", functools.lru_cache(maxsize=None)(
+        trees._tree_from_levels))
     monkeypatch.setattr(solvers, "_search", invalid)
     with pytest.raises(EmbeddingError, match="not injective"):
         scan_pairs(3, checks=("eq4", "prop21"))

@@ -1,17 +1,22 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 
-from treelab import (Digraph, EmbeddingError, MinorEmbedding, QuotientGraph, TreeError,
-                     build_quotient, chain, check_eq2_eq3, check_prop21,
+from treelab import (BudgetError, Digraph, EmbeddingError, MinorEmbedding, QuotientGraph,
+                     TreeError, build_quotient, chain, check_eq2_eq3, check_prop21,
                      eq4_prediction, fig1_family, is_rooted_tree, largest_common_minor,
                      parse_tree, quotient_to_dot, reduce_quotient, scan_pairs, star,
                      validate)
 from treelab import quotient
+from treelab.families import _scan_tree
 from treelab.quotient import (_glue, _prop21_core, _reduce_core, _simple_paths_from,
                               _successors)
+from treelab.solvers import _lcs_core, _witness_embedding
+from treelab.trees import _level_sequences
 
 from conftest import (all_trees_up_to, class_successors, glued_pairs,
-                      prop21_by_classes, reduce_by_classes, simple_paths_recursive)
+                      prop21_by_classes, reduce_per_arc, simple_paths_recursive)
 
 
 def identity_embedding(s, t):
@@ -253,7 +258,7 @@ def test_path_walk_has_no_depth_limit():
 def assert_core_matches_the_oracles(q):
     assert list(q.classes) == sorted(q.classes)  # ids follow the class order
     assert check_prop21(q).to_json() == prop21_by_classes(q).to_json()
-    assert reduce_quotient(q) == reduce_by_classes(q)
+    assert reduce_quotient(q) == reduce_per_arc(q.classes, q.arcs)
 
 
 def test_core_matches_the_oracles_on_all_witness_quotients_up_to_6(
@@ -340,6 +345,49 @@ def test_core_has_no_depth_limit():
     kept = set(_reduce_core(_successors(size, arcs)))
     assert arcs - kept == {(class_of1["n1"], class_of1[f"n{n}"])}
     assert is_rooted_tree(Digraph(frozenset(range(size)), frozenset(kept)))
+
+
+def test_reduce_core_matches_the_per_arc_search_on_every_scan_5_witness_quotient():
+    # the core searches only arcs into classes with two or more in-arcs,
+    # the oracle every arc
+    shapes = [seq for k in range(1, 6) for seq in _level_sequences(k)]
+    quotients = dropped = 0
+    for i, seq1 in enumerate(shapes):
+        for seq2 in shapes[i:]:
+            t1, t2 = _scan_tree(seq1), _scan_tree(seq2)
+            for w in _lcs_core(t1, t2, True)[2]:
+                minor, images = _witness_embedding(t1, t2, w)
+                _, _, n, arcs, _ = _glue(t1, t2, minor.order, {v: v for v in minor.order},
+                                         dict(zip(minor.order, images)))
+                kept = _reduce_core(_successors(n, arcs))
+                assert set(kept) == reduce_per_arc(range(n), arcs).arcs
+                quotients, dropped = quotients + 1, dropped + len(arcs) - len(kept)
+    assert (quotients, dropped) == (168, 74)
+
+
+def test_path_budget_stops_two_long_chains_glued_at_top_and_bottom():
+    # about n^2 paths of up to n classes each; without the budget the check
+    # grows as n^3 (1.6 s at n = 800), so well over a minute at n = 3,000
+    n = 3000
+    t1, t2, mu = chain(n), chain(n, "m"), parse_tree("c1(c2)")
+    _, _, size, arcs, merged = _glue(t1, t2, mu.nodes, {"c1": "n1", "c2": f"n{n}"},
+                                     {"c1": "m1", "c2": f"m{n}"})
+    succ = _successors(size, arcs)
+    started = time.perf_counter()
+    with pytest.raises(BudgetError, match=f"limited to {quotient.PATH_BUDGET} enumerated "
+                       rf"paths; the first \d+ of {size} classes were fully checked"):
+        _prop21_core(succ, merged)
+    assert time.perf_counter() - started < 10
+    assert len(_reduce_core(succ)) == len(arcs)  # the two arcs into n3000 are both needed
+
+
+def test_path_budget_counts_every_enumerated_path(headline, monkeypatch):
+    _, q = headline  # its check enumerates 24 paths
+    monkeypatch.setattr(quotient, "PATH_BUDGET", 24)
+    assert [v.kind for v in check_prop21(q).violations] == ["ii"]
+    monkeypatch.setattr(quotient, "PATH_BUDGET", 23)
+    with pytest.raises(BudgetError, match="limited to 23 enumerated paths"):
+        check_prop21(q)
 
 
 # -- the size prediction ------------------------------------------------------------------

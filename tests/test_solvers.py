@@ -11,9 +11,9 @@ from treelab import (BudgetError, EmbeddingError, SolverDisagreement, TreeError,
                      are_isomorphic, canonical_code, chain, check_embedding, cli,
                      enumerate_trees, fig1_family, find_embedding, format_tree,
                      induced_minor, is_minor, largest_common_minor, parse_tree,
-                     smallest_common_supertree, star)
+                     scan_pairs, smallest_common_supertree, star)
 
-from treelab import quotient, solvers, trees
+from treelab import embeddings, quotient, solvers, trees
 from treelab.embeddings import _fits
 from treelab.families import _scan_one_pair, _scan_tree
 from treelab.trees import _intern, _level_sequences, _levels_of, _shape, _tree_count
@@ -519,6 +519,45 @@ def test_scan_records_are_the_same_from_cold_and_warm_tables():
     assert all(quotient._name_ids in _scan_tree(seq)._tables for seq in seqs)
     assert all(any(isinstance(key, tuple) for key in _scan_tree(seq)._tables)
                for seq in seqs)
+
+
+def test_stored_witness_embeddings_are_the_first_fresh_search_and_valid():
+    # after scan 6, every witness's images are read from its target's tables;
+    # each stored map is what a fresh search yields first, and a valid embedding
+    scan_pairs(6, checks=("eq4", "prop21"))
+    shapes = [seq for k in range(1, 7) for seq in _level_sequences(k)]
+    witnesses, stored = 0, set()
+    for i, seq1 in enumerate(shapes):
+        for seq2 in shapes[i:]:
+            t1, t2 = _scan_tree(seq1), _scan_tree(seq2)
+            for w in solvers._lcs_core(t1, t2, True)[2]:
+                minor = solvers._induced_minor(t1, w)
+                key = (solvers._witness_embedding, tuple(minor.parent), tuple(minor.labels))
+                images = t2._tables[key]
+                assert images == next(embeddings._search(minor.parent, minor.labels, t2))
+                assert not embeddings._violations(
+                    dict(zip(minor.order, images)), minor.order, minor.arcs, t1.labels,
+                    t2.root, t2._parent, t2.labels)
+                assert solvers._witness_embedding(t1, t2, w) == (minor, images)
+                witnesses += 1
+                stored.add((seq2, key))
+    assert (witnesses, len(stored)) == (836, 291)
+
+
+def test_lcs_witnesses_are_the_same_from_a_cold_and_a_warm_memo(monkeypatch):
+    t1 = parse_tree("a(y(p1(p2(p3)),r),s1(s2,s3))")
+    t2 = parse_tree("a(p1(p2(p3)),z(r,s1(s2,s3)))")
+    cold = largest_common_minor(t1, t2, all_witnesses=True)
+    assert any(isinstance(key, tuple) and key[0] is solvers._witness_embedding
+               for key in t2._tables)
+
+    def unreached(parent, labels, t):
+        raise AssertionError("a warm memo searches nothing")
+
+    monkeypatch.setattr(solvers, "_search", unreached)
+    warm = largest_common_minor(t1, t2, all_witnesses=True)
+    assert cold.witnesses
+    assert [w.to_json() for w in warm.witnesses] == [w.to_json() for w in cold.witnesses]
 
 
 def test_the_recursion_matches_the_best_merge_on_all_pairs_up_to_6():
