@@ -3,12 +3,13 @@
 Exit codes: 0 when the operation succeeds and any checked property holds,
 1 when a checked property is violated (a size gap, a failed path-uniqueness
 check, a non-minor), 2 on usage, parse, input-file or budget errors (also
-a `verify` whose gap stays undecided, after its partial report), 3 on an
-internal error (a solver disagreement or any other uncaught exception,
-reported as one ``internal error:`` line on stderr), so a crash is never
-read as a violated property.  Report verbs
-default to JSON; wall-clock fields live under a separate "timing" key so the
-rest of the output is byte-stable across runs.
+a `verify` whose gap stays undecided, after its partial report, and a map
+handed in that fails its check, `EmbeddingError`), 3 on an internal error (a
+solver disagreement, a map the library built that fails its check, or any
+other uncaught exception, reported as one ``internal error:`` line on
+stderr), so a crash is never read as a violated property or bad input.
+Report verbs default to JSON; wall-clock fields live under a separate
+"timing" key so the rest of the output is byte-stable across runs.
 """
 
 from __future__ import annotations

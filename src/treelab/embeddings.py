@@ -8,7 +8,9 @@ stack, decides containment by memoized tree inclusion over the shapes
 interned in `trees` (a shape pair is refused at once by the size, height
 and leaf count the shape table holds), builds subset-induced minors (the
 canonical witness form), and checks preservation of incomparability.  The
-checker groups and sorts its report only for a map that fails.
+checker groups and sorts its report only for a map that fails.  What a failed
+check means is decided here alone: a map a caller handed in is bad input
+(`_require_valid`), a map the library built a fault in treelab (`_require_built`).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import combinations, islice
 
-from .errors import EmbeddingError, MultiRootError, TreeError
+from .errors import EmbeddingError, MultiRootError, SolverDisagreement, TreeError
 from .trees import (_HEIGHT, _KIDS, _LABEL, _LEAVES, _SIZE, Tree, _FrozenRecord, _Record,
                     _shape, _splits)
 
@@ -31,10 +33,6 @@ class MinorEmbedding(_Record):
 
     def __getitem__(self, v: str) -> str:
         return self.mapping[v]
-
-    @property
-    def image(self) -> frozenset[str]:
-        return frozenset(self.mapping.values())
 
     def to_json(self) -> dict[str, str]:
         return {v: self.mapping[v] for v in sorted(self.mapping)}
@@ -128,10 +126,20 @@ def _violations(f: Mapping, order: Sequence[str], arcs: Iterable[tuple[str, str]
     return out
 
 
-def _require_valid(f: MinorEmbedding) -> None:
-    violations = check_embedding(f.mapping, f.source, f.target)
+def _require_valid(f: MinorEmbedding, source: Tree, target: Tree) -> None:
+    """A map a caller handed in must relate `source` to `target` and be valid:
+    `EmbeddingError` otherwise, bad input."""
+    bad = (check_embedding(f.mapping, source, target) if (f.source, f.target) == (source, target)
+           else [EmbeddingViolation(None, "embedding does not relate the given trees")])
+    if bad:
+        raise EmbeddingError(bad)
+
+
+def _require_built(violations: list[EmbeddingViolation], what: str) -> None:
+    """A map the library built must pass its check: `SolverDisagreement`,
+    naming `what` and the first of its `violations`, otherwise, a fault."""
     if violations:
-        raise EmbeddingError(violations)
+        raise SolverDisagreement(f"{what}: {violations[0]}")
 
 
 # -- subset-induced minors ----------------------------------------------------
@@ -366,7 +374,7 @@ def check_lemma4(f: MinorEmbedding) -> list[Lemma4Witness]:
     incomparable in the target.  The returned list is expected to be empty
     for every valid embedding; a non-empty result would be a refutation.
     """
-    _require_valid(f)
+    _require_valid(f, f.source, f.target)
     s, t = f.source, f.target
     out = []
     nodes = sorted(s.nodes)

@@ -32,7 +32,8 @@ class MultiRootError(TreeError):
 
 
 class EmbeddingError(TreeError):
-    """An operation was handed a map that is not a valid minor embedding."""
+    """A map a caller handed in is not a valid minor embedding of the given
+    trees: bad input (`embeddings._require_valid` alone raises it)."""
 
     def __init__(self, violations):
         self.violations = tuple(violations)
@@ -52,7 +53,8 @@ class BudgetError(RuntimeError):
 
 
 class SolverDisagreement(RuntimeError):
-    """Two independently implemented strategies returned different answers.
+    """Two independently implemented strategies returned different answers,
+    or a map the library built failed its check (`embeddings._require_built`).
 
-    This is always a bug in one of the strategies, never a valid outcome.
+    This is always a bug in treelab, never a valid outcome or bad input.
     """

@@ -33,12 +33,12 @@ from collections.abc import Iterable
 from itertools import product
 
 from ._parallel import parallel_map
-from .errors import BudgetError, EmbeddingError, SolverDisagreement, TreeError
+from .errors import BudgetError, SolverDisagreement, TreeError
 from .trees import (ENUM_CAP_DEFAULT, Tree, _FrozenRecord, _Record, _fresh_name,
                     _is_rooted_tree, _level_sequences, _literal_from_levels,
                     _tree_from_levels, are_isomorphic, chain, enumerate_trees,
                     format_tree, is_rooted_tree, parse_tree, star)
-from .embeddings import (EmbeddingViolation, MinorEmbedding, check_embedding,
+from .embeddings import (MinorEmbedding, _require_built, _require_valid, check_embedding,
                          enumerate_embeddings, is_minor)
 from .solvers import (_InducedMinor, _lcs_core, _scs_optimum, _witness_embedding,
                       largest_common_minor, smallest_common_supertree)
@@ -121,9 +121,8 @@ def fig1_family(p: Tree, r: Tree, s: Tree) -> Fig1Instance:
     g1 = MinorEmbedding(claimed_mu, t1, {v: v for v in claimed_mu.nodes})
     g2 = MinorEmbedding(claimed_mu, t2, {v: v for v in claimed_mu.nodes})
     for g in (g1, g2):
-        bad = check_embedding(g.mapping, g.source, g.target)
-        if bad:
-            raise SolverDisagreement(f"family construction broke its own witness: {bad[0]}")
+        _require_built(check_embedding(g.mapping, g.source, g.target),
+                       "family construction broke its own witness")
 
     degenerate = are_isomorphic(p, s)
     if degenerate:
@@ -172,9 +171,8 @@ def fig2_candidates(inst: Fig1Instance, cap: int = ENUM_CAP_DEFAULT) -> list[Sup
         f1, f2 = (MinorEmbedding(t, tree, {v: moved.get(v, v) for v in t.preorder})
                   for t, moved in ((inst.t1, moved1), (inst.t2, moved2)))
         for f in (f1, f2):
-            bad = check_embedding(f.mapping, f.source, f.target)
-            if bad:
-                raise SolverDisagreement(f"candidate case {case} is not a supertree: {bad[0]}")
+            _require_built(check_embedding(f.mapping, f.source, f.target),
+                           f"candidate case {case} is not a supertree")
         out.append(SupertreeCandidate(case, tree, f1, f2))
 
     def copy(part: Tree) -> tuple[Tree, dict[str, str]]:
@@ -245,12 +243,7 @@ def check_theorem5(inst: Fig1Instance, t_sigma: Tree, f1: MinorEmbedding,
     impossible for valid embeddings; `None` means no triple merge.
     """
     for f, source in ((f1, inst.t1), (f2, inst.t2)):
-        if f.source != source or f.target != t_sigma:
-            raise EmbeddingError([EmbeddingViolation(
-                None, "embedding does not relate the instance to the supertree")])
-        bad = check_embedding(f.mapping, f.source, f.target)
-        if bad:
-            raise EmbeddingError(bad)
+        _require_valid(f, source, t_sigma)
 
     img1 = region_images(inst.t1, f1)
     img2 = region_images(inst.t2, f2)
@@ -441,6 +434,15 @@ def verify_counterexample(p: Tree, r: Tree, s: Tree, *,
 
 # -- subproblem-transfer families -----------------------------------------------
 
+def _subproblem(a: Tree, b: Tree) -> tuple[int, int]:
+    """The sizes n = |A| >= m = |B| of a subproblem pair of non-empty parts."""
+    if a.root is None or b.root is None:
+        raise TreeError("subproblem parts must be non-empty")
+    if b.size > a.size:
+        raise TreeError(f"|A| = {a.size} must be at least |B| = {b.size}")
+    return a.size, b.size
+
+
 def fig4_family(a: Tree, b: Tree, r: Tree | None = None) -> tuple[Tree, Tree, dict]:
     """Family whose minimum supertree encodes the (A, B) supertree problem.
 
@@ -449,11 +451,7 @@ def fig4_family(a: Tree, b: Tree, r: Tree | None = None) -> tuple[Tree, Tree, di
     2n-node tree may be passed instead).  Returns (t1, t2, metadata); the
     metadata carries the part literals so the instance can be rebuilt.
     """
-    n, m = a.size, b.size
-    if a.root is None or b.root is None:
-        raise TreeError("subproblem parts must be non-empty")
-    if m > n:
-        raise TreeError(f"|A| = {n} must be at least |B| = {m}")
+    n, m = _subproblem(a, b)
 
     def chain_with(tail: Tree, prefix: str, tag: str) -> Tree:
         spine = chain(n, prefix)
@@ -488,12 +486,7 @@ def fig5_family(a: Tree, b: Tree) -> tuple[Tree, Tree, dict]:
     t1's middle slot where B sits in t2's.  All downstream checks on this
     family report match/mismatch instead of asserting.
     """
-    n, m = a.size, b.size
-    if a.root is None or b.root is None:
-        raise TreeError("subproblem parts must be non-empty")
-    if m > n:
-        raise TreeError(f"|A| = {n} must be at least |B| = {m}")
-
+    n, m = _subproblem(a, b)
     used = set(SPINE_NAMES)
     pp = _rename_avoiding(chain(n + 1, "p"), used, "P")
     ss = _rename_avoiding(star(n, "s"), used, "S")
@@ -570,9 +563,7 @@ def subproblem_transfer_check(family: str, a: Tree, b: Tree) -> dict:
     """
     if family not in ("fig4", "fig5"):
         raise TreeError(f"unknown family {family!r}")
-    n, m = a.size, b.size
-    if m > n:
-        raise TreeError(f"|A| = {n} must be at least |B| = {m}")
+    n, m = _subproblem(a, b)
 
     def one(aa: Tree, bb: Tree) -> dict:
         rec = {"a": format_tree(aa), "b": format_tree(bb)}

@@ -25,17 +25,18 @@ from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
 from functools import total_ordering
 from itertools import combinations
 
-from .errors import BudgetError, EmbeddingError, TreeError
+from .errors import BudgetError, TreeError
 from .trees import Digraph, Tree, _FrozenRecord, _Record, node_str
-from .embeddings import EmbeddingViolation, MinorEmbedding, check_embedding
+from .embeddings import MinorEmbedding, _require_valid
 
 TaggedNode = tuple  # (origin 1|2, node name)
 
-#: Most simple paths one path-uniqueness check (`_prop21_core`) may enumerate,
-#: over all its sources; about 200 times the most seen: 47 in a quotient of scan
-#: 7 (and in any test), 71 in one of scan 8, 24 on the headline.  Two 3,000-node
-#: chains glued at top and bottom, about n^2 paths of up to n classes, then stop
-#: after 0.2 s (2 vCPU, Python 3.11), not minutes.
+#: Most simple paths plus pairs of paths to one end that one path-uniqueness
+#: check (`_prop21_core`) may enumerate and compare, over all its sources; about
+#: 80 times the most seen: 78 in a quotient of scan 7 (47 paths, 31 pairs), 129
+#: in one of scan 8, 29 on the headline.  Two 3,000-node chains glued at top and
+#: bottom (about n^2 paths of up to n classes) and ladders of 10 or more diamonds
+#: (2^k paths to the bottom) then stop in well under a second, not minutes.
 PATH_BUDGET = 10_000
 
 
@@ -63,16 +64,6 @@ class ThetaClass(_FrozenRecord):
 
     def to_json(self) -> dict:
         return {"members": [node_str(m) for m in self.members]}
-
-
-def _require_witness(t_mu: Tree, g1: MinorEmbedding, g2: MinorEmbedding) -> None:
-    if g1.source != t_mu or g2.source != t_mu:
-        raise EmbeddingError([EmbeddingViolation(
-            None, "embedding source is not the given common minor")])
-    for g in (g1, g2):
-        bad = check_embedding(g.mapping, g.source, g.target)
-        if bad:
-            raise EmbeddingError(bad)
 
 
 # -- the integer core ---------------------------------------------------------
@@ -243,29 +234,30 @@ def _prop21_core(succ: list[list[int]], merged: Collection[int],
     some class, at the latest w, by different arcs; that class has two
     in-arcs and v reaches it.  So a source above no such class has at most
     one path to each end and is not walked.
-    `label` names the merged class in a reason.  A check that enumerates more
-    than `PATH_BUDGET` paths raises `BudgetError`, naming how many sources it
-    fully checked.
+    `label` names the merged class in a reason.  Each path, and each pair of
+    paths to one end that (ii) compares, counts once against `PATH_BUDGET`:
+    past it the check raises `BudgetError`, before the pairs are compared,
+    naming how many sources it fully checked.
     """
     found: list[tuple] = []
     budget = PATH_BUDGET
     for v, walk in enumerate(_above_joins(succ)):
         if not walk:
             continue
-        paths_to: dict[int, list[tuple]] = {}
+        others_to: dict[int, list[tuple]] = {}  # the paths of two or more arcs to each end
         for p in _simple_paths_from(succ, v):
             budget -= 1
+            if len(p) > 2:  # p pairs with each path of two or more arcs found to its end
+                others = others_to.setdefault(p[-1], [])
+                budget -= len(others)
+                others.append(p)
             if budget < 0:
-                raise BudgetError(
-                    f"path-uniqueness check limited to {PATH_BUDGET} enumerated paths; "
-                    f"the first {v} of {len(succ)} classes were fully checked as sources")
-            paths_to.setdefault(p[-1], []).append(p)
-        for w in sorted(paths_to):
-            paths = paths_to[w]
-            if len(paths) < 2:
-                continue
-            others = [p for p in paths if len(p) > 2]
-            if len(others) < len(paths):  # the arc (v, w) is one of the paths
+                raise BudgetError(f"path-uniqueness check limited to {PATH_BUDGET} enumerated "
+                                  f"paths and path pairs; the first {v} of {len(succ)} classes "
+                                  "were fully checked as sources")
+        for w in sorted(others_to):
+            others = others_to[w]
+            if w in succ[v]:  # the arc (v, w) is one of the paths
                 if v not in merged or w not in merged:
                     found.append(("i", v, w, tuple(others),
                                   "arc with an alternative path between non-merged classes"))
@@ -312,16 +304,6 @@ class QuotientGraph(_Record):
     def t2(self) -> Tree:
         return self.g2.target
 
-    def to_digraph(self) -> Digraph:
-        return Digraph(frozenset(self.classes), self.arcs)
-
-    def class_of_member(self, origin: int, name: str) -> ThetaClass:
-        """Class containing the tagged node, e.g. class_of_member(1, 'a')."""
-        side = self.ell1 if origin == 1 else self.ell2
-        if name not in side:
-            raise TreeError(f"unknown node {name!r} on side {origin}")
-        return side[name]
-
     def to_json(self) -> dict:
         return {
             "classes": [dict(c.to_json(), in_mu_image=(c in self.mu_image))
@@ -340,10 +322,8 @@ def build_quotient(t1: Tree, t2: Tree, t_mu: Tree,
     by the embeddings; injectivity of g1 and g2 makes the relation an
     equivalence with classes of size at most 2.
     """
-    if g1.target != t1 or g2.target != t2:
-        raise EmbeddingError([EmbeddingViolation(
-            None, "embedding targets do not match the given trees")])
-    _require_witness(t_mu, g1, g2)
+    for g, t in ((g1, t1), (g2, t2)):
+        _require_valid(g, t_mu, t)
     class_of1, class_of2, n, arcs, mu_ids = _glue(t1, t2, t_mu.nodes,
                                                   g1.mapping, g2.mapping)
     members: list[list[TaggedNode]] = [[] for _ in range(n)]

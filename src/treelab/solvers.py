@@ -36,13 +36,13 @@ import time
 from collections.abc import Generator, Iterator
 from itertools import chain, combinations
 
-from .errors import BudgetError, EmbeddingError, SolverDisagreement, TreeError
+from .errors import BudgetError, SolverDisagreement, TreeError
 from .trees import (_KIDS, _LABEL, _SIZE, ENUM_CAP_DEFAULT, Tree, _Record, _code, _intern,
                     _intern_node, _level_sequences, _levels_of, _literal, _shape, _splits,
                     _tree_count, _tree_from_levels, format_tree)
 # no solver calls `is_minor`; perfbench's tracer test reads the binding here
-from .embeddings import (MinorEmbedding, _fits, _induced_preorder, _search, _violations,
-                         find_embedding, induced_minor, is_minor)
+from .embeddings import (MinorEmbedding, _fits, _induced_preorder, _require_built, _search,
+                         _violations, check_embedding, find_embedding, induced_minor, is_minor)
 
 
 class LevelStats(_Record):
@@ -246,10 +246,9 @@ def _induced_minor(small: Tree, w: tuple[str, ...]) -> _InducedMinor:
     minor = small._tables.get(w)
     if minor is None:
         minor = _InducedMinor(small, w)
-        bad = _violations({v: v for v in minor.order}, minor.order, minor.arcs, small.labels,
-                          small.root, small._parent, small.labels)
-        if bad:
-            raise EmbeddingError(bad)
+        _require_built(_violations({v: v for v in minor.order}, minor.order, minor.arcs,
+                                   small.labels, small.root, small._parent, small.labels),
+                       f"the identity map of the minor induced on {w}")
         small._tables[w] = minor
     return minor
 
@@ -274,10 +273,9 @@ def _witness_embedding(small: Tree, other: Tree,
             raise SolverDisagreement(
                 f"the witness search finds no embedding of the common minor on {w} of "
                 f"{format_tree(small)} into {format_tree(other)}, which inclusion accepted")
-        bad = _violations(dict(zip(minor.order, images)), minor.order, minor.arcs,
-                          small.labels, other.root, other._parent, other.labels)
-        if bad:
-            raise EmbeddingError(bad)
+        _require_built(_violations(dict(zip(minor.order, images)), minor.order, minor.arcs,
+                                   small.labels, other.root, other._parent, other.labels),
+                       f"the searched embedding of the minor induced on {w} into the other input")
         other._tables[key] = images
     return minor, images
 
@@ -481,13 +479,14 @@ def _code_rank(n: int, stop: tuple[int, ...]) -> int:
     raise SolverDisagreement(f"{stop} is not a canonical size-{n} level sequence")
 
 
-def _found(f: MinorEmbedding | None, s: Tree, t: Tree) -> MinorEmbedding:
-    """The witness search's embedding of s into t, a supertree the forest
-    recursion built."""
+def _found(s: Tree, t: Tree) -> MinorEmbedding:
+    """The witness search's first embedding of s into t, a supertree the
+    forest recursion built, checked when found."""
+    f = find_embedding(s, t)
     if f is None:
-        raise SolverDisagreement(f"the witness search finds no embedding of "
-                                 f"{format_tree(s)} into {format_tree(t)}, a "
-                                 f"supertree the forest recursion built")
+        raise SolverDisagreement(f"the witness search finds no embedding of {format_tree(s)} "
+                                 f"into {format_tree(t)}, a supertree the forest recursion built")
+    _require_built(check_embedding(f.mapping, s, t), "the searched embedding of an input")
     return f
 
 
@@ -503,8 +502,8 @@ def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
     of its size (`_tree_count`); the first-hit level counts up to the first
     shape (`_code_rank`, which walks the level).  So no level past `cap`
     is reported: reaching one raises `BudgetError`, before the recursion
-    runs when the inputs are past it.  Only the witnesses become
-    named `Tree`s, each with the first found embedding of either input.
+    runs when the inputs are past it.  Only the witnesses become named
+    `Tree`s, each with the first embedding of either input, checked (`_found`).
     """
     started = time.perf_counter()
     _require_solvable(t1, t2)
@@ -524,7 +523,6 @@ def smallest_common_supertree(t1: Tree, t2: Tree, all_witnesses: bool = False,
     levels = [LevelStats(k, _tree_count(k), 0) for k in range(start, n)]
     levels.append(LevelStats(n, _tree_count(n) if all_witnesses
                              else _code_rank(n, sequences[0]), len(sequences)))
-    witnesses = [CommonTreeWitness(c, _found(find_embedding(t1, c), t1, c),
-                                   _found(find_embedding(t2, c), t2, c))
+    witnesses = [CommonTreeWitness(c, _found(t1, c), _found(t2, c))
                  for c in map(_tree_from_levels, sequences)]
     return ScsResult(n, witnesses, levels, (time.perf_counter() - started) * 1e3)

@@ -11,9 +11,10 @@ the path-uniqueness check and arc reduction on integer class ids, the
 witness search on an explicit stack, and the pair scan's quotients glued
 from node subsets); differential tests hold the fast forms to them.  The
 library's forest recursion decides the supertree optimum and its witnesses;
-two more oracles decide them other ways: `scs_by_growth` grows the bigger
-input's supertrees one node at a time, and `scs_by_merging` takes the
-largest common-minor matching that merges into one tree (`merge_matching`);
+three more oracles decide them other ways: `scs_by_growth` grows the bigger
+input's supertrees one node at a time, `scs_by_merging` takes the
+largest common-minor matching that merges into one tree (`merge_matching`),
+and `scs_unpruned` evaluates the recursion's every branch, with no bound;
 `root_merge_supertree` is a known supertree of size |t1| + |t2| - 1.
 Containment has one decider in the library, `is_minor`; `is_minor_by_subsets`
 decides it from the induced minors of every node subset, and
@@ -32,14 +33,14 @@ from treelab import (BudgetError, Digraph, MinorEmbedding, MultiRootError, Prop2
                      canonical_code, chain, check_embedding, enumerate_embeddings,
                      enumerate_trees, find_embedding, format_tree, induced_minor, is_minor,
                      is_rooted_tree, largest_common_minor, parse_tree)
-from treelab.embeddings import _fits, _violations
+from treelab.embeddings import _fits, _require_valid, _violations
 from treelab.families import _scan_tree
-from treelab.quotient import (_glue, _identities, _prop21_core, _require_witness,
-                              _successors, eq4_prediction)
+from treelab.quotient import _glue, _identities, _prop21_core, _successors, eq4_prediction
 from treelab.solvers import (CommonTreeWitness, LcsResult, LevelStats, ScsResult,
                              _require_solvable, _without)
-from treelab.trees import (_KIDS, _LABEL, ENUM_CAP_DEFAULT, _code, _fresh_name, _intern,
-                           _intern_node, _level_sequences, _shape, _splits, _tree_from_levels)
+from treelab.trees import (_KIDS, _LABEL, _SIZE, ENUM_CAP_DEFAULT, _code, _fresh_name,
+                           _intern, _intern_node, _level_sequences, _shape, _splits,
+                           _tree_from_levels)
 
 
 def brute_force_isomorphic(t1, t2):
@@ -192,7 +193,7 @@ def scan_pair_with_named_witnesses(args):
     """One record of `scan_pairs` as the library computed it before gluing
     straight from node subsets: a validated named witness per optimal common
     minor from `largest_common_minor`, both embeddings re-checked by
-    `_require_witness`, the literal from `format_tree`, and the reduction by
+    `_require_valid`, the literal from `format_tree`, and the reduction by
     one search per arc (`reduce_per_arc`)."""
     seq1, seq2, with_prop21 = args
     t1, t2 = _scan_tree(seq1), _scan_tree(seq2)
@@ -205,7 +206,8 @@ def scan_pair_with_named_witnesses(args):
     if with_prop21:
         quotients = []
         for w in lcs.witnesses:
-            _require_witness(w.tree, w.emb1, w.emb2)
+            _require_valid(w.emb1, w.tree, t1)
+            _require_valid(w.emb2, w.tree, t2)
             mu, g1, g2 = w.tree.nodes, w.emb1.mapping, w.emb2.mapping
             class_of1, class_of2, n, arcs, merged = _glue(t1, t2, mu, g1, g2)
             identity_findings = _identities(range(n), class_of1, class_of2, mu,
@@ -368,6 +370,34 @@ def scs_by_growth(t1, t2, all_witnesses=False):
         if hits:
             return n, hits
     raise AssertionError("the root merge is a common supertree")
+
+
+def scs_unpruned(t1, t2):
+    """The smallest common supertree size by the recursion that the
+    `solvers._scs_optimum` docstring states, written anew: every branch of
+    every pair of forests is evaluated, with no floor, no skipped branch and
+    no early stop, and the branches are listed here, not by `_branches`."""
+    return _scs_forests((_shape(t1),), (_shape(t2),))
+
+
+@lru_cache(maxsize=None)
+def _scs_forests(xs, ys):
+    """SCS of two sorted forests of shape ids: fix the first tree a of xs and
+    take the least of the three branch kinds."""
+    if not xs or not ys:
+        return sum(_SIZE[x] for x in xs + ys)
+    a, rest = xs[0], xs[1:]
+    ways = [1 + _scs_forests(_KIDS[a], part) + _scs_forests(rest, left)
+            for part, left, _ in _splits(ys)]  # a's root t1-only, whole B-trees below it
+    for b in set(ys):
+        i = ys.index(b)
+        others = ys[:i] + ys[i + 1:]
+        if _LABEL[a] == _LABEL[b]:  # the roots of a and b share a node
+            ways.append(1 + _scs_forests(_KIDS[a], _KIDS[b]) + _scs_forests(rest, others))
+        ways.extend(1 + _scs_forests(tuple(sorted(part + (a,))), _KIDS[b])
+                    + _scs_forests(left, others)
+                    for part, left, _ in _splits(rest))  # b's root t2-only, above a
+    return min(ways)
 
 
 def _position_masks(t, pos):

@@ -77,15 +77,14 @@ def test_criterion_2_path_uniqueness_violation(acceptance_parts):
     assert not report.holds and len(report.violations) == 1
     v = report.violations[0]
     assert v.kind == "ii"
-    assert v.v is q.class_of_member(1, "a")
-    assert v.w is q.class_of_member(1, "r")
-    assert {path[1] for path in v.paths} == {q.class_of_member(1, "y"),
-                                             q.class_of_member(2, "z")}
+    assert v.v is q.ell1["a"]
+    assert v.w is q.ell1["r"]
+    assert {path[1] for path in v.paths} == {q.ell1["y"], q.ell2["z"]}
 
     reduced = reduce_quotient(q)
     violations = validate(reduced)
     assert [x.kind for x in violations] == ["multi_parent"]
-    assert violations[0].subject == (q.class_of_member(1, "r").label,)
+    assert violations[0].subject == (q.ell1["r"].label,)
     elapsed = time.perf_counter() - started
     assert elapsed <= 1.0
     print(f"\nPASS criterion 2: one (ii)-violation at ([a],[r]) via [y]/[z]; "

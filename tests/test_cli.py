@@ -11,9 +11,10 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from treelab import DegenerateFamilyWarning, SolverDisagreement
-from treelab import (cli, enumerate_trees, fig1_family, fig2_candidates, fig4_family,
+from treelab import DegenerateFamilyWarning, MinorEmbedding, SolverDisagreement
+from treelab import (cli, enumerate_trees, families, fig1_family, fig2_candidates, fig4_family,
                      format_tree, parse_tree, quotient, solvers, trees)
+from treelab.families import _fresh_copy
 from treelab.cli import main
 
 from conftest import labeled_trees, unlabeled_trees
@@ -481,6 +482,61 @@ def test_internal_errors_exit_3_without_traceback(capsys, monkeypatch, target, e
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
+def _every_node_onto_the_root(s, t, mapping=None):
+    return MinorEmbedding(s, t, {v: t.root for v in (s.nodes if mapping is None else mapping)})
+
+
+def _hung_off_the_first(t, w):  # a subset's minor read as a star, not as t induces it
+    return sorted(w), [-1] + [0] * (len(w) - 1)
+
+
+def _search_onto_the_root(parent, labels, t):
+    yield [t.root] * len(parent)
+
+
+def _copy_renamed_in_reverse(tree, used):
+    copy, names = _fresh_copy(tree, used)
+    return copy, dict(zip(names, reversed(list(names.values()))))
+
+
+HEADLINE_PARTS = ("--p", "p1(p2(p3))", "--r", "r", "--s", "s1(s2,s3)")
+
+
+@pytest.mark.parametrize("module, name, fault, argv, what", [
+    (solvers, "_induced_preorder", _hung_off_the_first, ("lcs", "a(b(c))", "x(y(z))"),
+     "the identity map of the minor induced on ('a', 'b', 'c'): path a ~> c passes"),
+    (solvers, "_search", _search_onto_the_root, ("lcs", "a(b,c)", "x(y,z)"),
+     "the searched embedding of the minor induced on ('a', 'b', 'c') into the other input: "
+     "map is not injective"),
+    (solvers, "find_embedding", _every_node_onto_the_root, ("scs", "a(b,c)", "x(y(z))"),
+     "the searched embedding of an input: map is not injective"),
+    (families, "MinorEmbedding", _every_node_onto_the_root, ("family", "fig1", *HEADLINE_PARTS),
+     "family construction broke its own witness: map is not injective"),
+    (families, "_fresh_copy", _copy_renamed_in_reverse, ("verify", "fig1", *HEADLINE_PARTS),
+     "candidate case a is not a supertree: "),
+], ids=["induced-minor", "lcs-witness", "scs-witness", "family-witness", "candidate"])
+def test_a_built_map_that_fails_its_check_exits_3(capsys, monkeypatch, module, name, fault,
+                                                   argv, what):
+    # a map the library built is checked when built, and a failure is a fault
+    # in treelab, never bad input
+    monkeypatch.setattr(module, name, fault)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith(f"internal error: SolverDisagreement: {what}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("verb", ["quotient", "prop21"])
+def test_a_handed_in_map_that_fails_its_check_exits_2(capsys, tmp_path, verb):
+    g1, g2 = tmp_path / "g1.json", tmp_path / "g2.json"
+    g1.write_text(json.dumps({"c1": "n2", "c2": "n1"}))  # upside down
+    g2.write_text(json.dumps({"c1": "m1", "c2": "m3"}))
+    code, out, err = run(capsys, verb, "n1(n2)", "m1(m2,m3)",
+                         "--mu", "c1(c2)", "--g1", str(g1), "--g2", str(g2))
+    assert code == 2 and out == ""
+    assert err == "error: no path n2 ~> n1 in the target on arc c1->c2\n"
 
 
 # -- fuzzing ------------------------------------------------------------------------------

@@ -70,9 +70,9 @@ def test_headline_instance_witness_and_path():
     # and g2 carries a -> r by a -> z -> r
     g1, g2 = inst.g1, inst.g2
     assert inst.t1.path(g1["a"], g1["p1"]) == ("a", "y", "p1")
-    assert "y" not in g1.image
+    assert "y" not in g1.mapping.values()
     assert inst.t2.path(g2["a"], g2["r"]) == ("a", "z", "r")
-    assert "z" not in g2.image
+    assert "z" not in g2.mapping.values()
 
 
 def test_violations_are_pinned_on_hand_made_maps():
@@ -338,7 +338,7 @@ def test_source_root_image_is_the_unique_minimal_image_node():
                 continue
             for f in enumerate_embeddings(s, t):
                 fr = f[s.root]
-                assert all(t.reaches(fr, u) for u in f.image)
+                assert all(t.reaches(fr, u) for u in f.mapping.values())
 
 
 def test_induced_minor_on_image_is_isomorphic_to_source():
@@ -347,7 +347,7 @@ def test_induced_minor_on_image_is_isomorphic_to_source():
             if s.size > t.size:
                 continue
             for f in enumerate_embeddings(s, t):
-                assert are_isomorphic(induced_minor(t, f.image), s)
+                assert are_isomorphic(induced_minor(t, f.mapping.values()), s)
 
 
 @given(st.data())

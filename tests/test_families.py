@@ -199,6 +199,16 @@ def test_theorem5_rejects_invalid_embeddings():
         check_theorem5(inst, merged, bad, bad)
 
 
+def test_theorem5_rejects_embeddings_into_another_supertree():
+    inst = headline_instance()
+    merged = root_merge_supertree(inst.t1, inst.t2)
+    f1, f2 = find_embedding(inst.t1, merged), find_embedding(inst.t2, merged)
+    other = root_merge_supertree(inst.t2, inst.t1)
+    for args in ((other, f1, f2), (merged, f2, f1), (merged, f1, find_embedding(inst.t2, other))):
+        with pytest.raises(EmbeddingError, match="embedding does not relate the given trees"):
+            check_theorem5(inst, *args)
+
+
 def test_ten_node_merge_everything_candidate_admits_no_embedding_pair():
     # A 10-node tree that would merge all three regions cannot host both
     # inputs: as soon as one side embeds, the other has no embedding at all.
@@ -416,5 +426,5 @@ def test_scan_revalidates_the_searched_embedding(monkeypatch):
     monkeypatch.setattr(families, "_scan_tree", functools.lru_cache(maxsize=None)(
         trees._tree_from_levels))
     monkeypatch.setattr(solvers, "_search", invalid)
-    with pytest.raises(EmbeddingError, match="not injective"):
+    with pytest.raises(SolverDisagreement, match="not injective"):
         scan_pairs(3, checks=("eq4", "prop21"))

@@ -1,5 +1,8 @@
-"""Every name a top-level import binds in a `treelab` module is read there, so
-no import outlives the code that used it."""
+"""Static checks on the `treelab` source.  Every name a top-level import binds
+in a module is read there, so no import outlives the code that used it; every
+private top-level name is read in the package, so no test-only helper hides
+in it; and only `embeddings` raises `EmbeddingError`, so one rule decides what
+a failed map check means."""
 
 import ast
 from pathlib import Path
@@ -23,3 +26,41 @@ def test_every_top_level_import_is_read(path):
     unused = [name for name in bound
               if name not in read and not {name, f"{path.stem}.{name}"} & ALLOWED]
     assert unused == [], f"{path.name} imports names it never reads: {unused}"
+
+
+MODULES = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+
+
+def _defined_names(statement):
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return [statement.name]
+    targets = (statement.targets if isinstance(statement, ast.Assign)
+               else [statement.target] if isinstance(statement, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def test_every_private_top_level_name_is_read_in_the_package():
+    # a private helper only the tests call is test-only API: it belongs in
+    # tests/conftest.py; a read inside the name's own definition does not count
+    reads: dict[str, set[int]] = {}
+    for module in MODULES.values():
+        for statement in module.body:
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    reads.setdefault(node.id, set()).add(id(statement))
+                elif isinstance(node, ast.Attribute):
+                    reads.setdefault(node.attr, set()).add(id(statement))
+    unread = [f"{stem}.{name}" for stem, module in sorted(MODULES.items())
+              for statement in module.body for name in _defined_names(statement)
+              if name.startswith("_") and not name.startswith("__")
+              and not reads.get(name, set()) - {id(statement)}]
+    assert unread == [], f"private names that no code in src/treelab reads: {unread}"
+
+
+def test_only_embeddings_raises_embedding_error():
+    # one rule for a failed map check: `embeddings._require_valid` refuses a map
+    # a caller handed in; a map the library built goes to `_require_built`
+    makers = sorted({stem for stem, module in MODULES.items() for node in ast.walk(module)
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                     and node.func.id == "EmbeddingError"})
+    assert makers == ["embeddings"]

@@ -75,7 +75,7 @@ def test_theta_is_an_equivalence():
                        MinorEmbedding(mu, s, {"m": "x", "n": "y"}))
     members = [m for c in q.classes for m in c.members]
     assert sorted(members) == sorted([(1, v) for v in t.nodes] + [(2, v) for v in s.nodes])
-    assert all(m in q.class_of_member(*m).members for m in members)
+    assert all(m in (q.ell1 if m[0] == 1 else q.ell2)[m[1]].members for m in members)
 
 
 def test_theta_rejects_invalid_witness():
@@ -86,13 +86,27 @@ def test_theta_rejects_invalid_witness():
         build_quotient(t, mu, mu, bad, identity_embedding(mu, mu))
 
 
+@pytest.mark.parametrize("side", [1, 2])
+def test_theta_rejects_a_witness_relating_other_trees(side):
+    # a valid embedding of the common minor, but into a tree not given
+    t, mu = chain(3), chain(2, "c")
+    other = chain(3, "o")
+    good = MinorEmbedding(mu, t, {"c1": "n1", "c2": "n2"})
+    foreign = MinorEmbedding(mu, other, {"c1": "o1", "c2": "o2"})
+    g1, g2 = (foreign, good) if side == 1 else (good, foreign)
+    with pytest.raises(EmbeddingError, match="embedding does not relate the given trees"):
+        build_quotient(t, t, mu, g1, g2)
+    with pytest.raises(EmbeddingError, match="embedding does not relate the given trees"):
+        build_quotient(t, t, chain(2, "d"), good, good)  # not a map of this minor
+
+
 # -- quotient construction --------------------------------------------------------
 
 def test_quotient_of_identical_trees_is_the_tree():
     t = chain(2)
     q = build_quotient(t, t, t, identity_embedding(t, t), identity_embedding(t, t))
     assert len(q.classes) == 2 and len(q.arcs) == 1
-    assert validate(q.to_digraph()) == []
+    assert validate(Digraph(frozenset(q.classes), q.arcs)) == []
 
 
 def test_quotient_chain2_with_single():
@@ -110,7 +124,7 @@ def test_quotient_headline_classes_and_arcs(headline):
     assert len(q.classes) == inst.t1.size + inst.t2.size - inst.claimed_mu.size == 10
 
     def cls(origin, name):
-        return q.class_of_member(origin, name)
+        return (q.ell1 if origin == 1 else q.ell2)[name]
 
     a, y, z = cls(1, "a"), cls(1, "y"), cls(2, "z")
     p1, r, s1 = cls(1, "p1"), cls(1, "r"), cls(1, "s1")
@@ -158,9 +172,9 @@ def test_reduce_leaves_tree_shaped_quotients_alone():
 def test_reduce_headline_drops_subsumed_arcs_and_leaves_a_diamond(headline):
     inst, q = headline
     reduced = reduce_quotient(q)
-    a = q.class_of_member(1, "a")
-    y, z = q.class_of_member(1, "y"), q.class_of_member(2, "z")
-    p1, r, s1 = (q.class_of_member(1, v) for v in ("p1", "r", "s1"))
+    a = q.ell1["a"]
+    y, z = q.ell1["y"], q.ell2["z"]
+    p1, r, s1 = (q.ell1[v] for v in ("p1", "r", "s1"))
     assert set(q.arcs) - set(reduced.arcs) == {(a, p1), (a, s1)}
     assert {(y, r), (z, r)} <= set(reduced.arcs)
     violations = validate(reduced)
@@ -204,10 +218,10 @@ def test_prop21_headline_exactly_one_ii_violation(headline):
     assert len(report.violations) == 1
     v = report.violations[0]
     assert v.kind == "ii"
-    assert v.v is q.class_of_member(1, "a")
-    assert v.w is q.class_of_member(1, "r")
+    assert v.v is q.ell1["a"]
+    assert v.w is q.ell1["r"]
     mids = {p[1] for p in v.paths}
-    assert mids == {q.class_of_member(1, "y"), q.class_of_member(2, "z")}
+    assert mids == {q.ell1["y"], q.ell2["z"]}
     # part (i) is satisfied: the arcs a->p1 and a->s1 do have alternative
     # paths, but through non-merged singleton classes, which is allowed
     assert not any(x.kind == "i" for x in report.violations)
@@ -215,7 +229,7 @@ def test_prop21_headline_exactly_one_ii_violation(headline):
 
 def test_prop21_part_i_detects_non_merged_endpoints(headline):
     _, q = headline
-    a = q.class_of_member(1, "a")
+    a = q.ell1["a"]
     corrupted = QuotientGraph(q.classes, q.arcs, q.ell1, q.ell2, q.mu_image - {a},
                               q.t_mu, q.g1, q.g2)
     report = check_prop21(corrupted)
@@ -270,7 +284,7 @@ def test_core_matches_the_oracles_on_all_witness_quotients_up_to_6(
 def test_core_matches_the_oracles_on_the_headline(headline):
     _, q = headline
     assert_core_matches_the_oracles(q)
-    a = q.class_of_member(1, "a")
+    a = q.ell1["a"]
     corrupted = QuotientGraph(q.classes, q.arcs, q.ell1, q.ell2, q.mu_image - {a},
                               q.t_mu, q.g1, q.g2)
     assert check_prop21(corrupted).to_json() == prop21_by_classes(corrupted).to_json()
@@ -287,7 +301,7 @@ def test_core_matches_the_oracles_with_merged_classes_on_the_alternative_path():
     # marking n2 and n3 merged by hand makes the reason name the first of them
     q = chain_with_a_shortcut()
     assert_core_matches_the_oracles(q)
-    n2, n3 = q.class_of_member(1, "n2"), q.class_of_member(1, "n3")
+    n2, n3 = q.ell1["n2"], q.ell1["n3"]
     marked = QuotientGraph(q.classes, q.arcs, q.ell1, q.ell2, q.mu_image | {n2, n3},
                            q.t_mu, q.g1, q.g2)
     report = check_prop21(marked)
@@ -300,13 +314,13 @@ def test_core_matches_the_oracles_with_two_alternative_paths():
     # no witness quotient up to size 7 has an arc with two alternative paths;
     # the arc n1 -> n3 by hand gives n1 -> n4 a second one, n1 -> n3 -> n4
     q = chain_with_a_shortcut()
-    n1, n3 = q.class_of_member(1, "n1"), q.class_of_member(1, "n3")
+    n1, n3 = q.ell1["n1"], q.ell1["n3"]
     extra = QuotientGraph(q.classes, q.arcs | {(n1, n3)}, q.ell1, q.ell2, q.mu_image,
                           q.t_mu, q.g1, q.g2)
     report = check_prop21(extra)
     assert report.to_json() == prop21_by_classes(extra).to_json()
     assert ["alternative path is not unique"] == [
-        v.reason for v in report.violations if v.w == q.class_of_member(1, "n4")]
+        v.reason for v in report.violations if v.w == q.ell1["n4"]]
 
 
 @settings(max_examples=200, deadline=None)
@@ -375,19 +389,35 @@ def test_path_budget_stops_two_long_chains_glued_at_top_and_bottom():
     succ = _successors(size, arcs)
     started = time.perf_counter()
     with pytest.raises(BudgetError, match=f"limited to {quotient.PATH_BUDGET} enumerated "
-                       rf"paths; the first \d+ of {size} classes were fully checked"):
+                       rf"paths and path pairs; the first \d+ of {size} classes were fully "
+                       "checked"):
         _prop21_core(succ, merged)
     assert time.perf_counter() - started < 10
     assert len(_reduce_core(succ)) == len(arcs)  # the two arcs into n3000 are both needed
 
 
 def test_path_budget_counts_every_enumerated_path(headline, monkeypatch):
-    _, q = headline  # its check enumerates 24 paths
-    monkeypatch.setattr(quotient, "PATH_BUDGET", 24)
+    _, q = headline  # its check enumerates 24 paths and compares 5 pairs of them
+    monkeypatch.setattr(quotient, "PATH_BUDGET", 29)
     assert [v.kind for v in check_prop21(q).violations] == ["ii"]
-    monkeypatch.setattr(quotient, "PATH_BUDGET", 23)
-    with pytest.raises(BudgetError, match="limited to 23 enumerated paths"):
+    monkeypatch.setattr(quotient, "PATH_BUDGET", 28)
+    with pytest.raises(BudgetError, match="limited to 28 enumerated paths and path pairs"):
         check_prop21(q)
+
+
+@pytest.mark.parametrize("diamonds", [10, 11])
+def test_path_budget_counts_the_pairs_on_a_ladder_of_diamonds(diamonds):
+    # chains of k + 1 and 2k + 1 nodes glued at every other node of the longer
+    # one: 2^k paths from top to bottom, under the budget at k = 10, but about
+    # 2^(2k - 1) pairs of them to compare, for which the check ran 1.2 s (k = 10)
+    # and 3.9 s (k = 11) before the pairs counted
+    t1, t2, mu = chain(diamonds + 1), chain(2 * diamonds + 1, "m"), chain(diamonds + 1, "c")
+    _, _, size, arcs, merged = _glue(t1, t2, mu.nodes, {v: "n" + v[1:] for v in mu.nodes},
+                                     {v: f"m{2 * int(v[1:]) - 1}" for v in mu.nodes})
+    started = time.perf_counter()
+    with pytest.raises(BudgetError, match="the first 0 of"):
+        _prop21_core(_successors(size, arcs), merged)
+    assert time.perf_counter() - started < 0.5
 
 
 # -- the size prediction ------------------------------------------------------------------

@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import assume, given, settings
 
-from treelab import (BudgetError, EmbeddingError, SolverDisagreement, TreeError,
+from treelab import (BudgetError, SolverDisagreement, TreeError,
                      are_isomorphic, canonical_code, chain, check_embedding, cli,
                      enumerate_trees, fig1_family, find_embedding, format_tree,
                      induced_minor, is_minor, largest_common_minor, parse_tree,
@@ -20,7 +20,8 @@ from treelab.trees import _intern, _level_sequences, _levels_of, _shape, _tree_c
 
 from conftest import (all_trees_up_to, catalogue, cross_check_minor, insertions, labeled_trees,
                       lcs_by_subset_walk, merge_matching, root_merge_supertree,
-                      scs_by_catalogue, scs_by_growth, scs_by_merging, unlabeled_trees)
+                      scs_by_catalogue, scs_by_growth, scs_by_merging, scs_unpruned,
+                      unlabeled_trees)
 
 
 def witness_codes(result):
@@ -216,7 +217,7 @@ def test_lcs_revalidates_the_searched_embedding(monkeypatch):
         yield [t.root] * len(parent)  # every node onto the target's root
 
     monkeypatch.setattr(solvers, "_search", invalid)
-    with pytest.raises(EmbeddingError, match="not injective"):
+    with pytest.raises(SolverDisagreement, match="not injective"):
         largest_common_minor(parse_tree("a(b,c)"), parse_tree("x(y,z)"))
 
 
@@ -596,6 +597,30 @@ def test_the_recursion_matches_the_best_merge_on_labeled_pairs(t1, t2):
     assert solvers._scs_optimum(t1, t2) == scs_by_merging(t1, t2)
 
 
+def assert_unpruned_optimum(t1, t2):
+    # past 9 + 9 only the unpruned recursion checks the floors, the skipped
+    # branches and the early stop; a run past its budget must still report
+    # a lower bound that holds
+    expected = scs_unpruned(t1, t2)
+    try:
+        assert solvers._scs_optimum(t1, t2) == expected
+    except BudgetError as err:
+        assert err.lower_bound <= expected
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(unlabeled_trees(max_size=26), unlabeled_trees(max_size=26))
+def test_the_recursion_matches_the_unpruned_recursion_on_random_pairs_up_to_26(t1, t2):
+    assert_unpruned_optimum(t1, t2)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(labeled_trees(max_size=26), labeled_trees(max_size=26))
+def test_the_recursion_matches_the_unpruned_recursion_on_labeled_pairs_up_to_26(t1, t2):
+    assume(t1.labels[t1.root] == t2.labels[t2.root])
+    assert_unpruned_optimum(t1, t2)
+
+
 def test_the_recursion_needs_no_recursion():
     # a 3,000-deep chain: any Python recursion per tree level would exhaust
     # the lowered limit
@@ -612,10 +637,10 @@ def test_the_recursion_needs_no_recursion():
 def test_scs_witnesses_match_growth_on_all_ordered_pairs_up_to_7(monkeypatch):
     # every minimum shape in code order, and the first one's rank in the
     # catalogue, as growing the bigger input's supertrees finds them; the
-    # witnesses stay level sequences without embeddings, which the tests
-    # above check on every pair up to 6
+    # witnesses stay level sequences without embeddings (searched and
+    # checked by `_found`), which the tests above check on every pair up to 6
     monkeypatch.setattr(solvers, "_tree_from_levels", lambda levels: levels)
-    monkeypatch.setattr(solvers, "find_embedding", lambda s, t: True)
+    monkeypatch.setattr(solvers, "_found", lambda s, t: True)
     trees = [_scan_tree(seq) for k in range(1, 8) for seq in _level_sequences(k)]
     assert len(trees) ** 2 == 7225
     ranks = {}
