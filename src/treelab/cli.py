@@ -162,10 +162,9 @@ def _quotient_from_args(args):
             g1 = MinorEmbedding(mu, t1, _load_mapping(args.g1))
             g2 = MinorEmbedding(mu, t2, _load_mapping(args.g2))
         else:
-            f1, f2 = find_embedding(mu, t1), find_embedding(mu, t2)
-            if f1 is None or f2 is None:
+            g1, g2 = find_embedding(mu, t1), find_embedding(mu, t2)
+            if g1 is None or g2 is None:
                 raise TreeError("the given tree is not a common minor of the inputs")
-            g1, g2 = f1, f2
     else:
         lcs = largest_common_minor(t1, t2, cap=args.budget_nodes)
         if not lcs.witnesses:
@@ -225,7 +224,7 @@ def cmd_family(args) -> int:
         data = {"t1": format_tree(t1), "t2": format_tree(t2), **meta}
         if args.which == "fig5" and args.check_claims:
             data["claims_checked"] = check_fig5_claims(
-                _load_literal(args.a), _load_literal(args.b))
+                _load_literal(args.a), _load_literal(args.b), cap=args.budget_nodes)
         _dot_out(args, "t1", to_dot(t1))
         _dot_out(args, "t2", to_dot(t2))
     _emit(args, data, "\n".join(f"{k}: {v}" for k, v in data.items()))
@@ -254,7 +253,7 @@ def cmd_verify(args) -> int:
 
 def cmd_transfer(args) -> int:
     report = subproblem_transfer_check(args.which, _load_literal(args.a),
-                                       _load_literal(args.b))
+                                       _load_literal(args.b), cap=args.budget_nodes)
     _emit(args, report,
           f"constant {report['constant']} stable={report['stable']} "
           f"over {len(report['pairs'])} pair(s)")
@@ -318,9 +317,10 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     common.add_argument("--dot-dir", default=argparse.SUPPRESS,
                         help="write DOT renderings here")
     common.add_argument("--budget-nodes", type=_at_least_one, default=argparse.SUPPRESS,
-                        help="the largest tree enum, lcs, scs, verify, quotient and "
-                             "prop21 may enumerate, walk or rank (at least 1; default "
-                             f"{ENUM_CAP_DEFAULT}; other verbs ignore it)")
+                        help="the largest tree enum, lcs, scs, verify, quotient, prop21, "
+                             "transfer fig5 and family fig5 --check-claims may enumerate, "
+                             f"walk or rank (at least 1; default {ENUM_CAP_DEFAULT}; other "
+                             "verbs ignore it)")
 
     parser = argparse.ArgumentParser(
         prog="treelab", parents=[common],

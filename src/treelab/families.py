@@ -510,19 +510,19 @@ def fig5_family(a: Tree, b: Tree) -> tuple[Tree, Tree, dict]:
     return t1, t2, meta
 
 
-def check_fig5_claims(a: Tree, b: Tree) -> dict:
+def check_fig5_claims(a: Tree, b: Tree, cap: int = ENUM_CAP_DEFAULT) -> dict:
     """Evaluate the reconstruction's quoted size facts; never asserts.
 
     Checks, for the generated instance: the P/S supertree size and merged
     pair count, whether the exact minimum supertree equals the
     ``|t1| + m`` adding-B prediction, and the largest-common-minor size
-    (whose dependence on the (A, B) subproblem the transfer check probes).
+    (whose dependence on the (A, B) subproblem the transfer check probes), each under `cap`.
     """
     t1, t2, meta = fig5_family(a, b)
     n, m = meta["n"], meta["m"]
     pp, ss = parse_tree(meta["p_literal"]), parse_tree(meta["s_literal"])
 
-    ps = smallest_common_supertree(pp, ss)
+    ps = smallest_common_supertree(pp, ss, cap=cap)
     merged_pairs = pp.size + ss.size - ps.optimum_size
 
     out = {"family": "fig5", "n": n, "m": m,
@@ -534,7 +534,7 @@ def check_fig5_claims(a: Tree, b: Tree) -> dict:
            "ps_merged_pairs_matches": merged_pairs == 2}
 
     try:
-        scs = smallest_common_supertree(t1, t2)
+        scs = smallest_common_supertree(t1, t2, cap=cap)
         out["scs_size"] = scs.optimum_size
         out["scs_exact"] = True
         out["adding_b_claim"] = t1.size + m
@@ -544,12 +544,12 @@ def check_fig5_claims(a: Tree, b: Tree) -> dict:
         out["scs_exact"] = False
         out["scs_lower_bound"] = err.lower_bound
 
-    lcs = largest_common_minor(t1, t2, cap=max(t1.size, t2.size))
+    lcs = largest_common_minor(t1, t2, cap=cap)
     out["lcs_size"] = lcs.optimum_size
     return out
 
 
-def subproblem_transfer_check(family: str, a: Tree, b: Tree) -> dict:
+def subproblem_transfer_check(family: str, a: Tree, b: Tree, cap: int = ENUM_CAP_DEFAULT) -> dict:
     """Probe the family constant linking the big instance to its subproblem.
 
     Sweeps every (A, B) pair with |A| = |a| and |B| = |b|; for ``fig4`` the
@@ -559,7 +559,7 @@ def subproblem_transfer_check(family: str, a: Tree, b: Tree) -> dict:
     whether the delta is stable across pairs and what the constant is at the
     smallest parameter size (n = m = 1) for reference.  The fig4 supertree
     optima come from the forest recursion (`solvers._scs_optimum`), exact
-    under its budget.
+    under its budget, the fig5 common minors under the node cap `cap`.
     """
     if family not in ("fig4", "fig5"):
         raise TreeError(f"unknown family {family!r}")
@@ -573,8 +573,8 @@ def subproblem_transfer_check(family: str, a: Tree, b: Tree) -> dict:
             big = _scs_optimum(t1, t2)
         else:
             t1, t2, _ = fig5_family(aa, bb)
-            sub = largest_common_minor(aa, bb).optimum_size
-            big = largest_common_minor(t1, t2, cap=max(t1.size, t2.size)).optimum_size
+            sub = largest_common_minor(aa, bb, cap=cap).optimum_size
+            big = largest_common_minor(t1, t2, cap=cap).optimum_size
         rec["big_optimum"] = big
         rec["sub_optimum"] = sub
         rec["delta"] = big - sub
@@ -659,19 +659,24 @@ def _scan_one_pair(args: tuple[tuple[int, ...], tuple[int, ...], bool]) -> dict:
 
 def _witness_quotient(t1: Tree, t2: Tree, minor: _InducedMinor, images: list[str]) -> dict:
     """The prop21 record of a witness from `solvers._witness_embedding`, its
-    quotient glued on class ids."""
+    quotient glued on class ids.  With no class of two in-neighbours the
+    cores would walk no source and search no arc, so they are not called."""
     order = minor.order
     g1, g2 = {v: v for v in order}, dict(zip(order, images))
-    class_of1, class_of2, n, arcs, merged = _glue(t1, t2, order, g1, g2)
+    class_of1, class_of2, n, ups, merged = _glue(t1, t2, order, g1, g2)
     identity_findings = _identities(range(n), class_of1, class_of2, order, g1, g2, merged)
     if n != t1.size + t2.size - len(order):
         identity_findings.append("class count differs from |t1|+|t2|-|mu|")
-    succ = _successors(n, arcs)
-    kinds = sorted({found[0] for found in _prop21_core(succ, merged)})
+    if max(map(len, ups)) > 1:
+        succ = _successors(ups)
+        kinds = sorted({found[0] for found in _prop21_core(succ, ups, merged)})
+        reduced = _reduce_core(succ, ups)
+    else:
+        kinds, reduced = [], [(a, b) for b, into in enumerate(ups) for a in into]
     return {"mu": minor.literal,
             "holds": not kinds,
             "violation_kinds": kinds,
-            "reduced_is_tree": _is_rooted_tree(range(n), _reduce_core(succ)),
+            "reduced_is_tree": _is_rooted_tree(range(n), reduced),
             "identity_findings": identity_findings}
 
 
@@ -729,6 +734,8 @@ def scan_pairs(max_size: int, checks: Iterable[str] = ("eq4",),
                        "lcs": rec["lcs"], "scs": rec["scs"]}
         for qrec in rec.get("quotients", ()):
             prop21_summary["quotients_checked"] += 1
+            if qrec["holds"] and qrec["reduced_is_tree"] and not qrec["identity_findings"]:
+                continue
             entry = {"t1": rec["t1"], "t2": rec["t2"], "mu": qrec["mu"]}
             if not qrec["holds"]:
                 prop21_summary["violating_pairs"].append(

@@ -9,21 +9,19 @@ uniqueness conditions whose failure the counterexample families exhibit.
 
 The work runs on integers.  `_glue` numbers the classes 0..n-1 in the order
 of their sorted members (t1's nodes by name, then t2's unmerged nodes by
-name) and projects the arcs onto those ids, from each tree's name order and
-arcs on it, made once and kept on the tree (`_name_ids`); `_prop21_core` and
-`_reduce_core` walk sorted int successor lists.  `ThetaClass` and
-`QuotientGraph` are the boundary types: `build_quotient`, `check_prop21`
-and `reduce_quotient` map ids to and from classes around the same cores
-that the pair scan calls directly, and `_identities` is one check for
-both.
+name) and gives each its sorted in-neighbours (`ups`, at most one from each
+side, from each tree's parent indices in name order, `_name_ids`), the one
+form of the quotient's arcs.  `ThetaClass` and `QuotientGraph` are the
+boundary types: `build_quotient`, `check_prop21` and `reduce_quotient` map
+ids and `ups` to and from classes and arcs around the same cores that the
+pair scan calls directly, and `_identities` is one check for both.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
 from functools import total_ordering
-from itertools import combinations
+from itertools import combinations, count
 
 from .errors import BudgetError, TreeError
 from .trees import Digraph, Tree, _FrozenRecord, _Record, node_str
@@ -68,44 +66,41 @@ class ThetaClass(_FrozenRecord):
 
 # -- the integer core ---------------------------------------------------------
 
-def _name_ids(t: Tree) -> tuple[list[str], dict[str, int], list[tuple[int, int]]]:
-    """t's nodes in name order, the index of each in that order, and t's
-    arcs on those indices; made once per tree and kept on it."""
+def _name_ids(t: Tree) -> tuple[list[str], dict[str, int], list[int]]:
+    """t's nodes in name order, the index of each, and the index of each
+    one's parent (-1 at the root); made once per tree and kept on it."""
     ids = t._tables.get(_name_ids)
     if ids is None:
         names = sorted(t.nodes)
         index = {v: i for i, v in enumerate(names)}
-        ids = t._tables[_name_ids] = (names, index, [(index[a], index[b]) for a, b in t.arcs])
+        up = [index[t._parent[v]] if v != t.root else -1 for v in names]
+        ids = t._tables[_name_ids] = (names, index, up)
     return ids
 
 
 def _glue(t1: Tree, t2: Tree, mu_nodes: Iterable[str], g1: Mapping[str, str],
           g2: Mapping[str, str]) -> tuple[dict[str, int], dict[str, int], int,
-                                          set[tuple[int, int]], frozenset[int]]:
+                                          list[list[int]], frozenset[int]]:
     """The quotient of t1 + t2 merging g1(c) with g2(c), on class ids.
 
     Returns the class of every t1 node (a table kept on t1: read it, do not
-    change it), the class of every t2 node, the class count, the arcs and
-    the merged classes.  t1's nodes take the ids 0..|t1|-1 in name order and
-    t2's unmerged nodes the next ids in name order, so the ids follow the
-    sorted order of the classes' members.  The arcs are every arc of t1 and
-    t2 projected onto the ids, with parallel copies collapsed; each tree's
-    name order and arcs on it come from `_name_ids`.
+    change it), the class of every t2 node, the class count, each class's
+    sorted distinct in-neighbours (`ups`: every arc of t1 and t2 projected
+    onto the ids) and the merged classes.  t1's nodes take the ids 0..|t1|-1
+    in name order and t2's unmerged nodes the next ids in name order, so the
+    ids follow the sorted order of the classes' members.
     """
-    _, class_of1, arcs1 = _name_ids(t1)
-    names2, index2, arcs2 = _name_ids(t2)
+    _, class_of1, up1 = _name_ids(t1)
+    names2, index2, up2 = _name_ids(t2)
     merged = {index2[g2[c]]: class_of1[g1[c]] for c in mu_nodes}
-    n = t1.size
-    ids2 = []
-    for i in range(len(names2)):
-        if i in merged:
-            ids2.append(merged[i])
-        else:
-            ids2.append(n)
-            n += 1
-    arcs = set(arcs1)
-    arcs.update((ids2[a], ids2[b]) for a, b in arcs2)
-    return class_of1, dict(zip(names2, ids2)), n, arcs, frozenset(merged.values())
+    fresh = count(t1.size)
+    ids2 = [merged[i] if i in merged else next(fresh) for i in range(len(up2))]
+    ups = [[p] if p >= 0 else [] for p in up1] + [[] for _ in range(len(up2) - len(merged))]
+    for b, p in zip(ids2, up2):  # a t1 parent, if any, is already in ups[b]
+        if p >= 0 and ids2[p] not in ups[b]:
+            ups[b].append(ids2[p])
+            ups[b].sort()
+    return class_of1, dict(zip(names2, ids2)), len(ups), ups, frozenset(merged.values())
 
 
 def _identities(classes: Iterable, ell1: Mapping, ell2: Mapping,
@@ -134,13 +129,13 @@ def _identities(classes: Iterable, ell1: Mapping, ell2: Mapping,
     return out
 
 
-def _successors(n: int, arcs: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """The sorted successor list of each of the class ids 0..n-1."""
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for a, b in arcs:
-        succ[a].append(b)
-    for out in succ:
-        out.sort()
+def _successors(ups: list[list[int]]) -> list[list[int]]:
+    """The sorted successor list of each class, filled in class order from
+    the in-neighbour lists."""
+    succ: list[list[int]] = [[] for _ in ups]
+    for b, into in enumerate(ups):
+        for a in into:
+            succ[a].append(b)
     return succ
 
 
@@ -159,7 +154,7 @@ def _reaches_around(succ: list[list[int]], v: int, w: int) -> bool:
     return False
 
 
-def _reduce_core(succ: list[list[int]]) -> list[tuple[int, int]]:
+def _reduce_core(succ: list[list[int]], ups: list[list[int]]) -> list[tuple[int, int]]:
     """The arcs (v, w) that no alternative path v ⇝ w subsumes: on an acyclic
     graph, its transitive reduction (Aho, Garey & Ullman, SIAM J. Comput. 1,
     1972).
@@ -168,12 +163,11 @@ def _reduce_core(succ: list[list[int]]) -> list[tuple[int, int]]:
     witnessed away by arcs that are themselves dropped), which makes the
     result order-independent.  An alternative path v ⇝ w has two or more
     arcs, and its last one enters w from a class other than v, so w has a
-    second in-arc: only arcs into classes with two or more in-arcs are
-    searched, and every other arc is kept.
+    second in-neighbour: only arcs into classes with two or more
+    in-neighbours are searched, and every other arc is kept.
     """
-    joins = {w for w, n in Counter(w for out in succ for w in out).items() if n > 1}
-    return [(v, w) for v, out in enumerate(succ) for w in out
-            if w not in joins or not _reaches_around(succ, v, w)]
+    return [(v, w) for w, into in enumerate(ups) for v in into
+            if len(into) == 1 or not _reaches_around(succ, v, w)]
 
 
 def _simple_paths_from(succ, v) -> Iterator[tuple]:
@@ -200,24 +194,20 @@ def _simple_paths_from(succ, v) -> Iterator[tuple]:
             pending.append(iter(succ[y]))
 
 
-def _above_joins(succ: list[list[int]]) -> list[bool]:
+def _above_joins(ups: list[list[int]]) -> list[bool]:
     """For each class, whether a path of one or more arcs leads from it to a
-    class with two or more in-arcs."""
-    preds: list[list[int]] = [[] for _ in succ]
-    for a, out in enumerate(succ):
-        for b in out:
-            preds[b].append(a)
-    above = [False] * len(succ)
-    stack = [a for into in preds if len(into) > 1 for a in into]
+    class with two or more in-neighbours."""
+    above = [False] * len(ups)
+    stack = [a for into in ups if len(into) > 1 for a in into]
     while stack:
         a = stack.pop()
         if not above[a]:
             above[a] = True
-            stack.extend(preds[a])
+            stack.extend(ups[a])
     return above
 
 
-def _prop21_core(succ: list[list[int]], merged: Collection[int],
+def _prop21_core(succ: list[list[int]], ups: list[list[int]], merged: Collection[int],
                  label: Callable[[int], str] = str) -> list[tuple]:
     """Violations of the two path-uniqueness conditions, as
     ``(kind, v, w, paths, reason)`` tuples ordered by v, then w.
@@ -232,8 +222,8 @@ def _prop21_core(succ: list[list[int]], merged: Collection[int],
     The simple paths are enumerated by one depth-first walk per source over
     the sorted successor lists.  Two different simple paths v ⇝ w both enter
     some class, at the latest w, by different arcs; that class has two
-    in-arcs and v reaches it.  So a source above no such class has at most
-    one path to each end and is not walked.
+    in-neighbours in `ups` and v reaches it.  So a source above no such
+    class has at most one path to each end and is not walked.
     `label` names the merged class in a reason.  Each path, and each pair of
     paths to one end that (ii) compares, counts once against `PATH_BUDGET`:
     past it the check raises `BudgetError`, before the pairs are compared,
@@ -241,7 +231,7 @@ def _prop21_core(succ: list[list[int]], merged: Collection[int],
     """
     found: list[tuple] = []
     budget = PATH_BUDGET
-    for v, walk in enumerate(_above_joins(succ)):
+    for v, walk in enumerate(_above_joins(ups)):
         if not walk:
             continue
         others_to: dict[int, list[tuple]] = {}  # the paths of two or more arcs to each end
@@ -257,7 +247,7 @@ def _prop21_core(succ: list[list[int]], merged: Collection[int],
                                   "were fully checked as sources")
         for w in sorted(others_to):
             others = others_to[w]
-            if w in succ[v]:  # the arc (v, w) is one of the paths
+            if v in ups[w]:  # the arc (v, w) is one of the paths
                 if v not in merged or w not in merged:
                     found.append(("i", v, w, tuple(others),
                                   "arc with an alternative path between non-merged classes"))
@@ -324,14 +314,14 @@ def build_quotient(t1: Tree, t2: Tree, t_mu: Tree,
     """
     for g, t in ((g1, t1), (g2, t2)):
         _require_valid(g, t_mu, t)
-    class_of1, class_of2, n, arcs, mu_ids = _glue(t1, t2, t_mu.nodes,
-                                                  g1.mapping, g2.mapping)
+    class_of1, class_of2, n, ups, mu_ids = _glue(t1, t2, t_mu.nodes, g1.mapping, g2.mapping)
     members: list[list[TaggedNode]] = [[] for _ in range(n)]
     for origin, class_of in ((1, class_of1), (2, class_of2)):
         for v, i in class_of.items():
             members[i].append((origin, v))
     classes = tuple(ThetaClass(tuple(m)) for m in members)
-    return QuotientGraph(classes, frozenset((classes[a], classes[b]) for a, b in arcs),
+    arcs = frozenset((classes[a], classes[b]) for b, into in enumerate(ups) for a in into)
+    return QuotientGraph(classes, arcs,
                          {v: classes[i] for v, i in class_of1.items()},
                          {v: classes[i] for v, i in class_of2.items()},
                          frozenset(classes[i] for i in mu_ids), t_mu, g1, g2)
@@ -347,20 +337,22 @@ def check_eq2_eq3(q: QuotientGraph) -> list[str]:
 
 
 def _numbered(q: QuotientGraph) -> tuple[list[ThetaClass], list[list[int]], set[int]]:
-    """q's classes in sorted order, with its successor lists and its merged
-    classes as indices into that order."""
+    """q's classes in sorted order, with its in-neighbour lists and its
+    merged classes as indices into that order."""
     classes = sorted(q.classes)
     index = {c: i for i, c in enumerate(classes)}
-    succ = _successors(len(classes), ((index[a], index[b]) for a, b in q.arcs))
-    return classes, succ, {index[c] for c in q.mu_image if c in index}
+    ups: list[list[int]] = [[] for _ in classes]
+    for a, b in sorted(q.arcs):  # in class order, so each list comes sorted
+        ups[index[b]].append(index[a])
+    return classes, ups, {index[c] for c in q.mu_image if c in index}
 
 
 def reduce_quotient(q: QuotientGraph) -> Digraph:
     """Drop every arc (v, w) subsumed by an alternative path v ⇝ w
     (`_reduce_core`).  Node set unchanged."""
-    classes, succ, _ = _numbered(q)
-    return Digraph(frozenset(q.classes),
-                   frozenset((classes[v], classes[w]) for v, w in _reduce_core(succ)))
+    classes, ups, _ = _numbered(q)
+    return Digraph(frozenset(q.classes), frozenset(
+        (classes[v], classes[w]) for v, w in _reduce_core(_successors(ups), ups)))
 
 
 class Prop21Violation(_FrozenRecord):
@@ -389,11 +381,11 @@ class Prop21Report(_Record):
 def check_prop21(q: QuotientGraph) -> Prop21Report:
     """Check the two path-uniqueness conditions claimed for the quotient
     (`_prop21_core`); every violation is reported with its explicit paths."""
-    classes, succ, merged = _numbered(q)
+    classes, ups, merged = _numbered(q)
     violations = [
         Prop21Violation(kind, classes[v], classes[w],
                         tuple(tuple(classes[i] for i in p) for p in paths), reason)
-        for kind, v, w, paths, reason in _prop21_core(succ, merged,
+        for kind, v, w, paths, reason in _prop21_core(_successors(ups), ups, merged,
                                                       lambda i: classes[i].label)]
     return Prop21Report(not violations, violations)
 

@@ -225,9 +225,10 @@ class _InducedMinor:
     """The common minor a tree induces on one of its node subsets, unbuilt:
     its nodes in preorder (children in name order), the preorder position of
     each one's parent (-1 at the root), as `induced_minor` reads them, their
-    labels, its arcs and its literal."""
+    labels, its arcs, its literal and its key in a target's searched images
+    (`_witness_embedding`)."""
 
-    __slots__ = ("order", "parent", "labels", "arcs", "literal")
+    __slots__ = ("order", "parent", "labels", "arcs", "literal", "key")
 
     def __init__(self, t: Tree, w: tuple[str, ...]):
         self.order, self.parent = _induced_preorder(t, w)
@@ -237,6 +238,7 @@ class _InducedMinor:
         for p in self.parent:
             depths.append(depths[p] + 1 if p >= 0 else 0)
         self.literal = _literal(self.order, depths, t.labels)
+        self.key = (_witness_embedding, tuple(self.parent), tuple(self.labels))
 
 
 def _induced_minor(small: Tree, w: tuple[str, ...]) -> _InducedMinor:
@@ -261,12 +263,11 @@ def _witness_embedding(small: Tree, other: Tree,
 
     The search and its check through `_violations` read only the minor's
     parent positions and labels and the target, so the images are kept in
-    the `_tables` of `other` under those two, and a later witness of the
-    same shape gets a map that has already been checked.
+    the `_tables` of `other` under those two (`minor.key`), and a later
+    witness of the same shape gets a map that has already been checked.
     """
     minor = _induced_minor(small, w)
-    key = (_witness_embedding, tuple(minor.parent), tuple(minor.labels))
-    images = other._tables.get(key)
+    images = other._tables.get(minor.key)
     if images is None:
         images = next(_search(minor.parent, minor.labels, other), None)
         if images is None:
@@ -276,7 +277,7 @@ def _witness_embedding(small: Tree, other: Tree,
         _require_built(_violations(dict(zip(minor.order, images)), minor.order, minor.arcs,
                                    small.labels, other.root, other._parent, other.labels),
                        f"the searched embedding of the minor induced on {w} into the other input")
-        other._tables[key] = images
+        other._tables[minor.key] = images
     return minor, images
 
 

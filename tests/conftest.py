@@ -4,10 +4,11 @@ The brute-force oracles here deliberately avoid the library's own machinery
 (the shape table, backtracking search) so tests cross-check two unrelated
 strategies.  `lcs_by_subset_walk`, `scs_by_catalogue`,
 `simple_paths_recursive`, `prop21_by_classes`, `reduce_per_arc`,
-`enumerate_embeddings_recursive` and `scan_pair_with_named_witnesses` are the
-straightforward forms of routines the library runs in a faster form (the
-common-minor walk on shapes, the supertree search, one path walk per source,
-the path-uniqueness check and arc reduction on integer class ids, the
+`glue_by_names`, `enumerate_embeddings_recursive` and
+`scan_pair_with_named_witnesses` are the straightforward forms of routines
+the library runs in a faster form (the common-minor walk on shapes, the
+supertree search, one path walk per source, the path-uniqueness check and
+arc reduction on integer class ids, the gluing into in-neighbour lists, the
 witness search on an explicit stack, and the pair scan's quotients glued
 from node subsets); differential tests hold the fast forms to them.  The
 library's forest recursion decides the supertree optimum and its witnesses;
@@ -189,12 +190,52 @@ def enumerate_embeddings_recursive(s, t, limit=None):
     return results
 
 
+def ups_arcs(ups):
+    """The arcs (a, b) of in-neighbour lists `ups`, as a set."""
+    return {(a, b) for b, into in enumerate(ups) for a in into}
+
+
+def glue_by_names(t1, t2, mu_nodes, g1, g2):
+    """The quotient of t1 + t2 by the gluing relation, on node names alone:
+    its classes, each the frozenset of its origin-tagged members, and every
+    arc of t1 and t2 mapped through the relation onto them."""
+    partner = {(2, g2[c]): (1, g1[c]) for c in mu_nodes}
+    partner.update({one: two for two, one in partner.items()})
+
+    def cls(member):
+        return frozenset((member, partner[member]) if member in partner else (member,))
+
+    sides = ((1, t1), (2, t2))
+    return ({cls((o, v)) for o, t in sides for v in t.nodes},
+            {(cls((o, a)), cls((o, b))) for o, t in sides for a, b in t.arcs})
+
+
+def glue_checked_by_names(t1, t2, mu_nodes, g1, g2):
+    """`_glue`'s result, after asserting it is `glue_by_names` numbered in
+    the sorted order of the classes' members, with sorted in-neighbour lists
+    without repeats and the two-member classes as the merged ones."""
+    glued = class_of1, class_of2, n, ups, merged = _glue(t1, t2, mu_nodes, g1, g2)
+    members = [set() for _ in range(n)]
+    for origin, class_of in ((1, class_of1), (2, class_of2)):
+        for v, i in class_of.items():
+            members[i].add((origin, v))
+    members = [frozenset(m) for m in members]
+    classes, arcs = glue_by_names(t1, t2, mu_nodes, g1, g2)
+    assert len(members) == len(ups) == n and set(members) == classes
+    assert [sorted(m) for m in members] == sorted(sorted(m) for m in members)
+    assert all(into == sorted(set(into)) for into in ups)
+    assert {(members[a], members[b]) for a, b in ups_arcs(ups)} == arcs
+    assert {members[i] for i in merged} == {c for c in classes if len(c) == 2}
+    return glued
+
+
 def scan_pair_with_named_witnesses(args):
     """One record of `scan_pairs` as the library computed it before gluing
     straight from node subsets: a validated named witness per optimal common
     minor from `largest_common_minor`, both embeddings re-checked by
     `_require_valid`, the literal from `format_tree`, and the reduction by
-    one search per arc (`reduce_per_arc`)."""
+    one search per arc (`reduce_per_arc`); each glued quotient is held to
+    the name-level projection (`glue_checked_by_names`)."""
     seq1, seq2, with_prop21 = args
     t1, t2 = _scan_tree(seq1), _scan_tree(seq2)
     lcs = largest_common_minor(t1, t2, all_witnesses=True, cap=t2.size)
@@ -209,14 +250,13 @@ def scan_pair_with_named_witnesses(args):
             _require_valid(w.emb1, w.tree, t1)
             _require_valid(w.emb2, w.tree, t2)
             mu, g1, g2 = w.tree.nodes, w.emb1.mapping, w.emb2.mapping
-            class_of1, class_of2, n, arcs, merged = _glue(t1, t2, mu, g1, g2)
+            class_of1, class_of2, n, ups, merged = glue_checked_by_names(t1, t2, mu, g1, g2)
             identity_findings = _identities(range(n), class_of1, class_of2, mu,
                                             g1, g2, merged)
             if n != t1.size + t2.size - w.tree.size:
                 identity_findings.append("class count differs from |t1|+|t2|-|mu|")
-            succ = _successors(n, arcs)
-            kinds = sorted({found[0] for found in _prop21_core(succ, merged)})
-            reduced = reduce_per_arc(range(n), arcs)
+            kinds = sorted({found[0] for found in _prop21_core(_successors(ups), ups, merged)})
+            reduced = reduce_per_arc(range(n), ups_arcs(ups))
             quotients.append({
                 "mu": format_tree(w.tree),
                 "holds": not kinds,

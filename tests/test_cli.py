@@ -428,6 +428,21 @@ def test_transfer_fig4_is_exact_beyond_the_enumeration_cap(capsys):
         assert r["big_optimum"] <= min(c.tree.size for c in fig2_candidates(inst))
 
 
+def test_transfer_fig5_takes_the_node_cap(capsys):
+    # two 6-node stars give fig5 trees of 21 nodes, whose common-minor walk
+    # took about 0.5 s per pair when it was capped at their own size
+    started = time.perf_counter()
+    code, out, err = run(capsys, "transfer", "fig5", "--a", "a0(a1,a2,a3,a4,a5)",
+                         "--b", "b0(b1,b2,b3,b4,b5)", "--budget-nodes", "10")
+    assert time.perf_counter() - started < 1
+    assert code == 2 and out == "" and "limited to inputs of 10 nodes (got 21 and 21)" in err
+    # at the default cap 14, parts of 3 nodes (trees of 12) run, parts of 4 stop
+    code, data = run_json(capsys, "transfer", "fig5", "--a", "a1(a2,a3)", "--b", "b1(b2,b3)")
+    assert code == 0 and [p["big_optimum"] for p in data["pairs"]] == [11, 10, 10, 11]
+    code, out, err = run(capsys, "transfer", "fig5", "--a", "a1(a2(a3,a4))", "--b", "b1")
+    assert code == 2 and "limited to inputs of 14 nodes (got 15 and 12)" in err
+
+
 def test_transfer_past_the_recursion_budget_is_a_budget_error(capsys, monkeypatch):
     monkeypatch.setattr(solvers, "_SCS", {})
     monkeypatch.setattr(solvers, "SCS_BUDGET", 3)

@@ -15,8 +15,9 @@ from treelab.quotient import (_glue, _prop21_core, _reduce_core, _simple_paths_f
 from treelab.solvers import _lcs_core, _witness_embedding
 from treelab.trees import _level_sequences
 
-from conftest import (all_trees_up_to, class_successors, glued_pairs,
-                      prop21_by_classes, reduce_per_arc, simple_paths_recursive)
+from conftest import (all_trees_up_to, class_successors, glue_checked_by_names,
+                      glued_pairs, prop21_by_classes, reduce_per_arc,
+                      simple_paths_recursive, ups_arcs)
 
 
 def identity_embedding(s, t):
@@ -347,36 +348,77 @@ def test_core_has_no_depth_limit():
     n = 3000
     t1, t2, mu = chain(n), chain(n, "m"), parse_tree("c1(c2)")
     # glued at the top: a fork below two merged classes, then two long chains
-    class_of1, _, size, arcs, merged = _glue(t1, t2, mu.nodes, {"c1": "n1", "c2": "n2"},
-                                             {"c1": "m1", "c2": "m2"})
+    class_of1, _, size, ups, merged = _glue(t1, t2, mu.nodes, {"c1": "n1", "c2": "n2"},
+                                            {"c1": "m1", "c2": "m2"})
     assert size == 2 * n - 2 and merged == {class_of1["n1"], class_of1["n2"]}
-    succ = _successors(size, arcs)
-    assert _prop21_core(succ, merged) == []
-    assert set(_reduce_core(succ)) == arcs
+    succ = _successors(ups)
+    assert _prop21_core(succ, ups, merged) == []
+    assert set(_reduce_core(succ, ups)) == ups_arcs(ups)
     # glued top to bottom: the arc n1 -> n3000 is subsumed by the whole chain
-    class_of1, _, size, arcs, merged = _glue(
+    class_of1, _, size, ups, merged = _glue(
         t1, t2, mu.nodes, {"c1": "n1", "c2": f"n{n}"}, {"c1": "m1", "c2": "m2"})
-    kept = set(_reduce_core(_successors(size, arcs)))
-    assert arcs - kept == {(class_of1["n1"], class_of1[f"n{n}"])}
+    kept = set(_reduce_core(_successors(ups), ups))
+    assert ups_arcs(ups) - kept == {(class_of1["n1"], class_of1[f"n{n}"])}
     assert is_rooted_tree(Digraph(frozenset(range(size)), frozenset(kept)))
 
 
-def test_reduce_core_matches_the_per_arc_search_on_every_scan_5_witness_quotient():
-    # the core searches only arcs into classes with two or more in-arcs,
-    # the oracle every arc
-    shapes = [seq for k in range(1, 6) for seq in _level_sequences(k)]
-    quotients = dropped = 0
+def scan_witness_glues(max_size):
+    """(t1, t2, mu nodes, g1, g2) of every witness quotient that
+    `scan --max-size` checks, in scan order."""
+    shapes = [seq for k in range(1, max_size + 1) for seq in _level_sequences(k)]
     for i, seq1 in enumerate(shapes):
         for seq2 in shapes[i:]:
             t1, t2 = _scan_tree(seq1), _scan_tree(seq2)
             for w in _lcs_core(t1, t2, True)[2]:
                 minor, images = _witness_embedding(t1, t2, w)
-                _, _, n, arcs, _ = _glue(t1, t2, minor.order, {v: v for v in minor.order},
-                                         dict(zip(minor.order, images)))
-                kept = _reduce_core(_successors(n, arcs))
-                assert set(kept) == reduce_per_arc(range(n), arcs).arcs
-                quotients, dropped = quotients + 1, dropped + len(arcs) - len(kept)
+                yield (t1, t2, minor.order, {v: v for v in minor.order},
+                       dict(zip(minor.order, images)))
+
+
+def test_reduce_core_matches_the_per_arc_search_on_every_scan_5_witness_quotient():
+    # the core searches only arcs into classes with two or more in-neighbours,
+    # the oracle every arc
+    quotients = dropped = 0
+    for glue_args in scan_witness_glues(5):
+        _, _, n, ups, _ = _glue(*glue_args)
+        arcs = ups_arcs(ups)
+        kept = _reduce_core(_successors(ups), ups)
+        assert set(kept) == reduce_per_arc(range(n), arcs).arcs
+        quotients, dropped = quotients + 1, dropped + len(arcs) - len(kept)
     assert (quotients, dropped) == (168, 74)
+
+
+def test_glue_matches_the_name_level_projection_on_every_scan_5_witness_quotient():
+    quotients = 0
+    for glue_args in scan_witness_glues(5):
+        glue_checked_by_names(*glue_args)
+        quotients += 1
+    assert quotients == 168
+
+
+@settings(max_examples=200, deadline=None)
+@given(glued_pairs(max_size=8))
+def test_glue_matches_the_name_level_projection_on_random_glued_pairs(glued):
+    t1, t2, mu, g1, g2 = glued
+    glue_checked_by_names(t1, t2, mu.nodes, g1.mapping, g2.mapping)
+
+
+def test_every_scan_6_witness_class_has_at_most_one_in_neighbour_from_each_side():
+    # so a class has at most two, and the scan skips the cores on the
+    # quotients where none has two
+    quotients = with_joins = 0
+    for t1, t2, *glue_args in scan_witness_glues(6):
+        class_of1, class_of2, n, ups, _ = _glue(t1, t2, *glue_args)
+        sides = []
+        for t, class_of in ((t1, class_of1), (t2, class_of2)):
+            from_side = [set() for _ in range(n)]
+            for a, b in t.arcs:
+                from_side[class_of[b]].add(class_of[a])
+            assert max(map(len, from_side)) <= 1
+            sides.append(from_side)
+        assert ups == [sorted(one | two) for one, two in zip(*sides)]
+        quotients, with_joins = quotients + 1, with_joins + (max(map(len, ups)) > 1)
+    assert (quotients, with_joins) == (836, 306)
 
 
 def test_path_budget_stops_two_long_chains_glued_at_top_and_bottom():
@@ -384,16 +426,17 @@ def test_path_budget_stops_two_long_chains_glued_at_top_and_bottom():
     # grows as n^3 (1.6 s at n = 800), so well over a minute at n = 3,000
     n = 3000
     t1, t2, mu = chain(n), chain(n, "m"), parse_tree("c1(c2)")
-    _, _, size, arcs, merged = _glue(t1, t2, mu.nodes, {"c1": "n1", "c2": f"n{n}"},
-                                     {"c1": "m1", "c2": f"m{n}"})
-    succ = _successors(size, arcs)
+    _, _, size, ups, merged = _glue(t1, t2, mu.nodes, {"c1": "n1", "c2": f"n{n}"},
+                                    {"c1": "m1", "c2": f"m{n}"})
+    succ = _successors(ups)
     started = time.perf_counter()
     with pytest.raises(BudgetError, match=f"limited to {quotient.PATH_BUDGET} enumerated "
                        rf"paths and path pairs; the first \d+ of {size} classes were fully "
                        "checked"):
-        _prop21_core(succ, merged)
+        _prop21_core(succ, ups, merged)
     assert time.perf_counter() - started < 10
-    assert len(_reduce_core(succ)) == len(arcs)  # the two arcs into n3000 are both needed
+    # the two arcs into n3000 are both needed
+    assert len(_reduce_core(succ, ups)) == len(ups_arcs(ups))
 
 
 def test_path_budget_counts_every_enumerated_path(headline, monkeypatch):
@@ -412,11 +455,11 @@ def test_path_budget_counts_the_pairs_on_a_ladder_of_diamonds(diamonds):
     # 2^(2k - 1) pairs of them to compare, for which the check ran 1.2 s (k = 10)
     # and 3.9 s (k = 11) before the pairs counted
     t1, t2, mu = chain(diamonds + 1), chain(2 * diamonds + 1, "m"), chain(diamonds + 1, "c")
-    _, _, size, arcs, merged = _glue(t1, t2, mu.nodes, {v: "n" + v[1:] for v in mu.nodes},
-                                     {v: f"m{2 * int(v[1:]) - 1}" for v in mu.nodes})
+    _, _, _, ups, merged = _glue(t1, t2, mu.nodes, {v: "n" + v[1:] for v in mu.nodes},
+                                 {v: f"m{2 * int(v[1:]) - 1}" for v in mu.nodes})
     started = time.perf_counter()
     with pytest.raises(BudgetError, match="the first 0 of"):
-        _prop21_core(_successors(size, arcs), merged)
+        _prop21_core(_successors(ups), ups, merged)
     assert time.perf_counter() - started < 0.5
 
 
