@@ -98,6 +98,19 @@ else
   failures=$((failures + 1))
 fi
 
+# with prop21, a pair's optimum is the merge lemma's floor when one of its
+# witness quotients reduces to a checked common supertree of that size; 500
+# of the 20,100 pairs up to size 8 have none and go to the recursion, which
+# no other check reaches with prop21 on
+want=16888e2936887f52dd3361ee6ed27cd7a4a6c78fb1224bc36fef547e16b7d7b5
+got=$(treelab scan --max-size 8 --check eq4,prop21 --jobs 1 --force | digest)
+if [ "$got" = "$want" ]; then
+  echo "PASS  scan --max-size 8 --check eq4,prop21 --jobs 1 report digest"
+else
+  echo "FAIL  scan --max-size 8 --check eq4,prop21 --jobs 1 report digest is $got, expected $want"
+  failures=$((failures + 1))
+fi
+
 # the scan decides each supertree optimum by the forest recursion; growing the
 # bigger input's supertrees (the tests' oracle) must give the same optimum on
 # every pair up to size 8 (printed: pairs, disagreements, pairs with a positive gap)

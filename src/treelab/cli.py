@@ -62,10 +62,7 @@ def _load_mapping(path: str) -> dict[str, str]:
 
 
 def _emit(args, data: dict, text: str | None = None) -> None:
-    if args.format == "json":
-        print(json.dumps(data, indent=2, sort_keys=False))
-    else:
-        print(text if text is not None else json.dumps(data, indent=2))
+    print(json.dumps(data, indent=2) if args.format == "json" or text is None else text)
 
 
 def _dot_out(args, name: str, content: str) -> None:

@@ -73,12 +73,12 @@ def _violations(f: Mapping, order: Sequence[str], arcs: Iterable[tuple[str, str]
     """`check_embedding` for a source given by its nodes in preorder, its arcs
     and its labels, into a target given by its root, the parent of every other
     node (`up`) and its labels (unlabeled nodes are treated as identically
-    labeled), so the pair scan checks its witnesses, and the tests their
-    merged supertrees, without building them as `Tree`s.  An arc's path is walked up from the
-    image of its lower end, and the first image node on it is reported
-    counting from the top, as `Tree.path` lists the path.  The reports are
-    grouped by image and the arcs ordered only when a map fails, so checking
-    a valid map sorts nothing."""
+    labeled), so the pair scan checks its witnesses and quotient trees, and
+    the tests their merged supertrees, without building them as `Tree`s.  An
+    arc's path is walked up from the image of its lower end, and the first
+    image node on it is reported counting from the top, as `Tree.path` lists
+    the path.  The reports are grouped by image and the arcs ordered only
+    when a map fails, so checking a valid map sorts nothing."""
     out = []
     placed = {}  # each source node whose image is a target node, in preorder
     for v in order:

@@ -12,14 +12,12 @@ more than one node beyond |t1| + |t2| - |a(P,R,S)|.  This module generates
 the family, enumerates the candidate minimum supertrees, verifies the size
 gap exactly, checks the triple-merge impossibility over supertree
 embeddings, and scans all small tree pairs for gap and path-uniqueness
-behaviour, on shapes and node positions: its supertree optima come from the
-forest recursion (`solvers._scs_optimum`), its witnesses from the builder
-that `largest_common_minor` uses (`solvers._witness_embedding`).  Each scan
-tree is built once per process and keeps in its `_tables`, across every
-pair it takes part in, what depends on it alone: its induced shapes of each
-size, the minors it induces on its hit subsets, with their literals, its
-quotient ids and, as the bigger tree of a pair, the first embedding into it
-of each witness shape.  Two further parameterized families (``fig4``,
+behaviour, on shapes and node positions (`scan_pairs`).  Each scan tree is
+built once per process and keeps in its `_tables`, across every pair it
+takes part in, what depends on it alone: its induced shapes of each size,
+the minors it induces on its hit subsets, with their literals, its quotient
+ids and, as the bigger tree of a pair, the first embedding into it of each
+witness shape.  Two further parameterized families (``fig4``,
 ``fig5``) embed an arbitrary subproblem pair (A, B) into the construction;
 ``fig5`` is a best-effort reconstruction and all its checks are report-grade.
 """
@@ -35,11 +33,11 @@ from itertools import product
 from ._parallel import parallel_map
 from .errors import BudgetError, SolverDisagreement, TreeError
 from .trees import (ENUM_CAP_DEFAULT, Tree, _FrozenRecord, _Record, _fresh_name,
-                    _is_rooted_tree, _level_sequences, _literal_from_levels,
+                    _level_sequences, _literal_from_levels, _rooted_parents,
                     _tree_from_levels, are_isomorphic, chain, enumerate_trees,
                     format_tree, is_rooted_tree, parse_tree, star)
-from .embeddings import (MinorEmbedding, _require_built, _require_valid, check_embedding,
-                         enumerate_embeddings, is_minor)
+from .embeddings import (MinorEmbedding, _require_built, _require_valid, _violations,
+                         check_embedding, enumerate_embeddings, is_minor)
 from .solvers import (_InducedMinor, _lcs_core, _scs_optimum, _witness_embedding,
                       largest_common_minor, smallest_common_supertree)
 from .quotient import (QuotientGraph, Prop21Report, _glue, _identities,
@@ -612,11 +610,8 @@ class ScanReport(_Record):
 
     @property
     def violation_found(self) -> bool:
-        if "eq4" in self.checks and self.minimal_violating_pair is not None:
-            return True
-        if "prop21" in self.checks and self.prop21_summary.get("violating_pairs"):
-            return True
-        return False
+        return (("eq4" in self.checks and self.minimal_violating_pair is not None)
+                or ("prop21" in self.checks and bool(self.prop21_summary.get("violating_pairs"))))
 
     def to_json(self) -> dict:
         return {"schema_version": 1,
@@ -635,16 +630,27 @@ _scan_tree = functools.lru_cache(maxsize=None)(_tree_from_levels)
 
 def _scan_one_pair(args: tuple[tuple[int, ...], tuple[int, ...], bool]) -> dict:
     """One pair's record: the common-minor optimum, the supertree optimum, the
-    gap and, with prop21, the witness quotients.  The supertree optimum is t2
-    when t1 is a minor of it (absorption), else the forest recursion
-    `solvers._scs_optimum`, which stops at the merge lemma's lower bound
-    |t1| + |t2| - lcs.  Only prop21 searches the witness embeddings
-    (`solvers._witness_embedding`)."""
+    gap and, with prop21, the witness quotients (only prop21 searches the
+    witness embeddings, `solvers._witness_embedding`).  The supertree optimum
+    is t2 when t1 is a minor of it (absorption).  Else it is the merge lemma's
+    lower bound |t1| + |t2| - lcs when a witness quotient reduces to a tree of
+    that many classes into which both class maps are embeddings (`_certifies`):
+    a common supertree, so an upper bound that meets the proven lower bound.
+    Else, and always without prop21, it is the forest recursion
+    `solvers._scs_optimum`, started at that bound; a tree-shaped quotient
+    whose maps fail only sends its pair there."""
     seq1, seq2, with_prop21 = args
     t1, t2 = _scan_tree(seq1), _scan_tree(seq2)  # |t1| <= |t2| by scan order
     lcs_size, _, hits = _lcs_core(t1, t2, with_prop21)
-    scs_size = (t2.size if is_minor(t1, t2)
-                else _scs_optimum(t1, t2, t1.size + t2.size - lcs_size))
+    floor = t1.size + t2.size - lcs_size
+    quotients = [_witness_quotient(t1, t2, *_witness_embedding(t1, t2, w))
+                 for w in hits] if with_prop21 else []
+    if is_minor(t1, t2):
+        scs_size = t2.size
+    elif any(_certifies(t1, t2, floor, *tree) for _, tree in quotients if tree):
+        scs_size = floor
+    else:
+        scs_size = _scs_optimum(t1, t2, floor)
     gap = scs_size - eq4_prediction(t1, t2, lcs_size)
     if gap < 0:
         raise SolverDisagreement(
@@ -652,32 +658,41 @@ def _scan_one_pair(args: tuple[tuple[int, ...], tuple[int, ...], bool]) -> dict:
             f"optimum {scs_size} below the prediction")
     rec = {"lcs": lcs_size, "scs": scs_size, "gap": gap}
     if with_prop21:
-        rec["quotients"] = [_witness_quotient(t1, t2, *_witness_embedding(t1, t2, w))
-                            for w in hits]
+        rec["quotients"] = [qrec for qrec, _ in quotients]
     return rec
 
 
-def _witness_quotient(t1: Tree, t2: Tree, minor: _InducedMinor, images: list[str]) -> dict:
+def _certifies(t1: Tree, t2: Tree, floor: int, up: dict[int, int], root: int,
+               class_of1: dict[str, int], class_of2: dict[str, int]) -> bool:
+    """Whether the tree of `floor` classes given by `root` and `up` is a common
+    supertree of t1 and t2 with the class maps as its embeddings."""
+    return len(up) + 1 == floor and not any(
+        _violations(class_of, t.preorder, t.arcs, t.labels, root, up, {})
+        for t, class_of in ((t1, class_of1), (t2, class_of2)))
+
+
+def _witness_quotient(t1: Tree, t2: Tree, minor: _InducedMinor,
+                      images: list[str]) -> tuple[dict, tuple | None]:
     """The prop21 record of a witness from `solvers._witness_embedding`, its
-    quotient glued on class ids.  With no class of two in-neighbours the
-    cores would walk no source and search no arc, so they are not called."""
+    quotient glued on class ids, and the parents, root and both class maps of
+    the reduced quotient when it is a rooted tree (else None).  With no class
+    of two in-neighbours the cores would walk no source and search no arc,
+    so they are not called."""
     order = minor.order
     g1, g2 = {v: v for v in order}, dict(zip(order, images))
     class_of1, class_of2, n, ups, merged = _glue(t1, t2, order, g1, g2)
     identity_findings = _identities(range(n), class_of1, class_of2, order, g1, g2, merged)
     if n != t1.size + t2.size - len(order):
         identity_findings.append("class count differs from |t1|+|t2|-|mu|")
+    kinds, reduced = [], ups
     if max(map(len, ups)) > 1:
         succ = _successors(ups)
         kinds = sorted({found[0] for found in _prop21_core(succ, ups, merged)})
         reduced = _reduce_core(succ, ups)
-    else:
-        kinds, reduced = [], [(a, b) for b, into in enumerate(ups) for a in into]
-    return {"mu": minor.literal,
-            "holds": not kinds,
-            "violation_kinds": kinds,
-            "reduced_is_tree": _is_rooted_tree(range(n), reduced),
-            "identity_findings": identity_findings}
+    tree = _rooted_parents(reduced)
+    return ({"mu": minor.literal, "holds": not kinds, "violation_kinds": kinds,
+             "reduced_is_tree": tree is not None, "identity_findings": identity_findings},
+            None if tree is None else (*tree, class_of1, class_of2))
 
 
 def scan_pairs(max_size: int, checks: Iterable[str] = ("eq4",),
@@ -686,20 +701,16 @@ def scan_pairs(max_size: int, checks: Iterable[str] = ("eq4",),
 
     For every pair the exact common-minor and common-supertree optima are
     computed; the gap distribution is recorded and the first pair (in
-    size-then-code order) with a positive gap is reported.  That order is
-    read off the level sequences, whose decreasing order is code order
-    (`trees._level_sequences`), so ordering the pairs interns no shape and
-    builds no code.  Workers receive level sequences and ask the solver
-    cores for sizes only.  The supertree optimum comes from the forest
-    recursion (`solvers._scs_optimum`), stopped at the merge lemma's lower
-    bound |t1| + |t2| - lcs (`_scan_one_pair`).  Only the ``prop21`` check
-    searches embeddings: every optimal common-minor witness has its quotient
-    glued and checked on integer class ids, by the cores of
-    `treelab.quotient`: path-uniqueness violations, the structural
-    identities, and whether reduction yields a tree.  The witnesses are
-    those `largest_common_minor` reports (`solvers._witness_embedding`), but
-    none is built as a named `Tree`: each is glued straight from its node
-    subset of the smaller tree (`_witness_quotient`).
+    size-then-code order, read off the level sequences, so ordering the
+    pairs interns no shape and builds no code) with a positive gap is
+    reported.  Workers receive level sequences.  Only the ``prop21`` check
+    searches embeddings: the quotient of every optimal common-minor witness
+    (those `largest_common_minor` reports, none built as a named `Tree`) is
+    glued and checked on class ids by the cores of `treelab.quotient`, and a
+    tree-shaped one into which both class maps embed proves the supertree
+    optimum is the merge lemma's lower bound |t1| + |t2| - lcs.  Elsewhere
+    the optimum comes from the forest recursion (`solvers._scs_optimum`),
+    stopped at that bound (`_scan_one_pair`).
     """
     checks = tuple(checks)
     if not checks:

@@ -154,10 +154,10 @@ def _reaches_around(succ: list[list[int]], v: int, w: int) -> bool:
     return False
 
 
-def _reduce_core(succ: list[list[int]], ups: list[list[int]]) -> list[tuple[int, int]]:
-    """The arcs (v, w) that no alternative path v ⇝ w subsumes: on an acyclic
-    graph, its transitive reduction (Aho, Garey & Ullman, SIAM J. Comput. 1,
-    1972).
+def _reduce_core(succ: list[list[int]], ups: list[list[int]]) -> list[list[int]]:
+    """The in-neighbour lists kept when every arc (v, w) that an alternative
+    path v ⇝ w subsumes is dropped: on an acyclic graph, its transitive
+    reduction (Aho, Garey & Ullman, SIAM J. Comput. 1, 1972).
 
     Subsumption is evaluated against the whole arc set (an arc may be
     witnessed away by arcs that are themselves dropped), which makes the
@@ -166,8 +166,8 @@ def _reduce_core(succ: list[list[int]], ups: list[list[int]]) -> list[tuple[int,
     second in-neighbour: only arcs into classes with two or more
     in-neighbours are searched, and every other arc is kept.
     """
-    return [(v, w) for w, into in enumerate(ups) for v in into
-            if len(into) == 1 or not _reaches_around(succ, v, w)]
+    return [into if len(into) < 2 else [v for v in into if not _reaches_around(succ, v, w)]
+            for w, into in enumerate(ups)]
 
 
 def _simple_paths_from(succ, v) -> Iterator[tuple]:
@@ -352,7 +352,8 @@ def reduce_quotient(q: QuotientGraph) -> Digraph:
     (`_reduce_core`).  Node set unchanged."""
     classes, ups, _ = _numbered(q)
     return Digraph(frozenset(q.classes), frozenset(
-        (classes[v], classes[w]) for v, w in _reduce_core(_successors(ups), ups)))
+        (classes[v], classes[w]) for w, into in enumerate(_reduce_core(_successors(ups), ups))
+        for v in into))
 
 
 class Prop21Violation(_FrozenRecord):

@@ -5,12 +5,12 @@ walk claims optimality at size k only after the level above it has been
 fully decided, and the supertree recursion drops a branch only by a proven
 lower bound.  That recursion is the one supertree decider: at each pair of
 forests of interned shapes it takes the least of three kinds of branch,
-memoized for the process (`_scs_optimum`, for the pair scan, `transfer
-fig4`, `scs` and `verify`), and the branches that reach the optimum give
-every minimum supertree (`_scs_shapes`, for `scs` and `verify`), even when
-one input contains the other.  The tests hold it to growing the bigger
-input's supertrees one node at a time and to the best common-minor matching
-that merges into one tree.
+memoized for the process (`_scs_optimum`, for `transfer fig4`, `scs`,
+`verify` and the scan's pairs no quotient settles), and the branches that
+reach the optimum give every minimum supertree (`_scs_shapes`, for `scs`
+and `verify`), even when one input contains the other.  The tests hold it
+to growing the bigger input's supertrees one node at a time and to the best
+common-minor matching that merges into one tree.
 
 Each search is a core that works on interned shapes or node positions only
 and returns the optimum and its hits (`_lcs_core` also its levels, as plain

@@ -174,14 +174,9 @@ def structure_violations(nodes, arcs, root=None, check_names: bool = False) -> l
                 "multi_parent", (node_str(v),),
                 f"node {node_str(v)} has in-degree {indeg[v]}"))
 
-    start = None
-    if root is not None and root in nodes:
-        start = root
-    elif len(zero) == 1:
-        start = zero[0]
+    start = root if root is not None and root in nodes else zero[0] if len(zero) == 1 else None
     if start is not None:
-        seen = {start}
-        stack = [start]
+        seen, stack = {start}, [start]
         while stack:
             for w in succ[stack.pop()]:
                 if w not in seen:
@@ -407,11 +402,7 @@ def tree_from_arcs(root: str, arcs: Iterable[tuple[str, str]],
                    labels: Mapping[str, str] | None = None) -> Tree:
     """Build a tree from its root and arc list (nodes inferred)."""
     arcs = list(arcs)
-    nodes = {root}
-    for a, b in arcs:
-        nodes.add(a)
-        nodes.add(b)
-    return Tree(nodes, arcs, root, labels)
+    return Tree({root, *(v for arc in arcs for v in arc)}, arcs, root, labels)
 
 
 def validate(g) -> list[StructureViolation]:
@@ -429,30 +420,30 @@ def is_rooted_tree(g) -> bool:
     """`not validate(g)` without building the report: False on a self-loop, a
     dangling arc, a second parent, zero or several roots, or an unreachable
     node (which covers cycles); True on the empty digraph."""
-    return _is_rooted_tree(g.nodes, g.arcs)
-
-
-def _is_rooted_tree(nodes, arcs) -> bool:
-    """`is_rooted_tree` on a node collection (anything with `in` and `len`,
-    such as a `range` of class ids) and an iterable of arcs."""
-    kids: dict = {}
-    has_parent: set = set()
-    for a, b in arcs:
-        if a == b or a not in nodes or b not in nodes or b in has_parent:
+    index = {v: i for i, v in enumerate(g.nodes)}
+    ups: list[list[int]] = [[] for _ in index]
+    for a, b in g.arcs:
+        if a == b or a not in index or b not in index:
             return False
-        has_parent.add(b)
-        kids.setdefault(a, []).append(b)
-    if not nodes:
-        return True
-    if len(nodes) - len(has_parent) != 1:
-        return False
-    root = next(v for v in nodes if v not in has_parent)
-    stack, seen = [root], 1
-    while stack:
-        for w in kids.get(stack.pop(), ()):
-            stack.append(w)
-            seen += 1
-    return seen == len(nodes)
+        ups[index[b]].append(index[a])
+    return not ups or _rooted_parents(ups) is not None
+
+
+def _rooted_parents(ups: list[list[int]]) -> tuple[dict[int, int], int] | None:
+    """The parent of every node and the root, when the in-neighbour lists
+    `ups` of nodes 0..n-1 (n >= 1) form a rooted tree: one node has none,
+    every other exactly one, and the root reaches every node.  None otherwise."""
+    up = {w: into[0] for w, into in enumerate(ups) if len(into) == 1}
+    roots = [w for w, into in enumerate(ups) if not into]
+    if len(roots) != 1 or len(up) + 1 != len(ups):
+        return None
+    kids: list[list[int]] = [[] for _ in ups]
+    for w, v in up.items():
+        kids[v].append(w)
+    reached = roots[:]
+    for v in reached:  # grows as it is read: every node reached, each once
+        reached.extend(kids[v])
+    return (up, roots[0]) if len(reached) == len(ups) else None
 
 
 # -- literals ---------------------------------------------------------------

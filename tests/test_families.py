@@ -417,6 +417,56 @@ def test_scan_records_match_the_named_witness_oracle_up_to_6():
         assert families._scan_one_pair(args) == scan_pair_with_named_witnesses(args), args
 
 
+def counting_recursion(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solvers._scs_optimum(*args)
+
+    monkeypatch.setattr(families, "_scs_optimum", counted)
+    return calls
+
+
+@pytest.mark.parametrize("max_size, checks, recursions", [
+    (6, ("eq4", "prop21"), 2), (7, ("eq4", "prop21"), 42), (6, ("eq4",), 415)])
+def test_scan_runs_the_recursion_only_where_no_witness_quotient_certifies(
+        monkeypatch, max_size, checks, recursions):
+    # eq4 alone builds no quotient, so every pair that is not absorbed recurses
+    calls = counting_recursion(monkeypatch)
+    scan_pairs(max_size, checks=checks)
+    assert len(calls) == recursions
+
+
+def test_scan_sends_a_pair_whose_quotient_tree_fails_its_map_check_to_the_recursion(
+        monkeypatch):
+    # star(3) and chain(3): every witness quotient reduces to a tree of the
+    # floor's 4 classes, so the pair never recurses; with the classes of t2's
+    # root and its child swapped, the tree is unchanged but t2's map fails
+    args = ((1, 2, 2), (1, 2, 3), True)
+    t1, t2 = families._scan_tree(args[0]), families._scan_tree(args[1])
+    real = families._witness_quotient
+    certificates = []
+
+    def swap(class_of2):
+        return dict(class_of2, v0=class_of2["v1"], v1=class_of2["v0"])
+
+    def swapped(*witness):
+        qrec, (up, root, class_of1, class_of2) = real(*witness)
+        certificates.append((up, root, class_of1, class_of2))
+        return qrec, (up, root, class_of1, swap(class_of2))
+
+    calls = counting_recursion(monkeypatch)
+    first = families._scan_one_pair(args)
+    assert first["scs"] == 4 and calls == []
+    monkeypatch.setattr(families, "_witness_quotient", swapped)
+    assert families._scan_one_pair(args) == first and len(calls) == 1
+    assert certificates
+    for up, root, class_of1, class_of2 in certificates:
+        assert families._certifies(t1, t2, 4, up, root, class_of1, class_of2)
+        assert not families._certifies(t1, t2, 4, up, root, class_of1, swap(class_of2))
+
+
 def test_scan_revalidates_the_searched_embedding(monkeypatch):
     def invalid(parent, labels, t):
         yield [t.root] * len(parent)  # every node onto the target's root

@@ -486,7 +486,9 @@ def test_merge_stacks_a_t1_only_top_over_a_t2_only_top():
 
 def test_the_recursion_matches_growth_on_all_ordered_pairs_up_to_7(monkeypatch):
     # each argument order from an empty memo; then the scan's call, which
-    # stops at the merge lemma's floor, on the pairs it meets (|t1| <= |t2|)
+    # stops at the merge lemma's floor, on the pairs it meets (|t1| <= |t2|):
+    # without prop21 it always runs the recursion, with prop21 it takes the
+    # floor from a checked witness quotient where one passes
     shapes = [seq for k in range(1, 8) for seq in _level_sequences(k)]
     assert len(shapes) == 85
     pairs = [(_scan_tree(seq1), _scan_tree(seq2)) for seq1 in shapes for seq2 in shapes]
@@ -499,8 +501,9 @@ def test_the_recursion_matches_growth_on_all_ordered_pairs_up_to_7(monkeypatch):
     for i, seq1 in enumerate(shapes):
         for seq2 in shapes[i:]:
             t1, t2 = _scan_tree(seq1), _scan_tree(seq2)
-            assert _scan_one_pair((seq1, seq2, False))["scs"] == growth_optimum(t1, t2), (
-                format_tree(t1), format_tree(t2))
+            assert (_scan_one_pair((seq1, seq2, True))["scs"]
+                    == _scan_one_pair((seq1, seq2, False))["scs"]
+                    == growth_optimum(t1, t2)), (format_tree(t1), format_tree(t2))
 
 
 def test_scan_records_are_the_same_from_cold_and_warm_tables():
