@@ -167,6 +167,18 @@ else
   failures=$((failures + 1))
 fi
 
+# a star of 8 nodes has 8,648,640 embeddings into one of 14: listing them all
+# is past the embedding budget, a budget error, never a crash
+err=$(treelab embeddings 'n1(n2,n3,n4,n5,n6,n7,n8)' \
+  'm1(m2,m3,m4,m5,m6,m7,m8,m9,m10,m11,m12,m13,m14)' 2>&1 > /dev/null)
+got=$?
+if [ "$got" -eq 2 ] && [[ "$err" == *"budget error"* ]] && [[ "$err" != *"internal error"* ]]; then
+  echo "PASS  embeddings of an 8-node star into a 14-node star is a budget error"
+else
+  echo "FAIL  embeddings of an 8-node star into a 14-node star: exit $got, stderr $err"
+  failures=$((failures + 1))
+fi
+
 # a fig1 instance with P isomorphic to S is generated, with one warning line
 # on stderr, also when warnings are errors
 err=$(treelab family fig1 --p a --r b --s c 2>&1 > /dev/null)

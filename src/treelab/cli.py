@@ -119,8 +119,10 @@ def cmd_minor(args) -> int:
 
 def cmd_embeddings(args) -> int:
     s, t = _load_literal(args.s), _load_literal(args.t)
-    found = enumerate_embeddings(s, t, limit=args.limit)
-    exhaustive = args.limit is None or len(found) < args.limit
+    # one map past the limit tells whether the list is complete
+    found = enumerate_embeddings(s, t, limit=None if args.limit is None else args.limit + 1)
+    exhaustive = args.limit is None or len(found) <= args.limit
+    found = found[:args.limit]
     _emit(args, {"count": len(found), "exhaustive": exhaustive,
                  "embeddings": [f.to_json() for f in found]},
           "\n".join(json.dumps(f.to_json()) for f in found))

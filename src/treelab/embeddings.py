@@ -18,18 +18,21 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import combinations, islice
 
-from .errors import EmbeddingError, MultiRootError, SolverDisagreement, TreeError
+from .errors import BudgetError, EmbeddingError, MultiRootError, SolverDisagreement, TreeError
 from .trees import (_HEIGHT, _KIDS, _LABEL, _LEAVES, _SIZE, Tree, _FrozenRecord, _Record,
                     _shape, _splits)
+
+#: Most maps `enumerate_embeddings` lists without a `limit`; about 80 times the
+#: most any test lists so (120, a 5-node source into a 6-node target).  A 6-node
+#: star has 55,440 maps into a 12-node star (1 s, 120 MB), an 8-node one
+#: 8,648,640 into a 14-node one.
+EMBEDDING_BUDGET = 10_000
 
 
 class MinorEmbedding(_Record):
     """A validated-or-candidate node map from `source` into `target`."""
 
     __slots__ = ("source", "target", "mapping")
-
-    def __init__(self, source: Tree, target: Tree, mapping: dict[str, str]):
-        super().__init__(source, target, mapping)
 
     def __getitem__(self, v: str) -> str:
         return self.mapping[v]
@@ -42,10 +45,7 @@ class EmbeddingViolation(_FrozenRecord):
     """Why a candidate map fails; `witness_node` is the offending image node."""
 
     __slots__ = ("arc", "reason", "witness_node")
-
-    def __init__(self, arc: tuple[str, str] | None, reason: str,
-                 witness_node: str | None = None):
-        super().__init__(arc, reason, witness_node)
+    _defaults = {"witness_node": lambda: None}
 
     def __str__(self) -> str:
         where = f" on arc {self.arc[0]}->{self.arc[1]}" if self.arc else ""
@@ -200,11 +200,17 @@ def enumerate_embeddings(s: Tree, t: Tree, limit: int | None = None) -> list[Min
 
     Source nodes are matched in preorder; candidate images in sorted name
     order (see `_search` for the pruning).  With `limit` (at least 1) the
-    first `limit` maps in search order are returned.
+    first `limit` maps in search order are returned.  Without one, more than
+    `EMBEDDING_BUDGET` maps raise `BudgetError`, since the count is
+    exponential in the sizes.
     """
     if limit is not None and limit < 1:
         raise TreeError(f"embedding limit must be at least 1, got {limit}")
-    return list(islice(_embeddings(s, t), limit))
+    found = list(islice(_embeddings(s, t), EMBEDDING_BUDGET + 1 if limit is None else limit))
+    if limit is None and len(found) > EMBEDDING_BUDGET:
+        raise BudgetError(f"embedding enumeration limited to {EMBEDDING_BUDGET} maps "
+                          f"(EMBEDDING_BUDGET) and more exist; list the first N with --limit N")
+    return found
 
 
 def find_embedding(s: Tree, t: Tree) -> MinorEmbedding | None:
@@ -231,14 +237,18 @@ def _search(parent: list[int], labels: list[str | None], t: Tree) -> Iterator[li
     limit.  The root may map anywhere; each later position is tried on the
     strict descendants of its parent's image, in name order.  A candidate is
     taken only while the path condition can still be met: it is unused, is
-    not an intermediate node of any committed arc path (``blocked``), and
-    the path from the parent's image avoids every node already in the image
-    (its intermediate nodes are then fenced off in ``blocked``).
+    not an intermediate node of any committed arc path (``blocked``), its
+    subtree has at least as many nodes as the position's, and the path from
+    the parent's image avoids every node already in the image (its
+    intermediate nodes are then fenced off in ``blocked``).
     """
     n = len(parent)
     if n > t.size:
         return
-    up, target_labels = t._parent, t.labels
+    need = [1] * n  # each position's subtree size
+    for i in range(n - 1, 0, -1):
+        need[parent[i]] += need[i]
+    up, target_labels, tin, tout = t._parent, t.labels, t._tin, t._tout
     roots = sorted(t.nodes)
     image: list[str | None] = [None] * n
     mids: list[list[str]] = [[] for _ in range(n)]
@@ -256,11 +266,12 @@ def _search(parent: list[int], labels: list[str | None], t: Tree) -> Iterator[li
             image[i] = None
         options, j = candidates[i], tried[i]
         above = image[parent[i]] if parent[i] >= 0 else None
-        label = labels[i]
+        label, size = labels[i], need[i]
         while j < len(options):
             u = options[j]
             j += 1
-            if u in used or blocked.get(u) or target_labels.get(u) != label:
+            if (u in used or blocked.get(u) or target_labels.get(u) != label
+                    or tout[u] - tin[u] < size):
                 continue
             path = []
             if above is not None:
@@ -359,9 +370,6 @@ class Lemma4Witness(_FrozenRecord):
     """An incomparable source pair whose images are comparable (never expected)."""
 
     __slots__ = ("a", "b", "fa", "fb")
-
-    def __init__(self, a: str, b: str, fa: str, fb: str):
-        super().__init__(a, b, fa, fb)
 
     def to_json(self) -> dict:
         return {"a": self.a, "b": self.b, "fa": self.fa, "fb": self.fb}

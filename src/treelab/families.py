@@ -40,8 +40,7 @@ from .embeddings import (MinorEmbedding, _require_built, _require_valid, _violat
                          check_embedding, enumerate_embeddings, is_minor)
 from .solvers import (_InducedMinor, _lcs_core, _scs_optimum, _witness_embedding,
                       largest_common_minor, smallest_common_supertree)
-from .quotient import (QuotientGraph, Prop21Report, _glue, _identities,
-                       _prop21_core, _reduce_core, _successors,
+from .quotient import (_glue, _identities, _prop21_core, _reduce_core, _successors,
                        build_quotient, check_eq2_eq3, check_prop21, eq4_prediction,
                        reduce_quotient)
 
@@ -66,11 +65,6 @@ class Fig1Instance(_Record):
 
     __slots__ = ("p", "r", "s", "parts", "t1", "t2", "claimed_mu", "g1", "g2",
                  "p_isomorphic_s")
-
-    def __init__(self, p: Tree, r: Tree, s: Tree, parts: dict[str, Tree], t1: Tree,
-                 t2: Tree, claimed_mu: Tree, g1: MinorEmbedding, g2: MinorEmbedding,
-                 p_isomorphic_s: bool):
-        super().__init__(p, r, s, parts, t1, t2, claimed_mu, g1, g2, p_isomorphic_s)
 
 
 def _rename_avoiding(tree: Tree, used: set[str], slot: str) -> Tree:
@@ -136,9 +130,6 @@ class SupertreeCandidate(_Record):
     """A verified common supertree of one family instance."""
 
     __slots__ = ("case", "tree", "f1", "f2")
-
-    def __init__(self, case: str, tree: Tree, f1: MinorEmbedding, f2: MinorEmbedding):
-        super().__init__(case, tree, f1, f2)
 
     def to_json(self) -> dict:
         return {"case": self.case, "size": self.tree.size,
@@ -208,13 +199,10 @@ def fig2_candidates(inst: Fig1Instance, cap: int = ENUM_CAP_DEFAULT) -> list[Sup
 # -- triple-merge impossibility ------------------------------------------------
 
 class TripleMergeWitness(_FrozenRecord):
-    """Simultaneous P-, R- and S-region merges under one embedding pair."""
+    """Simultaneous P-, R- and S-region merges under one embedding pair;
+    `merges` maps slot -> (t1 node, t2 node, image)."""
 
     __slots__ = ("merges",)
-
-    def __init__(self, merges: dict[str, tuple[str, str, str]]):
-        # slot -> (t1 node, t2 node, image)
-        super().__init__(merges)
 
     def __hash__(self) -> int:  # the field is a dict, so hash its items
         return hash(tuple(sorted(self.merges.items())))
@@ -266,19 +254,7 @@ class VerificationReport(_Record):
                  "eq4_prediction", "scs_size", "scs_exact", "scs_lower_bound",
                  "scs_levels", "scs_witness_literals", "gap", "candidates", "prop21",
                  "reduced_is_tree", "quotient", "theorem5", "warnings", "timing")
-
-    def __init__(self, family: str, params: dict, sizes: dict, lcs_size: int,
-                 claimed_mu_optimal: bool, eq4_prediction: int, scs_size: int | None,
-                 scs_exact: bool, scs_lower_bound: int | None, scs_levels: list,
-                 scs_witness_literals: list[str], gap: int | None,
-                 candidates: list[SupertreeCandidate], prop21: Prop21Report,
-                 reduced_is_tree: bool, quotient: QuotientGraph, theorem5: dict,
-                 warnings: list[str] | None = None, timing: dict | None = None):
-        super().__init__(family, params, sizes, lcs_size, claimed_mu_optimal, eq4_prediction,
-                         scs_size, scs_exact, scs_lower_bound, scs_levels,
-                         scs_witness_literals, gap, candidates, prop21, reduced_is_tree,
-                         quotient, theorem5, [] if warnings is None else warnings,
-                         {} if timing is None else timing)
+    _defaults = {"warnings": list, "timing": dict}
 
     def to_json(self) -> dict:
         return {
@@ -601,12 +577,7 @@ def subproblem_transfer_check(family: str, a: Tree, b: Tree, cap: int = ENUM_CAP
 class ScanReport(_Record):
     __slots__ = ("max_size", "checks", "pairs_scanned", "gap_histogram",
                  "minimal_violating_pair", "prop21_summary", "wall_ms")
-
-    def __init__(self, max_size: int, checks: tuple[str, ...], pairs_scanned: int,
-                 gap_histogram: dict[int, int], minimal_violating_pair: dict | None,
-                 prop21_summary: dict, wall_ms: float = 0.0):
-        super().__init__(max_size, checks, pairs_scanned, gap_histogram,
-                         minimal_violating_pair, prop21_summary, wall_ms)
+    _defaults = {"wall_ms": float}
 
     @property
     def violation_found(self) -> bool:

@@ -45,9 +45,6 @@ class ThetaClass(_FrozenRecord):
 
     __slots__ = ("members",)
 
-    def __init__(self, members: tuple[TaggedNode, ...]):
-        super().__init__(members)
-
     def __lt__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -279,13 +276,6 @@ class QuotientGraph(_Record):
 
     __slots__ = ("classes", "arcs", "ell1", "ell2", "mu_image", "t_mu", "g1", "g2")
 
-    def __init__(self, classes: tuple[ThetaClass, ...],
-                 arcs: frozenset[tuple[ThetaClass, ThetaClass]],
-                 ell1: dict[str, ThetaClass], ell2: dict[str, ThetaClass],
-                 mu_image: frozenset[ThetaClass], t_mu: Tree,
-                 g1: MinorEmbedding, g2: MinorEmbedding):
-        super().__init__(classes, arcs, ell1, ell2, mu_image, t_mu, g1, g2)
-
     @property
     def t1(self) -> Tree:
         return self.g1.target
@@ -357,11 +347,9 @@ def reduce_quotient(q: QuotientGraph) -> Digraph:
 
 
 class Prop21Violation(_FrozenRecord):
-    __slots__ = ("kind", "v", "w", "paths", "reason")
+    """A violated condition, `kind` "i" or "ii", of `_prop21_core` on paths v ⇝ w."""
 
-    def __init__(self, kind: str, v: ThetaClass, w: ThetaClass,
-                 paths: tuple[tuple[ThetaClass, ...], ...], reason: str):
-        super().__init__(kind, v, w, paths, reason)  # kind is "i" or "ii"
+    __slots__ = ("kind", "v", "w", "paths", "reason")
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "v": self.v.label, "w": self.w.label,
@@ -371,9 +359,6 @@ class Prop21Violation(_FrozenRecord):
 
 class Prop21Report(_Record):
     __slots__ = ("holds", "violations")
-
-    def __init__(self, holds: bool, violations: list[Prop21Violation]):
-        super().__init__(holds, violations)
 
     def to_json(self) -> dict:
         return {"holds": self.holds, "violations": [v.to_json() for v in self.violations]}

@@ -56,9 +56,6 @@ class LevelStats(_Record):
 
     __slots__ = ("size", "candidates", "hits")
 
-    def __init__(self, size: int, candidates: int, hits: int):
-        super().__init__(size, candidates, hits)
-
     def to_json(self) -> dict:
         return {"size": self.size, "candidates": self.candidates, "hits": self.hits}
 
@@ -72,9 +69,6 @@ class CommonTreeWitness(_Record):
 
     __slots__ = ("tree", "emb1", "emb2")
 
-    def __init__(self, tree: Tree, emb1: MinorEmbedding, emb2: MinorEmbedding):
-        super().__init__(tree, emb1, emb2)
-
     def to_json(self) -> dict:
         return {"tree_literal": format_tree(self.tree),
                 "embedding1": self.emb1.to_json(),
@@ -83,10 +77,7 @@ class CommonTreeWitness(_Record):
 
 class SolverResult(_Record):
     __slots__ = ("optimum_size", "witnesses", "levels", "wall_ms")
-
-    def __init__(self, optimum_size: int, witnesses: list[CommonTreeWitness],
-                 levels: list[LevelStats] | None = None, wall_ms: float = 0.0):
-        super().__init__(optimum_size, witnesses, [] if levels is None else levels, wall_ms)
+    _defaults = {"levels": list, "wall_ms": float}
 
     def to_json(self) -> dict:
         return {

@@ -37,26 +37,47 @@ def node_str(v) -> str:
 class _Record:
     """Base of the library's plain value records.
 
-    A record's fields, `_fields`, are the `__slots__` of its bases and then
-    of its class, in order (a subclass declaring ``__slots__ = ()`` adds
-    none), and its own `__init__` takes them in that order and hands them,
-    normalised, to the base constructor, which alone fills the fields.  The
-    base gives field-wise `==` (only between records of the same class; a
-    mutable record is unhashable), a ``Name(field=value, ...)`` repr, and
-    pickling and copying through the constructor, since restoring slot state
-    by assignment would fail on a frozen record.
+    A record declares its fields once, as `__slots__`: `_fields` are the
+    `__slots__` of its bases and then of its class, in order (``__slots__ =
+    ()`` adds none).  This constructor builds every record: it binds the
+    fields by position, then by keyword, and fills one not given from
+    `_defaults`, which maps a field to a zero-argument factory called per
+    record, so no two records share a default list.  Like a signature, it
+    raises `TypeError` on a value too many, a field given twice, an unknown
+    field or a missing one without a default.  The base gives field-wise
+    `==` (only between records of the same class; a mutable record is
+    unhashable), a ``Name(field=value, ...)`` repr, and pickling and copying
+    through the constructor, since restoring slot state by assignment would
+    fail on a frozen record.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
 
-    def __init__(self, *values):
-        # through `object.__setattr__`, which a frozen record does not refuse
-        for field, value in zip(self._fields, values):
+    def __init__(self, *values, **named):
+        name, fields = type(self).__qualname__, self._fields
+        if len(values) > len(fields):
+            raise TypeError(f"{name} has {len(fields)} fields {fields}, got {len(values)} values")
+        for field in named:
+            if field not in fields:
+                raise TypeError(f"{name} has no field {field!r}")
+            if fields.index(field) < len(values):
+                raise TypeError(f"{name} got field {field!r} by position and by keyword")
+        for i, field in enumerate(fields):
+            if i < len(values):
+                value = values[i]
+            elif field in named:
+                value = named[field]
+            elif field in self._defaults:
+                value = self._defaults[field]()
+            else:
+                raise TypeError(f"{name} is missing field {field!r}")
+            # through `object.__setattr__`, which a frozen record does not refuse
             object.__setattr__(self, field, value)
 
     def _values(self) -> tuple:
@@ -97,9 +118,6 @@ class StructureViolation(_FrozenRecord):
     """One violated tree invariant, as reported by `validate`."""
 
     __slots__ = ("kind", "subject", "message")
-
-    def __init__(self, kind: str, subject: tuple[str, ...], message: str):
-        super().__init__(kind, subject, message)
 
     def __str__(self) -> str:
         return self.message

@@ -34,7 +34,7 @@ from treelab import (BudgetError, Digraph, MinorEmbedding, MultiRootError, Prop2
                      canonical_code, chain, check_embedding, enumerate_embeddings,
                      enumerate_trees, find_embedding, format_tree, induced_minor, is_minor,
                      is_rooted_tree, largest_common_minor, parse_tree)
-from treelab.embeddings import _fits, _require_valid, _violations
+from treelab.embeddings import _embeddings, _fits, _require_valid, _violations
 from treelab.families import _scan_tree
 from treelab.quotient import _glue, _identities, _prop21_core, _successors, eq4_prediction
 from treelab.solvers import (CommonTreeWitness, LcsResult, LevelStats, ScsResult,
@@ -578,7 +578,8 @@ def scs_by_merging(t1, t2):
                 m = induced_minor(t1, w)
             except MultiRootError:
                 continue
-            for f in enumerate_embeddings(m, t2):
+            # lazily: a 9-node star has 8! self-maps, past the list budget
+            for f in _embeddings(m, t2):
                 parent = merge_matching(t1, t2, f.mapping)
                 if parent is not None:
                     return len(parent)

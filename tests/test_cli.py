@@ -342,9 +342,21 @@ def test_embeddings_verb(capsys):
     assert data["embeddings"] == [{"a": "x", "b": "y"}, {"a": "x", "b": "z"}]
     code, data = run_json(capsys, "embeddings", "a(b)", "x(y,z)", "--limit", "1")
     assert data["count"] == 1 and data["exhaustive"] is False
-    # a limit the search never reached means every embedding was found
-    code, data = run_json(capsys, "embeddings", "a(b)", "x(y,z)", "--limit", "5")
-    assert data["count"] == 2 and data["exhaustive"] is True
+    # a limit the search never passed means every embedding was found
+    for limit in ("2", "5"):
+        code, data = run_json(capsys, "embeddings", "a(b)", "x(y,z)", "--limit", limit)
+        assert data["count"] == 2 and data["exhaustive"] is True
+
+
+def test_embeddings_past_the_budget_is_a_budget_error(capsys):
+    # a star of 8 nodes into one of 14 has 8,648,640 maps; the list stops
+    # one map past `EMBEDDING_BUDGET`
+    started = time.perf_counter()
+    code, out, err = run(capsys, "embeddings", "n1(n2,n3,n4,n5,n6,n7,n8)",
+                         "m1(m2,m3,m4,m5,m6,m7,m8,m9,m10,m11,m12,m13,m14)")
+    assert code == 2 and out == ""
+    assert "budget error" in err and "--limit" in err and "internal error" not in err
+    assert time.perf_counter() - started < 5
 
 
 @pytest.mark.parametrize("argv", [

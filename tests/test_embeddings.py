@@ -282,7 +282,8 @@ def test_deep_chain_embeds_into_itself_without_recursion(tmp_path, capsys):
     code = main(["embeddings", f"@{path}", f"@{path}", "--limit", "1"])
     assert time.perf_counter() - started < 10
     data = json.loads(capsys.readouterr().out)
-    assert code == 0 and data["count"] == 1
+    # the search for a second map proves there is none
+    assert code == 0 and data["count"] == 1 and data["exhaustive"] is True
     assert data["embeddings"] == [{v: v for v in names}]
 
 

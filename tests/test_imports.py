@@ -64,3 +64,18 @@ def test_only_embeddings_raises_embedding_error():
                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                      and node.func.id == "EmbeddingError"})
     assert makers == ["embeddings"]
+
+
+def test_records_declare_their_fields_once():
+    # a record's fields are its `__slots__`, bound by the one base constructor
+    # `trees._Record.__init__`; `Digraph` alone adds a check of its arcs
+    classes = [node for module in MODULES.values() for node in ast.walk(module)
+               if isinstance(node, ast.ClassDef)]
+    records = {"_Record"}
+    for _ in classes:  # a class's bases may come later in the walk
+        records |= {c.name for c in classes
+                    if {getattr(b, "id", getattr(b, "attr", None)) for b in c.bases} & records}
+    constructors = sorted(c.name for c in classes if c.name in records - {"_Record"}
+                          and any(isinstance(f, ast.FunctionDef) and f.name == "__init__"
+                                  for f in c.body))
+    assert constructors == ["Digraph"]

@@ -11,6 +11,7 @@ from treelab import (CommonTreeWitness, Digraph, EmbeddingViolation, Fig1Instanc
                      QuotientGraph, ScanReport, StructureViolation, SupertreeCandidate,
                      ThetaClass, TreeError, TripleMergeWitness, VerificationReport)
 from treelab.solvers import LcsResult, LevelStats, ScsResult, SolverResult
+from treelab.trees import _FrozenRecord, _Record
 
 # (class, fields without a default, the defaults of the others), in
 # constructor order
@@ -68,6 +69,12 @@ def test_record_contract(cls, required, defaults):
     with pytest.raises(AttributeError):  # a record has its fields and nothing else
         positional.typo = 1
     assert positional == keyword and not positional != keyword
+    for args, named in [(values + ("more",), {}),  # a value too many
+                        (values[:len(required) - 1], {}),  # a required field left out
+                        (values, {"typo": 1}),  # an unknown field
+                        (values, {fields[-1]: values[-1]})]:  # a field given twice
+        with pytest.raises(TypeError, match=cls.__qualname__):
+            cls(*args, **named)
 
     short, other = cls(*values[:len(required)]), cls(*values[:len(required)])
     assert {f: getattr(short, f) for f in defaults} == defaults
@@ -98,6 +105,18 @@ def test_record_contract(cls, required, defaults):
             hash(positional)
         setattr(positional, fields[0], "new")
         assert getattr(positional, fields[0]) == "new"
+
+
+def test_every_record_keeps_the_contract():
+    # every record class defined in the package, found through the base,
+    # without the subclasses the contract test makes
+    found, stack = set(), [_Record]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            if sub.__module__.startswith("treelab."):
+                found.add(sub)
+    assert found - {_FrozenRecord} == {cls for cls, _, _ in RECORDS}
 
 
 def test_theta_classes_sort_by_their_members():
